@@ -23,7 +23,7 @@ from pathlib import Path
 from . import corpus_io, lexical, mining, structural
 from .errors import CorpusFormatError, CtmtError, OutputParseError
 from .metrics import EvalRecord, evaluate_records, sentence_metrics
-from .types import ConstraintPair, DerivationTable, Nonterminal, TokenSeq
+from .types import ConstraintPair, DerivationTable, Nonterminal, SerializedExample, TokenSeq
 from .vocab import DEFAULT_VOCAB, ReservedVocab
 
 log = logging.getLogger(__name__)
@@ -69,6 +69,26 @@ def run_sharded(n_items: int, shards: int, worker) -> list:
         for fut in futures:
             merged.extend(fut.result())
     return merged
+
+
+def _run_lines(n_lines: int, shards: int, line_fn) -> list:
+    """Run line_fn(i) for every line, sharded, results in line order.
+
+    A line whose function raises CtmtError is logged and skipped: its
+    result is None.
+    """
+
+    def worker(start: int, end: int) -> list:
+        results = []
+        for i in range(start, end):
+            try:
+                results.append(line_fn(i))
+            except CtmtError as exc:
+                log.warning("line %d skipped: %s", i + 1, exc)
+                results.append(None)
+        return results
+
+    return run_sharded(n_lines, shards, worker)
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +155,7 @@ def _load_constrained_corpus(args, need_target: bool):
     if len(src) != len(tgt):
         raise CorpusFormatError(f"line count mismatch {len(src)} vs {len(tgt)}")
     n = len(src)
-    if getattr(args, "constraints", None):
-        constraint_sets = corpus_io.read_constraints(args.constraints)
-        if len(constraint_sets) != n:
-            raise CorpusFormatError(
-                f"line count mismatch {len(constraint_sets)} vs {n} (constraints)"
-            )
-    else:
-        constraint_sets = [[] for _ in range(n)]
+    constraint_sets = _read_constraint_sets(args.constraints, n)
     if getattr(args, "spans", None):
         span_sets = corpus_io.read_spans(args.spans)
         if len(span_sets) != n:
@@ -157,6 +170,16 @@ def _load_constrained_corpus(args, need_target: bool):
     return src, tgt, constraint_sets, span_sets
 
 
+def _read_constraint_sets(path, n: int) -> list[list[ConstraintPair]]:
+    """One constraint set per corpus line; without a file, no constraints."""
+    if not path:
+        return [[] for _ in range(n)]
+    constraint_sets = corpus_io.read_constraints(path)
+    if len(constraint_sets) != n:
+        raise CorpusFormatError(f"line count mismatch {len(constraint_sets)} vs {n} (constraints)")
+    return constraint_sets
+
+
 def _constraints_from_meta(meta: dict) -> list[ConstraintPair]:
     return [
         ConstraintPair(src=list(c["src"]), tgt=list(c["tgt"]), index=k + 1)
@@ -167,105 +190,79 @@ def _constraints_from_meta(meta: dict) -> list[ConstraintPair]:
 # ---------------------------------------------------------------------------
 # prepare / encode
 
-def _serialize_line(mode, x, y, cons, spans, vocab):
-    """One training pair serialized, plus its evaluation metadata."""
+def _span_side(spans, side: int):
+    """The source (0) or target (1) spans of a line's span pairs, if given."""
+    return None if spans is None else [pair[side] for pair in spans]
+
+
+def _serialize_line(mode, x, y, cons, spans, vocab) -> SerializedExample:
+    """One training pair serialized."""
     if mode == "structural":
-        xp, yp = structural.build_structural_pair(x, y, vocab=vocab)
-        src_tags, _ = structural.segment_tagged(x, vocab)
-        tgt_tags, _ = structural.segment_tagged(y, vocab)
-        meta = {"mode": mode, "source_tags": src_tags, "target_tags": tgt_tags}
-        return xp, yp, meta
-    src_spans = [s for s, _ in spans] if spans is not None else None
-    tgt_spans = [t for _, t in spans] if spans is not None else None
-    ordered, ordered_spans, perm = lexical.canonical_constraints(x, cons, src_spans)
-    if tgt_spans is not None:
-        tgt_spans = [tgt_spans[i] for i in perm]
-    xp, yp = lexical.build_training_pair(
-        x, y, ordered, tgt_spans, vocab=vocab, src_spans=ordered_spans
+        return structural.build_structural_pair(x, y, vocab=vocab)
+    return lexical.build_training_pair(
+        x, y, cons, _span_side(spans, 1), vocab=vocab, src_spans=_span_side(spans, 0)
     )
-    meta = {
-        "mode": mode,
-        "constraints": [{"src": c.src, "tgt": c.tgt} for c in ordered],
-        "src_spans": [list(s) for s in ordered_spans],
-    }
-    return xp, yp, meta
+
+
+def _meta(mode: str, example: SerializedExample, index: int) -> dict:
+    """The metadata record of a serialized line: everything decode and
+    evaluate need downstream."""
+    if mode == "structural":
+        meta = {"mode": mode, "source_tags": example.source_tags}
+        if example.target_tags is not None:
+            meta["target_tags"] = example.target_tags
+    else:
+        meta = {
+            "mode": mode,
+            "constraints": [{"src": c.src, "tgt": c.tgt} for c in example.constraints],
+            "src_spans": [list(s) for s in example.src_spans],
+        }
+    meta["index"] = index
+    return meta
+
+
+def _write_serialized(out_dir, stem: str, second: str, results: list) -> int:
+    """Write the kept lines' (encoder stream, second stream, meta) triples
+    as ``stem.xprime``, ``stem.<second>`` and ``stem.meta.jsonl``."""
+    kept = [r for r in results if r is not None]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    corpus_io.write_token_lines(out / f"{stem}.xprime", [xp for xp, _, _ in kept])
+    corpus_io.write_token_lines(out / f"{stem}.{second}", [s for _, s, _ in kept])
+    corpus_io.write_jsonl(out / f"{stem}.meta.jsonl", [meta for _, _, meta in kept])
+    print(json.dumps({"written": len(kept), "skipped": len(results) - len(kept)}, sort_keys=True))
+    return 0
 
 
 def cmd_prepare(args) -> int:
     vocab = _load_vocab(args)
     src, tgt, constraint_sets, span_sets = _load_constrained_corpus(args, need_target=True)
 
-    def worker(start: int, end: int) -> list:
-        results = []
-        for i in range(start, end):
-            try:
-                xp, yp, meta = _serialize_line(
-                    args.mode, src[i], tgt[i], constraint_sets[i], span_sets[i], vocab
-                )
-                meta["index"] = i
-                results.append((i, xp, yp, meta))
-            except CtmtError as exc:
-                log.warning("line %d skipped: %s", i + 1, exc)
-                results.append((i, None, None, None))
-        return results
+    def line(i: int):
+        example = _serialize_line(
+            args.mode, src[i], tgt[i], constraint_sets[i], span_sets[i], vocab
+        )
+        return example.encoder_input, example.target_output, _meta(args.mode, example, i)
 
-    results = run_sharded(len(src), args.shards, worker)
-    kept = [(xp, yp, meta) for _, xp, yp, meta in results if meta is not None]
-    skipped = len(results) - len(kept)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    corpus_io.write_token_lines(out / "train.xprime", [xp for xp, _, _ in kept])
-    corpus_io.write_token_lines(out / "train.yprime", [yp for _, yp, _ in kept])
-    corpus_io.write_jsonl(out / "train.meta.jsonl", [meta for _, _, meta in kept])
-    print(json.dumps({"written": len(kept), "skipped": skipped}, sort_keys=True))
-    return 0
+    results = _run_lines(len(src), args.shards, line)
+    return _write_serialized(args.out_dir, "train", "yprime", results)
 
 
 def cmd_encode(args) -> int:
     vocab = _load_vocab(args)
     src, _, constraint_sets, span_sets = _load_constrained_corpus(args, need_target=False)
 
-    def worker(start: int, end: int) -> list:
-        results = []
-        for i in range(start, end):
-            try:
-                if args.mode == "structural":
-                    example = structural.build_structural_input(src[i], vocab=vocab)
-                    tags, _ = structural.segment_tagged(src[i], vocab)
-                    xp, prefix = example.encoder_input, example.decoder_prefix
-                    meta = {"mode": args.mode, "source_tags": tags, "index": i}
-                else:
-                    spans = span_sets[i]
-                    src_spans = [s for s, _ in spans] if spans is not None else None
-                    example = lexical.build_inference_input(
-                        src[i], constraint_sets[i], vocab=vocab, src_spans=src_spans
-                    )
-                    ordered, ordered_spans, _ = lexical.canonical_constraints(
-                        src[i], constraint_sets[i], src_spans
-                    )
-                    xp, prefix = example.encoder_input, example.decoder_prefix
-                    meta = {
-                        "mode": args.mode,
-                        "constraints": [{"src": c.src, "tgt": c.tgt} for c in ordered],
-                        "src_spans": [list(s) for s in ordered_spans],
-                        "index": i,
-                    }
-                results.append((i, xp, prefix, meta))
-            except CtmtError as exc:
-                log.warning("line %d skipped: %s", i + 1, exc)
-                results.append((i, None, None, None))
-        return results
+    def line(i: int):
+        if args.mode == "structural":
+            example = structural.build_structural_input(src[i], vocab=vocab)
+        else:
+            example = lexical.build_inference_input(
+                src[i], constraint_sets[i], vocab=vocab, src_spans=_span_side(span_sets[i], 0)
+            )
+        return example.encoder_input, example.decoder_prefix, _meta(args.mode, example, i)
 
-    results = run_sharded(len(src), args.shards, worker)
-    kept = [(xp, pre, meta) for _, xp, pre, meta in results if meta is not None]
-    skipped = len(results) - len(kept)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    corpus_io.write_token_lines(out / "encode.xprime", [xp for xp, _, _ in kept])
-    corpus_io.write_token_lines(out / "encode.prefix", [pre for _, pre, _ in kept])
-    corpus_io.write_jsonl(out / "encode.meta.jsonl", [meta for _, _, meta in kept])
-    print(json.dumps({"written": len(kept), "skipped": skipped}, sort_keys=True))
-    return 0
+    results = _run_lines(len(src), args.shards, line)
+    return _write_serialized(args.out_dir, "encode", "prefix", results)
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +399,17 @@ def cmd_decode(args) -> int:
 # sample
 
 def cmd_sample(args) -> int:
+    try:
+        cfg = mining.SamplerConfig(
+            max_constraints=args.max_constraints,
+            min_len=args.min_len,
+            max_len=args.max_len,
+            rng_seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     pairs = corpus_io.read_bitext(args.src, args.tgt)
     alignments = corpus_io.read_alignments(args.align, pairs)
-    cfg = mining.SamplerConfig(
-        max_constraints=args.max_constraints,
-        min_len=args.min_len,
-        max_len=args.max_len,
-        rng_seed=args.seed,
-    )
 
     def worker(start: int, end: int) -> list:
         results = []
@@ -436,28 +436,14 @@ def cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 # evaluate
 
-def _build_records(hyp, ref, constraint_sets) -> list[EvalRecord]:
-    return [
-        EvalRecord(hypothesis=h, reference=r, constraints=c)
-        for h, r, c in zip(hyp, ref, constraint_sets)
-    ]
-
-
 def cmd_evaluate(args) -> int:
     vocab = _load_vocab(args)
-    hyp = corpus_io.read_token_lines(args.hyp)
-    ref = corpus_io.read_token_lines(args.ref)
-    if len(hyp) != len(ref):
-        raise CorpusFormatError(f"line count mismatch {len(hyp)} vs {len(ref)}")
-    if args.constraints:
-        constraint_sets = corpus_io.read_constraints(args.constraints)
-        if len(constraint_sets) != len(hyp):
-            raise CorpusFormatError(
-                f"line count mismatch {len(constraint_sets)} vs {len(hyp)} (constraints)"
-            )
-    else:
-        constraint_sets = [[] for _ in hyp]
-    records = _build_records(hyp, ref, constraint_sets)
+    pairs = corpus_io.read_bitext(args.hyp, args.ref)
+    constraint_sets = _read_constraint_sets(args.constraints, len(pairs))
+    records = [
+        EvalRecord(hypothesis=h, reference=r, constraints=c)
+        for (h, r), c in zip(pairs, constraint_sets)
+    ]
     structural_mode = args.mode == "structural"
     report = evaluate_records(
         records, vocab=vocab, structural=structural_mode, window=args.window
@@ -483,10 +469,9 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 # roundtrip
 
-def _gold_tail(mode: str, yprime: TokenSeq, vocab: ReservedVocab) -> TokenSeq:
-    if mode == "structural":
-        return yprime
-    return yprime[len(lexical.decoder_prefix_of(yprime, vocab)) :]
+def _gold_tail(example: SerializedExample) -> TokenSeq:
+    """The continuation a perfect model would produce after the forced prefix."""
+    return example.target_output[len(example.decoder_prefix) :]
 
 
 def cmd_roundtrip(args) -> int:
@@ -498,40 +483,26 @@ def cmd_roundtrip(args) -> int:
     vocab = _load_vocab(args)
     src, tgt, constraint_sets, span_sets = _load_constrained_corpus(args, need_target=True)
 
-    def worker(start: int, end: int) -> list:
-        results = []
-        for i in range(start, end):
-            try:
-                xp, yp, meta = _serialize_line(
-                    args.mode, src[i], tgt[i], constraint_sets[i], span_sets[i], vocab
-                )
-                meta["index"] = i
-                tail = _gold_tail(args.mode, yp, vocab)
-                sentence, audit = decode_line(args.mode, tail, meta, vocab)
-                results.append((i, meta, sentence, audit))
-            except CtmtError as exc:
-                log.warning("line %d skipped: %s", i + 1, exc)
-                results.append((i, None, None, None))
-        return results
+    def line(i: int):
+        example = _serialize_line(
+            args.mode, src[i], tgt[i], constraint_sets[i], span_sets[i], vocab
+        )
+        meta = _meta(args.mode, example, i)
+        sentence, audit = decode_line(args.mode, _gold_tail(example), meta, vocab)
+        return i, example.constraints, sentence, audit
 
-    results = run_sharded(len(src), args.shards, worker)
-    kept = [(i, meta, sent, audit) for i, meta, sent, audit in results if meta is not None]
+    results = _run_lines(len(src), args.shards, line)
+    kept = [r for r in results if r is not None]
     skipped = len(results) - len(kept)
 
     violations: list[str] = []
     records: list[EvalRecord] = []
-    for i, meta, sentence, audit in kept:
+    for i, constraints, sentence, audit in kept:
         if sentence != tgt[i]:
             violations.append(f"line {i + 1}: reconstruction differs from reference")
         if not audit.get("valid"):
             violations.append(f"line {i + 1}: invalid template ({audit.get('reason')})")
-        records.append(
-            EvalRecord(
-                hypothesis=sentence,
-                reference=tgt[i],
-                constraints=_constraints_from_meta(meta),
-            )
-        )
+        records.append(EvalRecord(hypothesis=sentence, reference=tgt[i], constraints=constraints))
     structural_mode = args.mode == "structural"
     report = evaluate_records(records, vocab=vocab, structural=structural_mode)
     expected = {
@@ -581,19 +552,17 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     serialized = []
     for i in range(n):
-        xp, yp, meta = _serialize_line(
+        example = _serialize_line(
             args.mode, src[i], tgt[i], constraint_sets[i], span_sets[i], vocab
         )
-        meta["index"] = i
-        serialized.append((xp, yp, meta))
+        serialized.append((example, _meta(args.mode, example, i)))
     serialize_seconds = time.perf_counter() - t0
-    serialize_tokens = sum(len(xp) + len(yp) for xp, yp, _ in serialized)
+    serialize_tokens = sum(len(ex.encoder_input) + len(ex.target_output) for ex, _ in serialized)
 
     t1 = time.perf_counter()
     reconstruct_tokens = 0
-    for xp, yp, meta in serialized:
-        tail = _gold_tail(args.mode, yp, vocab)
-        sentence, _ = decode_line(args.mode, tail, meta, vocab)
+    for example, meta in serialized:
+        sentence, _ = decode_line(args.mode, _gold_tail(example), meta, vocab)
         reconstruct_tokens += len(sentence)
     reconstruct_seconds = time.perf_counter() - t1
 
@@ -615,6 +584,20 @@ def cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return value
+
 
 def _add_common(sub, *, mode=True, vocab=True, shards=True):
     if mode:
@@ -671,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--constraints")
-    p.add_argument("--window", type=int, default=2)
+    p.add_argument("--window", type=_non_negative_int, default=2)
     p.add_argument("--report", help="write the JSON report here as well")
     p.add_argument("--per-sentence", help="write a per-sentence TSV here")
     p.set_defaults(func=cmd_evaluate)
@@ -690,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt", required=True)
     p.add_argument("--constraints")
     p.add_argument("--spans")
-    p.add_argument("--baseline-tps", type=float, default=3390.0)
+    p.add_argument("--baseline-tps", type=_positive_float, default=3390.0)
     p.add_argument("--budget-fraction", type=float, default=0.05)
     p.set_defaults(func=cmd_bench)
 

@@ -100,12 +100,16 @@ def write_alignments(path: str | Path, alignments: list[set[tuple[int, int]]]) -
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
+    """Read one JSON object per line."""
     records = []
     for lineno, line in enumerate(_read_lines(path), start=1):
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise CorpusFormatError(f"line {lineno}: expected a JSON object")
+        records.append(record)
     return records
 
 

@@ -84,40 +84,45 @@ def find_disjoint_assignment(
     return list(chosen) if place(0) else None
 
 
+def claim_spans(tokens: TokenSeq, phrases: list[TokenSeq]) -> list[Span | None]:
+    """One occurrence per phrase, no token position serving two phrases.
+
+    When all phrases can be placed disjointly this is the
+    find_disjoint_assignment result (identical to plain greedy whenever
+    greedy succeeds); otherwise each phrase in order claims its leftmost
+    free occurrence and the phrases left without one get None.
+    """
+    phrases = [list(p) for p in phrases]
+    full = find_disjoint_assignment(tokens, phrases)
+    if full is not None:
+        return full
+    claimed: list[Span] = []
+    out: list[Span | None] = []
+    for phrase in phrases:
+        found = None
+        for start, end in occurrences(tokens, phrase):
+            if all(e <= start or end <= b for b, e in claimed):
+                found = (start, end)
+                claimed.append(found)
+                break
+        out.append(found)
+    return out
+
+
 def match_constraint_spans(x: TokenSeq, constraints: list[ConstraintPair]) -> list[Span]:
     """Locate each constraint's source phrase in x.
 
-    Constraints are placed in the given order, each preferring the
-    leftmost occurrence of its phrase not overlapping the earlier choices;
-    when that greedy claim dead-ends on duplicated phrases, the search
-    backtracks so that any feasible disjoint assignment is found. Returned
-    spans keep the input constraint order.
+    The spans are those of claim_spans, in the input constraint order;
+    a phrase it cannot place raises ConstraintMatchError naming the first
+    such phrase.
     """
-    spans = find_disjoint_assignment(x, [c.src for c in constraints])
-    if spans is not None:
-        return spans
-    claimed: list[Span] = []
-    for c in constraints:
-        span = _leftmost_free_occurrence(x, c.src, claimed)
+    spans = claim_spans(x, [c.src for c in constraints])
+    for c, span in zip(constraints, spans):
         if span is None:
             raise ConstraintMatchError(
                 f"constraint phrase {' '.join(c.src)!r} has no available occurrence"
             )
-        claimed.append(span)
-    raise ConstraintMatchError("no non-overlapping span assignment exists")
-
-
-def _leftmost_free_occurrence(
-    tokens: TokenSeq, phrase: TokenSeq, claimed: list[Span]
-) -> Span | None:
-    width = len(phrase)
-    for start in range(len(tokens) - width + 1):
-        if tokens[start : start + width] != phrase:
-            continue
-        end = start + width
-        if all(e <= start or end <= b for b, e in claimed):
-            return (start, end)
-    return None
+    return spans
 
 
 def segment(x: TokenSeq, spans: list[Span]) -> list[TokenSeq]:
@@ -200,6 +205,14 @@ def constraint_derivation(constraints: list[ConstraintPair]) -> DerivationTable:
     return DerivationTable([(Nonterminal("C", c.index), list(c.tgt)) for c in constraints])
 
 
+def _render_prefix(ordered: list[ConstraintPair], vocab: ReservedVocab) -> TokenSeq:
+    """Render the constraint section ``d <sep>``."""
+    d_tokens: TokenSeq = []
+    for con in ordered:
+        d_tokens += [vocab.render(Nonterminal("C", con.index)), *con.tgt]
+    return d_tokens + [vocab.sep_token]
+
+
 def build_training_pair(
     x: TokenSeq,
     y: TokenSeq,
@@ -208,14 +221,16 @@ def build_training_pair(
     *,
     vocab: ReservedVocab,
     src_spans: list[Span] | None = None,
-) -> tuple[TokenSeq, TokenSeq]:
-    """Serialize a training pair into flat (encoder, decoder-target) streams.
+) -> SerializedExample:
+    """Serialize a training pair into flat encoder and decoder-target streams.
 
     Constraints are indexed 1..N by source position. The constraint
     sections always list ascending indices; the target template follows
     the order the constraints take in y. ``tgt_spans``, when given, must
     be aligned item-for-item with ``constraints``; otherwise each target
-    phrase claims its leftmost free occurrence in y.
+    phrase claims its leftmost free occurrence in y. The example carries
+    the streams in ``encoder_input`` and ``target_output``, the forced
+    prefix, and the canonical constraints with their source spans.
     """
     vocab.check_plain(x, "source sentence")
     vocab.check_plain(y, "target sentence")
@@ -233,9 +248,7 @@ def build_training_pair(
     target_order = sorted(range(len(ordered)), key=lambda i: t_spans[i])
     q_fragments = segment(y, sorted(t_spans))
 
-    d_tokens: TokenSeq = []
-    for con in ordered:
-        d_tokens += [vocab.render(Nonterminal("C", con.index)), *con.tgt]
+    prefix = _render_prefix(ordered, vocab)
     t_tokens: TokenSeq = [vocab.render(Nonterminal("Y", 0))]
     for slot, i in enumerate(target_order, start=1):
         t_tokens += [
@@ -246,8 +259,13 @@ def build_training_pair(
     for n, fragment in enumerate(q_fragments):
         f_tokens += [vocab.render(Nonterminal("Y", n)), *fragment]
 
-    target_output = d_tokens + [vocab.sep_token] + t_tokens + [vocab.sep_token] + f_tokens
-    return encoder_input, target_output
+    return SerializedExample(
+        encoder_input=encoder_input,
+        decoder_prefix=prefix,
+        target_output=prefix + t_tokens + [vocab.sep_token] + f_tokens,
+        constraints=ordered,
+        src_spans=spans,
+    )
 
 
 def build_inference_input(
@@ -257,17 +275,18 @@ def build_inference_input(
     vocab: ReservedVocab,
     src_spans: list[Span] | None = None,
 ) -> SerializedExample:
-    """Serialize the source side and the forced decoder prefix ``d <sep>``."""
+    """Serialize the source side and the forced decoder prefix ``d <sep>``,
+    keeping the canonical constraints and their source spans."""
     vocab.check_plain(x, "source sentence")
     for c in constraints:
         vocab.check_plain(c.tgt, "constraint target phrase")
     ordered, spans, _ = canonical_constraints(x, constraints, src_spans)
-    encoder_input = _render_source(x, ordered, spans, vocab)
-    prefix: TokenSeq = []
-    for con in ordered:
-        prefix += [vocab.render(Nonterminal("C", con.index)), *con.tgt]
-    prefix.append(vocab.sep_token)
-    return SerializedExample(encoder_input=encoder_input, decoder_prefix=prefix)
+    return SerializedExample(
+        encoder_input=_render_source(x, ordered, spans, vocab),
+        decoder_prefix=_render_prefix(ordered, vocab),
+        constraints=ordered,
+        src_spans=spans,
+    )
 
 
 def scan_derivation_rules(

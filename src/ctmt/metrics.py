@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .lexical import find_disjoint_assignment
+from .lexical import claim_spans, occurrences
 from .structural import tag_sequence, tags_well_formed
 from .types import ConstraintPair, TokenSeq
 from .vocab import ReservedVocab
@@ -33,7 +33,6 @@ class EvalRecord:
     hypothesis: TokenSeq
     reference: TokenSeq
     constraints: list[ConstraintPair] = field(default_factory=list)
-    source_tags: list[str] | None = None
 
 
 @dataclass
@@ -57,36 +56,6 @@ class MetricReport:
         if self.structure_match is not None:
             out["structure_match"] = round(self.structure_match, 4)
         return out
-
-
-def claim_spans(tokens: TokenSeq, phrases: list[TokenSeq]) -> list[Span | None]:
-    """Leftmost assignment of phrase occurrences, one per phrase.
-
-    Every token position serves at most one phrase. When all phrases can
-    be placed disjointly the leftmost-first backtracking assignment is
-    used (identical to plain greedy whenever greedy succeeds); otherwise
-    each phrase in order claims its leftmost free occurrence and the rest
-    get None.
-    """
-    full = find_disjoint_assignment(tokens, [list(p) for p in phrases])
-    if full is not None:
-        return list(full)
-    claimed: list[Span] = []
-    out: list[Span | None] = []
-    for phrase in phrases:
-        width = len(phrase)
-        found = None
-        for start in range(len(tokens) - width + 1):
-            if tokens[start : start + width] != phrase:
-                continue
-            end = start + width
-            if all(e <= start or end <= b for b, e in claimed):
-                found = (start, end)
-                break
-        out.append(found)
-        if found is not None:
-            claimed.append(found)
-    return out
 
 
 def exact_match(records: list[EvalRecord]) -> float:
@@ -140,11 +109,9 @@ def window_overlap(records: list[EvalRecord], window: int = 2) -> float:
 def _all_occurrence_weights(tokens: TokenSeq, phrases: list[TokenSeq]) -> list[int]:
     weights = [1] * len(tokens)
     for phrase in phrases:
-        width = len(phrase)
-        for start in range(len(tokens) - width + 1):
-            if tokens[start : start + width] == phrase:
-                for k in range(start, start + width):
-                    weights[k] = 2
+        for start, end in occurrences(tokens, phrase):
+            for k in range(start, end):
+                weights[k] = 2
     return weights
 
 
@@ -271,7 +238,9 @@ def bleu(records: list[EvalRecord], max_ngram: int = 4) -> float:
     Modified n-gram precisions are combined geometrically; a zero count
     for an order above 1 falls back to 1/(2^k * total) exponential
     smoothing while zero unigram overlap scores 0. Orders for which the
-    corpus has no n-grams at all are left out of the mean.
+    corpus has no n-grams at all are left out of the mean. Empty
+    hypotheses score 0, unless every reference is empty too: then there
+    is nothing to get wrong and the score is 100.
     """
     correct = [0] * max_ngram
     total = [0] * max_ngram
@@ -288,7 +257,7 @@ def bleu(records: list[EvalRecord], max_ngram: int = 4) -> float:
             correct[n - 1] += sum((hyp_counts & ref_counts).values())
             total[n - 1] += sum(hyp_counts.values())
     if hyp_len == 0:
-        return 0.0
+        return 100.0 if ref_len == 0 else 0.0
     log_sum = 0.0
     orders = 0
     smooth = 1.0

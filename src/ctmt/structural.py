@@ -58,12 +58,14 @@ def _render_side(tags: list[str], fragments: list[TokenSeq], kind: str, vocab: R
 
 def build_structural_pair(
     x: TokenSeq, y: TokenSeq, *, vocab: ReservedVocab
-) -> tuple[TokenSeq, TokenSeq]:
-    """Serialize a tagged sentence pair into flat (encoder, target) streams.
+) -> SerializedExample:
+    """Serialize a tagged sentence pair into flat encoder and target streams.
 
     The target side keeps whatever tag order y exhibits. A difference
     between the two tag multisets is recorded as a warning; training data
-    may legitimately differ and evaluation makes the final call.
+    may legitimately differ and evaluation makes the final call. The
+    example carries the streams in ``encoder_input`` and
+    ``target_output``, and both tag sequences.
     """
     vocab.check_plain(x, "source sentence")
     vocab.check_plain(y, "target sentence")
@@ -73,7 +75,13 @@ def build_structural_pair(
         log.warning(
             "tag multiset mismatch: source %s vs target %s", sorted(src_tags), sorted(tgt_tags)
         )
-    return _render_side(src_tags, p, "X", vocab), _render_side(tgt_tags, q, "Y", vocab)
+    return SerializedExample(
+        encoder_input=_render_side(src_tags, p, "X", vocab),
+        decoder_prefix=[],
+        target_output=_render_side(tgt_tags, q, "Y", vocab),
+        source_tags=src_tags,
+        target_tags=tgt_tags,
+    )
 
 
 def build_structural_input(x: TokenSeq, *, vocab: ReservedVocab) -> SerializedExample:
@@ -81,7 +89,7 @@ def build_structural_input(x: TokenSeq, *, vocab: ReservedVocab) -> SerializedEx
     vocab.check_plain(x, "source sentence")
     tags, fragments = segment_tagged(x, vocab)
     return SerializedExample(
-        encoder_input=_render_side(tags, fragments, "X", vocab), decoder_prefix=[]
+        encoder_input=_render_side(tags, fragments, "X", vocab), decoder_prefix=[], source_tags=tags
     )
 
 

@@ -100,11 +100,26 @@ class DerivationTable:
 
 @dataclass
 class SerializedExample:
-    """Flattened model-facing views of one sentence pair."""
+    """Flattened model-facing views of one sentence pair, plus what
+    serialization settled on the way.
+
+    Every builder returns one. ``encoder_input`` is the source stream and
+    ``decoder_prefix`` the forced prefix (``d <sep>`` for lexical lines,
+    empty for structural ones). ``target_output`` is the full target
+    stream of a training pair and empty for an inference input; the model
+    continuation is what follows the prefix in it. Lexical builders fill
+    ``constraints`` (re-indexed 1..N by source position) and their
+    ascending ``src_spans``; structural builders fill ``source_tags`` and,
+    for a training pair, ``target_tags``.
+    """
 
     encoder_input: TokenSeq
     decoder_prefix: TokenSeq
     target_output: TokenSeq = field(default_factory=list)
+    constraints: list[ConstraintPair] = field(default_factory=list)
+    src_spans: list[tuple[int, int]] = field(default_factory=list)
+    source_tags: list[str] = field(default_factory=list)
+    target_tags: list[str] | None = None
 
 
 @dataclass

@@ -663,3 +663,105 @@ def test_log_level_from_environment(tmp_path, capsys, monkeypatch):
     code, _ = run(capsys, "prepare", "--src", src, "--tgt", tgt,
                   "--out-dir", str(tmp_path / "o"))
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# edge cases and bad input
+
+@pytest.mark.parametrize("mode", ["lexical", "structural"])
+def test_roundtrip_all_empty_corpus(tmp_path, capsys, mode):
+    vocab_path = tmp_path / "vocab.json"
+    corpus_io.save_vocab(vocab_path, TAGGED_VOCAB)
+    src = write_lines(tmp_path / "e.src", [""])
+    tgt = write_lines(tmp_path / "e.tgt", [""])
+    code, out = run(
+        capsys, "roundtrip", "--mode", mode, "--vocab", str(vocab_path),
+        "--src", src, "--tgt", tgt,
+    )
+    assert code == 0
+    summary = last_json(out)
+    assert summary["violations"] == []
+    assert summary["metrics"]["bleu"] == 100.0
+
+
+def test_decode_meta_line_not_an_object_is_data_error(golden_files, capsys):
+    enc_dir = golden_files["dir"] / "enc"
+    run(
+        capsys, "encode", "--src", golden_files["src"],
+        "--constraints", golden_files["cons"], "--out-dir", str(enc_dir),
+    )
+    (enc_dir / "encode.meta.jsonl").write_text("[1]\n", encoding="utf-8")
+    model_out = write_lines(golden_files["dir"] / "model.out", [GOLD_OUTPUT])
+    code = main(["decode", "--encode-dir", str(enc_dir), "--model-output", model_out])
+    assert code == 2
+    assert "line 1: expected a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--src", "s", "--tgt", "t", "--baseline-tps", "0"],
+        ["sample", "--src", "s", "--tgt", "t", "--align", "a", "--out", "o", "--max-len", "0"],
+        ["sample", "--src", "s", "--tgt", "t", "--align", "a", "--out", "o",
+         "--min-len", "3", "--max-len", "1"],
+        ["sample", "--src", "s", "--tgt", "t", "--align", "a", "--out", "o",
+         "--max-constraints", "-1"],
+        ["evaluate", "--hyp", "h", "--ref", "r", "--window", "-1"],
+    ],
+)
+def test_bad_option_values_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ctmt: ") and err.count("\n") == 1
+
+
+def test_encode_searches_spans_once_per_line(tmp_path, capsys, monkeypatch):
+    import ctmt.lexical as lexical_mod
+
+    calls = []
+    real = lexical_mod.find_disjoint_assignment
+
+    def counting(tokens, phrases, *args, **kwargs):
+        calls.append(len(phrases))
+        return real(tokens, phrases, *args, **kwargs)
+
+    monkeypatch.setattr(lexical_mod, "find_disjoint_assignment", counting)
+    src = write_lines(tmp_path / "c.src", ["a b c", "c d", "e"])
+    cons = write_lines(
+        tmp_path / "c.cons.jsonl",
+        [
+            json.dumps({"constraints": [{"src": ["b"], "tgt": ["B"]}, {"src": ["a"], "tgt": ["A"]}]}),
+            json.dumps({"constraints": [{"src": ["d"], "tgt": ["D"]}]}),
+            json.dumps({"constraints": [{"src": ["e"], "tgt": ["E"]}]}),
+        ],
+    )
+    code, out = run(capsys, "encode", "--src", src, "--constraints", cons,
+                    "--out-dir", str(tmp_path / "enc"))
+    assert code == 0 and last_json(out)["written"] == 3
+    assert calls == [2, 1, 1]
+
+
+def test_structural_prepare_segments_each_sentence_once(tmp_path, capsys, monkeypatch):
+    import ctmt.structural as structural_mod
+
+    calls = []
+    real = structural_mod.segment_tagged
+
+    def counting(x, vocab):
+        calls.append(list(x))
+        return real(x, vocab)
+
+    monkeypatch.setattr(structural_mod, "segment_tagged", counting)
+    vocab_path = tmp_path / "vocab.json"
+    corpus_io.save_vocab(vocab_path, TAGGED_VOCAB)
+    src = write_lines(tmp_path / "s.src", [MARKUP_SRC, "hello world"])
+    tgt = write_lines(tmp_path / "s.tgt", [MARKUP_REF, "bonjour tout le monde"])
+    code, _ = run(
+        capsys, "prepare", "--mode", "structural", "--vocab", str(vocab_path),
+        "--src", src, "--tgt", tgt, "--out-dir", str(tmp_path / "prep"),
+    )
+    assert code == 0
+    assert sorted(map(" ".join, calls)) == sorted(
+        [MARKUP_SRC, MARKUP_REF, "hello world", "bonjour tout le monde"]
+    )

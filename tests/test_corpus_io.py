@@ -88,6 +88,14 @@ def test_read_constraints_bad_json(tmp_path):
         corpus_io.read_constraints(path)
 
 
+@pytest.mark.parametrize("line", ["[1]", "7", "null"])
+@pytest.mark.parametrize("reader", [corpus_io.read_constraints, corpus_io.read_spans])
+def test_jsonl_line_not_an_object_rejected(tmp_path, reader, line):
+    path = _write(tmp_path / "a.jsonl", '{"constraints":[],"spans":[]}\n' + line + "\n")
+    with pytest.raises(CorpusFormatError, match="line 2: expected a JSON object"):
+        reader(path)
+
+
 def test_constraints_round_trip(tmp_path):
     sets = [
         [ConstraintPair(["a", "b"], ["x"], 1), ConstraintPair(["c"], ["y", "z"], 2)],

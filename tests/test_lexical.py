@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from ctmt import (
     segment,
     validate_template,
 )
-from ctmt.lexical import canonical_constraints, decoder_prefix_of
+from ctmt.lexical import canonical_constraints, claim_spans, decoder_prefix_of
 
 from conftest import (
     GOLD_ENC,
@@ -136,9 +137,10 @@ def test_segment_interleave_identity(x, data):
 # serialization
 
 def test_training_pair_golden(vocab):
-    xp, yp = build_training_pair(
+    pair = build_training_pair(
         GOLD_SRC.split(), GOLD_REF.split(), gold_constraints(), vocab=vocab
     )
+    xp, yp = pair.encoder_input, pair.target_output
     assert " ".join(xp) == GOLD_ENC
     assert " ".join(yp) == GOLD_YPRIME
     # the reference orders the second constraint first
@@ -147,13 +149,15 @@ def test_training_pair_golden(vocab):
 
 
 def test_training_pair_unconstrained(vocab):
-    xp, yp = build_training_pair(["x1", "x2"], ["y1"], [], vocab=vocab)
+    pair = build_training_pair(["x1", "x2"], ["y1"], [], vocab=vocab)
+    xp, yp = pair.encoder_input, pair.target_output
     assert " ".join(xp) == "<sep> <X_0> <sep> <X_0> x1 x2"
     assert " ".join(yp) == "<sep> <Y_0> <sep> <Y_0> y1"
 
 
 def test_training_pair_single_token_everywhere(vocab):
-    xp, yp = build_training_pair(["a"], ["a"], [cp("a", "a")], vocab=vocab)
+    pair = build_training_pair(["a"], ["a"], [cp("a", "a")], vocab=vocab)
+    xp, yp = pair.encoder_input, pair.target_output
     assert " ".join(xp) == "<C_1> a <sep> <X_0> <C_1> <X_1> <sep> <X_0> <X_1>"
     assert " ".join(yp) == "<C_1> a <sep> <Y_0> <C_1> <Y_1> <sep> <Y_0> <Y_1>"
 
@@ -161,9 +165,10 @@ def test_training_pair_single_token_everywhere(vocab):
 def test_training_pair_constraint_order_is_canonical(vocab):
     # Input order must not matter: indices follow source positions.
     shuffled = [cp("price hike", "价格上涨"), cp("slowing down", "减弱")]
-    xp, yp = build_training_pair(
+    pair = build_training_pair(
         GOLD_SRC.split(), GOLD_REF.split(), shuffled, vocab=vocab
     )
+    xp, yp = pair.encoder_input, pair.target_output
     assert " ".join(xp) == GOLD_ENC
     assert " ".join(yp) == GOLD_YPRIME
 
@@ -177,9 +182,10 @@ def test_training_pair_with_given_spans(vocab):
     x = ["a", "b", "a"]
     y = ["z", "a", "z", "a"]
     constraints = [cp("a", "a")]
-    xp1, yp1 = build_training_pair(
+    pair = build_training_pair(
         x, y, constraints, [(3, 4)], vocab=vocab, src_spans=[(2, 3)]
     )
+    xp1, yp1 = pair.encoder_input, pair.target_output
     assert " ".join(xp1) == "<C_1> a <sep> <X_0> <C_1> <X_1> <sep> <X_0> a b <X_1>"
     assert " ".join(yp1).endswith("<Y_0> z a z <Y_1>")
 
@@ -206,8 +212,36 @@ def test_backtracking_finds_assignment_greedy_misses(vocab):
     x = ["a", "b", "a"]
     constraints = [cp("a", "x"), cp("a b", "y z")]
     assert match_constraint_spans(x, constraints) == [(2, 3), (0, 2)]
-    xp, _ = build_training_pair(x, ["y", "z", "c", "x"], constraints, vocab=vocab)
+    xp = build_training_pair(x, ["y", "z", "c", "x"], constraints, vocab=vocab).encoder_input
     assert " ".join(xp) == "<C_1> a b <C_2> a <sep> <X_0> <C_1> <X_1> <C_2> <X_2> <sep> <X_0> <X_1> <X_2>"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.lists(st.sampled_from("ab"), max_size=8),
+    phrases=st.lists(st.lists(st.sampled_from("ab"), min_size=1, max_size=2), max_size=4),
+)
+def test_match_is_claim_then_raise(x, phrases):
+    constraints = [ConstraintPair(src=p, tgt=["t"]) for p in phrases]
+    claimed = claim_spans(x, phrases)
+    if None not in claimed:
+        assert match_constraint_spans(x, constraints) == claimed
+    else:
+        first = " ".join(phrases[claimed.index(None)])
+        with pytest.raises(ConstraintMatchError, match=re.escape(repr(first))):
+            match_constraint_spans(x, constraints)
+
+
+def test_builders_return_what_they_settled(vocab):
+    shuffled = [cp("price hike", "价格上涨"), cp("slowing down", "减弱")]
+    pair = build_training_pair(GOLD_SRC.split(), GOLD_REF.split(), shuffled, vocab=vocab)
+    example = build_inference_input(GOLD_SRC.split(), shuffled, vocab=vocab)
+    ordered, spans, _ = canonical_constraints(GOLD_SRC.split(), shuffled)
+    for ex in (pair, example):
+        assert ex.constraints == ordered
+        assert ex.src_spans == spans
+        assert " ".join(ex.decoder_prefix) == GOLD_PREFIX
+    assert pair.target_output[: len(pair.decoder_prefix)] == pair.decoder_prefix
 
 
 def test_inference_input_golden(vocab):
@@ -404,9 +438,10 @@ def matched_pair(draw):
 def test_round_trip_property(case):
     x, y, constraints, src_spans, tgt_spans = case
     vocab = __import__("ctmt").DEFAULT_VOCAB
-    xp, yp = build_training_pair(
+    pair = build_training_pair(
         x, y, constraints, tgt_spans, vocab=vocab, src_spans=src_spans
     )
+    xp, yp = pair.encoder_input, pair.target_output
     assert xp.count(vocab.sep_token) == 2
     assert yp.count(vocab.sep_token) == 2
 
@@ -430,7 +465,8 @@ def test_round_trip_with_custom_vocab():
     x = "the acute pain persists".split()
     y = "der akute Schmerz bleibt".split()
     constraints = [cp("acute", "akute")]
-    xp, yp = build_training_pair(x, y, constraints, vocab=vocab)
+    pair = build_training_pair(x, y, constraints, vocab=vocab)
+    xp, yp = pair.encoder_input, pair.target_output
     assert " ".join(xp) == (
         "<TERM_1> acute <BREAK> <SRC_0> <TERM_1> <SRC_1> <BREAK> "
         "<SRC_0> the <SRC_1> pain persists"
@@ -449,7 +485,8 @@ def test_round_trip_without_given_spans(case):
     x, y, constraints, _, _ = case
     vocab = __import__("ctmt").DEFAULT_VOCAB
     try:
-        xp, yp = build_training_pair(x, y, constraints, vocab=vocab)
+        pair = build_training_pair(x, y, constraints, vocab=vocab)
+        xp, yp = pair.encoder_input, pair.target_output
     except ConstraintMatchError:
         # duplicated phrases may collide under leftmost matching; that is
         # a rejection, not a wrong serialization

@@ -239,6 +239,11 @@ def test_bleu_empty_hypotheses():
     assert bleu([rec([], "a b")]) == 0.0
 
 
+def test_bleu_all_empty_corpus():
+    # nothing to translate and nothing produced: a perfect score
+    assert bleu([rec([], []), rec([], [])]) == 100.0
+
+
 def test_bleu_smoothing_closed_form():
     # unigrams 3/5, higher orders all zero: 1/(2*4), 1/(4*3), 1/(8*2), BP 1
     records = [rec("a x b y c", "a q b r c")]

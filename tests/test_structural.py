@@ -59,19 +59,31 @@ def test_segment_tagged_empty_content(tagged_vocab):
 # serialization
 
 def test_structural_pair_markup_example(tagged_vocab):
-    xp, yp = build_structural_pair(MARKUP_SRC.split(), MARKUP_REF.split(), vocab=tagged_vocab)
+    pair = build_structural_pair(MARKUP_SRC.split(), MARKUP_REF.split(), vocab=tagged_vocab)
+    xp, yp = pair.encoder_input, pair.target_output
     assert " ".join(xp) == MARKUP_XPRIME
     assert yp[0] == "<Y_0>" and yp.count("<sep>") == 1
 
 
+def test_structural_builders_return_tags(tagged_vocab):
+    pair = build_structural_pair(MARKUP_SRC.split(), ["<ph>", "a", "</ph>"], vocab=tagged_vocab)
+    assert pair.source_tags == MARKUP_TAGS
+    assert pair.target_tags == ["<ph>", "</ph>"]
+    assert pair.decoder_prefix == []
+    example = build_structural_input(MARKUP_SRC.split(), vocab=tagged_vocab)
+    assert example.source_tags == MARKUP_TAGS
+    assert example.target_tags is None
+
+
 def test_structural_pair_untagged(tagged_vocab):
-    xp, yp = build_structural_pair(["hi"], ["bonjour"], vocab=tagged_vocab)
+    pair = build_structural_pair(["hi"], ["bonjour"], vocab=tagged_vocab)
+    xp, yp = pair.encoder_input, pair.target_output
     assert " ".join(xp) == "<X_0> <sep> <X_0> hi"
     assert " ".join(yp) == "<Y_0> <sep> <Y_0> bonjour"
 
 
 def test_structural_pair_single_tag_empty_fragments(tagged_vocab):
-    xp, _ = build_structural_pair(["<ph>"], ["<ph>"], vocab=tagged_vocab)
+    xp = build_structural_pair(["<ph>"], ["<ph>"], vocab=tagged_vocab).encoder_input
     assert " ".join(xp) == "<X_0> <ph> <X_1> <sep> <X_0> <X_1>"
 
 
@@ -89,8 +101,8 @@ def test_structural_input_has_no_prefix(tagged_vocab):
 
 def test_degenerate_matches_unconstrained_lexical(tagged_vocab, vocab):
     tokens = ["hello", "world"]
-    xp_struct, _ = build_structural_pair(tokens, ["bonjour"], vocab=tagged_vocab)
-    xp_lex, _ = build_training_pair(tokens, ["bonjour"], [], vocab=vocab)
+    xp_struct = build_structural_pair(tokens, ["bonjour"], vocab=tagged_vocab).encoder_input
+    xp_lex = build_training_pair(tokens, ["bonjour"], [], vocab=vocab).encoder_input
     # identical shapes once the empty constraint section is dropped
     assert xp_lex[0] == vocab.sep_token
     assert xp_lex[1:] == xp_struct
@@ -169,7 +181,7 @@ def test_reconstruct_structural_identity():
 
 def test_reconstruct_markup_reference(tagged_vocab):
     y = MARKUP_REF.split()
-    _, yp = build_structural_pair(MARKUP_SRC.split(), y, vocab=tagged_vocab)
+    yp = build_structural_pair(MARKUP_SRC.split(), y, vocab=tagged_vocab).target_output
     parsed = parse_structural_output(yp, tagged_vocab)
     src_tags, _ = segment_tagged(MARKUP_SRC.split(), tagged_vocab)
     assert validate_structural_template(parsed.template, src_tags, tagged_vocab).valid
@@ -181,7 +193,8 @@ def test_reconstruct_markup_reference(tagged_vocab):
 
 def test_round_trip_random_corpus(tagged_vocab):
     for x, y in make_structural_corpus(300, seed=11):
-        xp, yp = build_structural_pair(x, y, vocab=tagged_vocab)
+        pair = build_structural_pair(x, y, vocab=tagged_vocab)
+        xp, yp = pair.encoder_input, pair.target_output
         assert xp.count(tagged_vocab.sep_token) == 1
         assert yp.count(tagged_vocab.sep_token) == 1
         parsed = parse_structural_output(yp, tagged_vocab)
