@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import shlex
 import subprocess
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from . import corpus_io, lexical, mining, structural
 from .errors import CorpusFormatError, CtmtError, OutputParseError
-from .metrics import EvalRecord, evaluate_records, sentence_metrics
+from .metrics import EvalRecord, evaluate_records, score, sentence_metrics
 from .types import ConstraintPair, DerivationTable, Nonterminal, SerializedExample, TokenSeq
 from .vocab import DEFAULT_VOCAB, ReservedVocab
 
@@ -411,16 +412,12 @@ def cmd_sample(args) -> int:
     pairs = corpus_io.read_bitext(args.src, args.tgt)
     alignments = corpus_io.read_alignments(args.align, pairs)
 
-    def worker(start: int, end: int) -> list:
-        results = []
-        for i in range(start, end):
-            x, y = pairs[i]
-            extracted = mining.extract_phrase_pairs(x, y, alignments[i], cfg.max_len)
-            chosen = mining.sample_phrase_pairs(extracted, cfg, mining.sentence_rng(cfg.rng_seed, i))
-            results.append(chosen)
-        return results
+    def line(i: int):
+        x, y = pairs[i]
+        extracted = mining.extract_phrase_pairs(x, y, alignments[i], cfg.max_len)
+        return mining.sample_phrase_pairs(extracted, cfg, mining.sentence_rng(cfg.rng_seed, i))
 
-    chosen_sets = run_sharded(len(pairs), args.shards, worker)
+    chosen_sets = _run_lines(len(pairs), args.shards, line)
     constraint_sets = [
         [ConstraintPair(list(p.src_tokens), list(p.tgt_tokens), n + 1) for n, p in enumerate(chosen)]
         for chosen in chosen_sets
@@ -440,28 +437,20 @@ def cmd_evaluate(args) -> int:
     vocab = _load_vocab(args)
     pairs = corpus_io.read_bitext(args.hyp, args.ref)
     constraint_sets = _read_constraint_sets(args.constraints, len(pairs))
-    records = [
-        EvalRecord(hypothesis=h, reference=r, constraints=c)
-        for (h, r), c in zip(pairs, constraint_sets)
-    ]
+    records = [EvalRecord(h, r, c) for (h, r), c in zip(pairs, constraint_sets)]
     structural_mode = args.mode == "structural"
-    report = evaluate_records(
-        records, vocab=vocab, structural=structural_mode, window=args.window
-    )
+    stats = sentence_metrics(records, vocab=vocab, structural=structural_mode, window=args.window)
+    report = score(stats, structural_mode)
     payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
     if args.report:
         Path(args.report).write_text(payload + "\n", encoding="utf-8")
     print(payload)
     if args.per_sentence:
-        keys = ["bleu", "exact_match", "window_overlap", "one_minus_term"]
-        if structural_mode:
-            keys += ["structure_correct", "structure_match"]
-        lines = ["\t".join(["index", *keys])]
-        for i, record in enumerate(records):
-            values = sentence_metrics(
-                record, vocab=vocab, structural=structural_mode, window=args.window
-            )
-            lines.append("\t".join([str(i)] + [f"{values[k]:.4f}" for k in keys]))
+        # each row is its line scored as a one-line corpus, from the report's own statistics
+        lines = ["\t".join(["index", *report.values()])]
+        for i, line_stats in enumerate(stats):
+            values = score([line_stats], structural_mode).values().values()
+            lines.append("\t".join([str(i), *(f"{v:.4f}" for v in values)]))
         Path(args.per_sentence).write_text("".join(l + "\n" for l in lines), encoding="utf-8")
     return 0
 
@@ -505,16 +494,7 @@ def cmd_roundtrip(args) -> int:
         records.append(EvalRecord(hypothesis=sentence, reference=tgt[i], constraints=constraints))
     structural_mode = args.mode == "structural"
     report = evaluate_records(records, vocab=vocab, structural=structural_mode)
-    expected = {
-        "bleu": report.bleu,
-        "exact_match": report.exact_match,
-        "window_overlap": report.window_overlap,
-        "one_minus_term": report.one_minus_term,
-    }
-    if structural_mode:
-        expected["structure_correct"] = report.structure_correct
-        expected["structure_match"] = report.structure_match
-    for name, value in expected.items():
+    for name, value in report.values().items():
         if records and value != 100.0:
             violations.append(f"metric {name} is {value:.4f}, expected 100")
 
@@ -587,8 +567,8 @@ def cmd_bench(args) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
     return value
 
 
@@ -674,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constraints")
     p.add_argument("--spans")
     p.add_argument("--baseline-tps", type=_positive_float, default=3390.0)
-    p.add_argument("--budget-fraction", type=float, default=0.05)
+    p.add_argument("--budget-fraction", type=_positive_float, default=0.05)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -165,9 +165,11 @@ def read_spans(path: str | Path) -> list[list[tuple[Span, Span]]]:
         for item in items:
             try:
                 (s1, s2), (t1, t2) = item["src"], item["tgt"]
-                spans.append(((int(s1), int(s2)), (int(t1), int(t2))))
+                if any(type(v) is not int for v in (s1, s2, t1, t2)):  # JSON integers, not bools
+                    raise TypeError("span bounds must be integers")
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(f"line {lineno}: malformed span item {item!r}") from exc
+            spans.append(((s1, s2), (t1, t2)))
         out.append(spans)
     return out
 

@@ -26,6 +26,8 @@ Span = tuple[int, int]
 
 # Shifted substrings are capped at this many tokens, as in standard TER.
 MAX_SHIFT_LEN = 10
+# BLEU counts n-grams up to this order.
+MAX_NGRAM = 4
 
 
 @dataclass
@@ -44,36 +46,61 @@ class MetricReport:
     structure_correct: float | None = None
     structure_match: float | None = None
 
+    def values(self) -> dict[str, float]:
+        """The metrics computed, unrounded, in field order."""
+        return {name: value for name, value in vars(self).items() if value is not None}
+
     def as_dict(self) -> dict:
-        out = {
-            "bleu": round(self.bleu, 4),
-            "exact_match": round(self.exact_match, 4),
-            "window_overlap": round(self.window_overlap, 4),
-            "one_minus_term": round(self.one_minus_term, 4),
-        }
-        if self.structure_correct is not None:
-            out["structure_correct"] = round(self.structure_correct, 4)
-        if self.structure_match is not None:
-            out["structure_match"] = round(self.structure_match, 4)
-        return out
+        return {name: round(value, 4) for name, value in self.values().items()}
+
+
+@dataclass
+class SentenceStats:
+    """One record's sufficient statistics: ``score`` turns those of any set
+    of records, a corpus or one line, into that set's metrics."""
+
+    ngram_matches: list[int]  # clipped, per n-gram order
+    ngram_totals: list[int]
+    hyp_len: int
+    ref_len: int
+    phrases_found: int
+    phrases_required: int
+    window_scores: list[float]  # one per phrase; concatenated, never summed, across records
+    term_edits: int
+    term_ref_weight: int
+    well_formed: bool | None = None  # structure flags, in structural mode only
+    tags_match: bool | None = None
+
+
+def _percent(part: float, whole: int) -> float:
+    """100 * part / whole; 100 when there is nothing to score."""
+    return 100.0 * part / whole if whole else 100.0
+
+
+def _phrases(record: EvalRecord) -> list[TokenSeq]:
+    return [c.tgt for c in record.constraints]
 
 
 def exact_match(records: list[EvalRecord]) -> float:
     """Percentage of required target phrases present in their hypotheses."""
-    matched = 0
-    total = 0
-    for r in records:
-        spans = claim_spans(r.hypothesis, [c.tgt for c in r.constraints])
-        total += len(spans)
-        matched += sum(1 for s in spans if s is not None)
-    if total == 0:
-        return 100.0
-    return 100.0 * matched / total
+    claimed = [claim_spans(r.hypothesis, _phrases(r)) for r in records]
+    return _percent(sum(len(c) - c.count(None) for c in claimed), sum(map(len, claimed)))
 
 
 def _window(tokens: TokenSeq, span: Span, width: int) -> TokenSeq:
     start, end = span
     return tokens[max(0, start - width) : start] + tokens[end : end + width]
+
+
+def _window_score(r: EvalRecord, hs: Span | None, rs: Span | None, width: int) -> float:
+    if hs is None or rs is None:
+        return 0.0
+    hw = _window(r.hypothesis, hs, width)
+    rw = _window(r.reference, rs, width)
+    denom = max(len(hw), len(rw))
+    if denom == 0:
+        return 1.0
+    return sum((Counter(hw) & Counter(rw)).values()) / denom
 
 
 def window_overlap(records: list[EvalRecord], window: int = 2) -> float:
@@ -86,42 +113,28 @@ def window_overlap(records: list[EvalRecord], window: int = 2) -> float:
     """
     scores: list[float] = []
     for r in records:
-        phrases = [c.tgt for c in r.constraints]
-        hyp_spans = claim_spans(r.hypothesis, phrases)
-        ref_spans = claim_spans(r.reference, phrases)
-        for hs, rs in zip(hyp_spans, ref_spans):
-            if hs is None or rs is None:
-                scores.append(0.0)
-                continue
-            hw = _window(r.hypothesis, hs, window)
-            rw = _window(r.reference, rs, window)
-            denom = max(len(hw), len(rw))
-            if denom == 0:
-                scores.append(1.0)
-                continue
-            inter = sum((Counter(hw) & Counter(rw)).values())
-            scores.append(inter / denom)
-    if not scores:
-        return 100.0
-    return 100.0 * sum(scores) / len(scores)
+        phrases = _phrases(r)
+        spans = zip(claim_spans(r.hypothesis, phrases), claim_spans(r.reference, phrases))
+        scores += [_window_score(r, hs, rs, window) for hs, rs in spans]
+    return _percent(sum(scores), len(scores))
+
+
+def _span_weights(length: int, spans: list[Span | None]) -> list[int]:
+    """Weight 2 inside any of the spans (None is skipped), 1 elsewhere."""
+    weights = [1] * length
+    for span in spans:
+        if span is not None:
+            for k in range(*span):
+                weights[k] = 2
+    return weights
 
 
 def _all_occurrence_weights(tokens: TokenSeq, phrases: list[TokenSeq]) -> list[int]:
-    weights = [1] * len(tokens)
-    for phrase in phrases:
-        for start, end in occurrences(tokens, phrase):
-            for k in range(start, end):
-                weights[k] = 2
-    return weights
+    return _span_weights(len(tokens), [s for p in phrases for s in occurrences(tokens, p)])
 
 
 def _matched_occurrence_weights(tokens: TokenSeq, phrases: list[TokenSeq]) -> list[int]:
-    weights = [1] * len(tokens)
-    for span in claim_spans(tokens, phrases):
-        if span is not None:
-            for k in range(span[0], span[1]):
-                weights[k] = 2
-    return weights
+    return _span_weights(len(tokens), claim_spans(tokens, phrases))
 
 
 def weighted_edit_distance(
@@ -203,6 +216,23 @@ def shifted_edit_cost(
     return shift_total + distance
 
 
+def _term_stats(r: EvalRecord, hyp_spans: list[Span | None], lineno: int) -> tuple[int, int]:
+    """(weighted edits, weighted reference length); an empty reference is skipped."""
+    if not r.reference:
+        log.warning("line %d: empty reference skipped", lineno)
+        return 0, 0
+    ref_w = _all_occurrence_weights(r.reference, _phrases(r))
+    hyp_w = _span_weights(len(r.hypothesis), hyp_spans)
+    return shifted_edit_cost(r.hypothesis, r.reference, hyp_w, ref_w), sum(ref_w)
+
+
+def _one_minus_term(counts: list[tuple[int, int]]) -> float:
+    """1-TERm of the records whose (edits, reference weight) are given."""
+    edits = sum(e for e, _ in counts)
+    ref_weight = sum(w for _, w in counts)
+    return max(0.0, min(100.0, 100.0 * (1.0 - edits / ref_weight))) if ref_weight else 100.0
+
+
 def term_score(records: list[EvalRecord]) -> float:
     """One minus the terminology-weighted translation edit rate, in percent.
 
@@ -211,66 +241,49 @@ def term_score(records: list[EvalRecord]) -> float:
     weighs 1. The corpus rate divides total weighted edits by the total
     weighted reference length; the result is clamped to [0, 100].
     """
-    total_edits = 0
-    total_ref_weight = 0
-    for lineno, r in enumerate(records, start=1):
-        if not r.reference:
-            log.warning("line %d: empty reference skipped", lineno)
-            continue
-        phrases = [c.tgt for c in r.constraints]
-        ref_w = _all_occurrence_weights(r.reference, phrases)
-        hyp_w = _matched_occurrence_weights(r.hypothesis, phrases)
-        total_edits += shifted_edit_cost(r.hypothesis, r.reference, hyp_w, ref_w)
-        total_ref_weight += sum(ref_w)
-    if total_ref_weight == 0:
-        return 100.0
-    rate = total_edits / total_ref_weight
-    return max(0.0, min(100.0, 100.0 * (1.0 - rate)))
+    return _one_minus_term([
+        _term_stats(r, claim_spans(r.hypothesis, _phrases(r)), lineno)
+        for lineno, r in enumerate(records, start=1)
+    ])
 
 
 def _ngrams(tokens: TokenSeq, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(records: list[EvalRecord], max_ngram: int = 4) -> float:
-    """Corpus BLEU on the given tokens with the usual brevity penalty.
+def _bleu_counts(hyp: TokenSeq, ref: TokenSeq) -> tuple[list[int], list[int], int, int]:
+    """Clipped matches and hypothesis n-grams per order, and both lengths."""
+    matches = [0] * MAX_NGRAM
+    totals = [0] * MAX_NGRAM
+    for n in range(1, MAX_NGRAM + 1):
+        hyp_counts = _ngrams(hyp, n)
+        if hyp_counts:
+            matches[n - 1] = sum((hyp_counts & _ngrams(ref, n)).values())
+            totals[n - 1] = sum(hyp_counts.values())
+    return matches, totals, len(hyp), len(ref)
 
-    Modified n-gram precisions are combined geometrically; a zero count
-    for an order above 1 falls back to 1/(2^k * total) exponential
-    smoothing while zero unigram overlap scores 0. Orders for which the
-    corpus has no n-grams at all are left out of the mean. Empty
-    hypotheses score 0, unless every reference is empty too: then there
-    is nothing to get wrong and the score is 100.
-    """
-    correct = [0] * max_ngram
-    total = [0] * max_ngram
-    hyp_len = 0
-    ref_len = 0
-    for r in records:
-        hyp_len += len(r.hypothesis)
-        ref_len += len(r.reference)
-        for n in range(1, max_ngram + 1):
-            hyp_counts = _ngrams(r.hypothesis, n)
-            if not hyp_counts:
-                continue
-            ref_counts = _ngrams(r.reference, n)
-            correct[n - 1] += sum((hyp_counts & ref_counts).values())
-            total[n - 1] += sum(hyp_counts.values())
+
+def _bleu_score(counts: list[tuple[list[int], list[int], int, int]]) -> float:
+    """BLEU of the records whose counts are given."""
+    matches = [sum(c[0][k] for c in counts) for k in range(MAX_NGRAM)]
+    totals = [sum(c[1][k] for c in counts) for k in range(MAX_NGRAM)]
+    hyp_len = sum(c[2] for c in counts)
+    ref_len = sum(c[3] for c in counts)
     if hyp_len == 0:
         return 100.0 if ref_len == 0 else 0.0
     log_sum = 0.0
     orders = 0
     smooth = 1.0
-    for n in range(1, max_ngram + 1):
-        if total[n - 1] == 0:
+    for n, (correct, total) in enumerate(zip(matches, totals), start=1):
+        if total == 0:
             continue
-        if correct[n - 1] == 0:
+        if correct == 0:
             if n == 1:
                 return 0.0
             smooth *= 2.0
-            precision = 1.0 / (smooth * total[n - 1])
+            precision = 1.0 / (smooth * total)
         else:
-            precision = correct[n - 1] / total[n - 1]
+            precision = correct / total
         log_sum += math.log(precision)
         orders += 1
     if orders == 0:
@@ -279,58 +292,76 @@ def bleu(records: list[EvalRecord], max_ngram: int = 4) -> float:
     return 100.0 * brevity * math.exp(log_sum / orders)
 
 
+def bleu(records: list[EvalRecord]) -> float:
+    """Corpus BLEU on the given tokens with the usual brevity penalty.
+
+    Modified n-gram precisions up to MAX_NGRAM are combined geometrically;
+    a zero count for an order above 1 falls back to 1/(2^k * total)
+    exponential smoothing while zero unigram overlap scores 0. Orders for
+    which the corpus has no n-grams at all are left out of the mean. Empty
+    hypotheses score 0, unless every reference is empty too: then there
+    is nothing to get wrong and the score is 100.
+    """
+    return _bleu_score([_bleu_counts(r.hypothesis, r.reference) for r in records])
+
+
+def _structure_flags(r: EvalRecord, vocab: ReservedVocab) -> tuple[bool, bool]:
+    hyp_tags = tag_sequence(r.hypothesis, vocab)
+    return tags_well_formed(hyp_tags, vocab), hyp_tags == tag_sequence(r.reference, vocab)
+
+
 def structure_metrics(records: list[EvalRecord], vocab: ReservedVocab) -> tuple[float, float]:
     """(correct%, match%): well-formed markup, and tag order equal to the
     reference's."""
-    if not records:
-        return 100.0, 100.0
-    correct = 0
-    matched = 0
-    for r in records:
-        hyp_tags = tag_sequence(r.hypothesis, vocab)
-        ref_tags = tag_sequence(r.reference, vocab)
-        if tags_well_formed(hyp_tags, vocab):
-            correct += 1
-        if hyp_tags == ref_tags:
-            matched += 1
-    return 100.0 * correct / len(records), 100.0 * matched / len(records)
-
-
-def evaluate_records(
-    records: list[EvalRecord],
-    *,
-    vocab: ReservedVocab | None = None,
-    structural: bool = False,
-    window: int = 2,
-) -> MetricReport:
-    report = MetricReport(
-        bleu=bleu(records),
-        exact_match=exact_match(records),
-        window_overlap=window_overlap(records, window),
-        one_minus_term=term_score(records),
-    )
-    if structural:
-        if vocab is None:
-            raise ValueError("structural evaluation requires a vocabulary")
-        report.structure_correct, report.structure_match = structure_metrics(records, vocab)
-    return report
+    n = len(records)
+    flags = [_structure_flags(r, vocab) for r in records]
+    return _percent(sum(c for c, _ in flags), n), _percent(sum(m for _, m in flags), n)
 
 
 def sentence_metrics(
-    record: EvalRecord,
-    *,
-    vocab: ReservedVocab | None = None,
-    structural: bool = False,
-    window: int = 2,
-) -> dict:
-    """Per-sentence values for the optional TSV report."""
-    single = [record]
-    out = {
-        "bleu": bleu(single),
-        "exact_match": exact_match(single),
-        "window_overlap": window_overlap(single, window),
-        "one_minus_term": term_score(single),
-    }
-    if structural and vocab is not None:
-        out["structure_correct"], out["structure_match"] = structure_metrics(single, vocab)
+    records: list[EvalRecord], *, vocab: ReservedVocab | None = None,
+    structural: bool = False, window: int = 2,
+) -> list[SentenceStats]:
+    """Each record's statistics. Its phrases are claimed once per side, and
+    those spans serve Exact Match, Window Overlap and the 1-TERm weights."""
+    if structural and vocab is None:
+        raise ValueError("structural evaluation requires a vocabulary")
+    out: list[SentenceStats] = []
+    for lineno, r in enumerate(records, start=1):
+        phrases = _phrases(r)
+        hyp_spans = claim_spans(r.hypothesis, phrases)
+        ref_spans = claim_spans(r.reference, phrases)
+        out.append(SentenceStats(
+            *_bleu_counts(r.hypothesis, r.reference),
+            len(phrases) - hyp_spans.count(None),
+            len(phrases),
+            [_window_score(r, hs, rs, window) for hs, rs in zip(hyp_spans, ref_spans)],
+            *_term_stats(r, hyp_spans, lineno),
+            *(_structure_flags(r, vocab) if structural else (None, None)),
+        ))
     return out
+
+
+def score(stats: list[SentenceStats], structural: bool = False) -> MetricReport:
+    """The metrics of the records whose statistics are given."""
+    window_scores = [w for s in stats for w in s.window_scores]
+    report = MetricReport(
+        bleu=_bleu_score([(s.ngram_matches, s.ngram_totals, s.hyp_len, s.ref_len) for s in stats]),
+        exact_match=_percent(
+            sum(s.phrases_found for s in stats), sum(s.phrases_required for s in stats)
+        ),
+        window_overlap=_percent(sum(window_scores), len(window_scores)),
+        one_minus_term=_one_minus_term([(s.term_edits, s.term_ref_weight) for s in stats]),
+    )
+    if structural:
+        report.structure_correct = _percent(sum(s.well_formed for s in stats), len(stats))
+        report.structure_match = _percent(sum(s.tags_match for s in stats), len(stats))
+    return report
+
+
+def evaluate_records(
+    records: list[EvalRecord], *, vocab: ReservedVocab | None = None,
+    structural: bool = False, window: int = 2,
+) -> MetricReport:
+    stats = sentence_metrics(records, vocab=vocab, structural=structural, window=window)
+    return score(stats, structural)

@@ -344,6 +344,88 @@ def test_evaluate_reports_and_per_sentence(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_evaluate_warns_once_per_empty_reference(tmp_path, capsys, caplog):
+    hyp = write_lines(tmp_path / "h.txt", ["a b", "c", "d"])
+    ref = write_lines(tmp_path / "r.txt", ["a b", "", "d"])
+    code, _ = run(capsys, "evaluate", "--hyp", hyp, "--ref", ref,
+                  "--per-sentence", str(tmp_path / "per.tsv"))
+    assert code == 0
+    warnings = [r.getMessage() for r in caplog.records if "empty reference" in r.getMessage()]
+    assert warnings == ["line 2: empty reference skipped"]
+
+
+def test_evaluate_claims_spans_once_per_side(tmp_path, capsys, monkeypatch):
+    import ctmt.metrics as metrics_mod
+
+    calls = []
+    real_claim = metrics_mod.claim_spans
+    real_shift = metrics_mod.shifted_edit_cost
+
+    def claim(tokens, phrases):
+        calls.append(("claim", " ".join(tokens)))
+        return real_claim(tokens, phrases)
+
+    def shift(hyp, ref, *weights):
+        calls.append(("shift", " ".join(ref)))
+        return real_shift(hyp, ref, *weights)
+
+    monkeypatch.setattr(metrics_mod, "claim_spans", claim)
+    monkeypatch.setattr(metrics_mod, "shifted_edit_cost", shift)
+    hyp = write_lines(tmp_path / "h.txt", ["a B c", "x", "D e"])
+    ref = write_lines(tmp_path / "r.txt", ["a c B", "", "D f"])
+    cons = write_lines(
+        tmp_path / "c.jsonl",
+        [
+            json.dumps({"constraints": [{"src": ["b"], "tgt": ["B"]}]}),
+            json.dumps({"constraints": []}),
+            json.dumps({"constraints": [{"src": ["d"], "tgt": ["D"]}, {"src": ["e"], "tgt": ["E"]}]}),
+        ],
+    )
+    code, _ = run(capsys, "evaluate", "--hyp", hyp, "--ref", ref, "--constraints", cons,
+                  "--per-sentence", str(tmp_path / "per.tsv"))
+    assert code == 0
+    assert calls == [
+        ("claim", "a B c"), ("claim", "a c B"), ("shift", "a c B"),
+        ("claim", "x"), ("claim", ""),
+        ("claim", "D e"), ("claim", "D f"), ("shift", "D f"),
+    ]
+
+
+def test_structural_evaluate_per_sentence_rows_score_each_line_alone(tmp_path, capsys):
+    vocab_path = tmp_path / "vocab.json"
+    corpus_io.save_vocab(vocab_path, TAGGED_VOCAB)
+    hyps = ["<g> b </g> <ph> a </ph>", "<ph> x y", "a c b q", ""]
+    refs = ["<ph> a </ph> <g> b </g>", "<ph> x y </ph>", "a b c", "<ph> z </ph>"]
+    cons = [
+        json.dumps({"constraints": [{"src": ["s"], "tgt": ["a"]}]}),
+        json.dumps({"constraints": []}),
+        json.dumps({"constraints": [{"src": ["s"], "tgt": ["b"]}, {"src": ["t"], "tgt": ["c"]}]}),
+        json.dumps({"constraints": [{"src": ["s"], "tgt": ["z"]}]}),
+    ]
+
+    def per_sentence(stem, rows):
+        paths = [write_lines(tmp_path / f"{stem}.{ext}", [r[k] for r in rows])
+                 for k, ext in enumerate(["hyp", "ref", "cons"])]
+        tsv = tmp_path / f"{stem}.tsv"
+        code, _ = run(capsys, "evaluate", "--mode", "structural", "--vocab", str(vocab_path),
+                      "--hyp", paths[0], "--ref", paths[1], "--constraints", paths[2],
+                      "--per-sentence", str(tsv))
+        assert code == 0
+        return [line.split("\t") for line in tsv.read_text(encoding="utf-8").splitlines()]
+
+    rows = list(zip(hyps, refs, cons))
+    table = per_sentence("all", rows)
+    assert table[0] == [
+        "index", "bleu", "exact_match", "window_overlap", "one_minus_term",
+        "structure_correct", "structure_match",
+    ]
+    assert [row[0] for row in table[1:]] == ["0", "1", "2", "3"]
+    for i, row in enumerate(rows):
+        header, alone = per_sentence(f"line{i}", [row])
+        assert header == table[0]
+        assert alone[1:] == table[i + 1][1:]
+
+
 def test_evaluate_line_count_mismatch_is_data_error(tmp_path, capsys):
     hyp = write_lines(tmp_path / "h.txt", ["a"])
     ref = write_lines(tmp_path / "r.txt", ["a", "b"])
@@ -707,6 +789,10 @@ def test_decode_meta_line_not_an_object_is_data_error(golden_files, capsys):
         ["sample", "--src", "s", "--tgt", "t", "--align", "a", "--out", "o",
          "--max-constraints", "-1"],
         ["evaluate", "--hyp", "h", "--ref", "r", "--window", "-1"],
+        ["bench", "--src", "s", "--tgt", "t", "--budget-fraction", "0"],
+        ["bench", "--src", "s", "--tgt", "t", "--budget-fraction", "-1"],
+        ["bench", "--src", "s", "--tgt", "t", "--budget-fraction", "nan"],
+        ["bench", "--src", "s", "--tgt", "t", "--baseline-tps", "inf"],
     ],
 )
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, monkeypatch, argv):

@@ -96,6 +96,16 @@ def test_jsonl_line_not_an_object_rejected(tmp_path, reader, line):
         reader(path)
 
 
+@pytest.mark.parametrize("bounds", ["[1.9, 2.2]", '["1", 2]', "[true, 2]", "[1, 2.0]", '"12"'])
+def test_span_bounds_must_be_json_integers(tmp_path, bounds):
+    path = _write(
+        tmp_path / "a.spans.jsonl",
+        '{"spans":[]}\n{"spans":[{"src":%s,"tgt":[0,1]}]}\n' % bounds,
+    )
+    with pytest.raises(CorpusFormatError, match="line 2: malformed span item"):
+        corpus_io.read_spans(path)
+
+
 def test_constraints_round_trip(tmp_path):
     sets = [
         [ConstraintPair(["a", "b"], ["x"], 1), ConstraintPair(["c"], ["y", "z"], 2)],

@@ -2,17 +2,22 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctmt import ConstraintPair, EvalRecord, bleu, exact_match, structure_metrics, term_score, window_overlap
 from ctmt.metrics import (
+    MetricReport,
     claim_spans,
     evaluate_records,
+    score,
     sentence_metrics,
     shifted_edit_cost,
     weighted_edit_distance,
 )
 
 from conftest import (
+    TAGGED_VOCAB,
     exhaustive_min_shift_cost,
     reference_ter,
     simple_weighted_lev,
@@ -142,6 +147,12 @@ def test_term_single_shift_weighted():
     assert exhaustive_min_shift_cost(hyp, ref, [1, 2, 1], [1, 1, 2]) == 1
     score = term_score([rec(hyp, ref, ["b"])])
     assert score == pytest.approx(100.0 * (1 - 1 / 4), abs=1e-9)
+
+
+def test_term_weighs_only_the_matched_hypothesis_occurrence():
+    # the constraint claims the first "b"; deleting the unclaimed second
+    # one costs 1, over a reference weight of 2
+    assert term_score([rec("b b", "b", ["b"])]) == 50.0
 
 
 def test_term_reduces_to_plain_ter_without_constraints():
@@ -399,6 +410,44 @@ def test_evaluate_records_identity_suite(tagged_vocab):
 
 
 def test_sentence_metrics_keys(vocab):
-    values = sentence_metrics(rec("a b", "a b", ["b"]), vocab=vocab)
+    values = score(sentence_metrics([rec("a b", "a b", ["b"])], vocab=vocab)).values()
     assert values["exact_match"] == 100.0
     assert values["one_minus_term"] == 100.0
+
+
+_TOKENS = st.sampled_from(["a", "b", "c", "<ph>", "</ph>", "<g>", "</g>", "&amp;"])
+_RECORDS = st.lists(
+    st.builds(
+        lambda hyp, ref, phrases: EvalRecord(hyp, ref, [ConstraintPair(["s"], p) for p in phrases]),
+        st.lists(_TOKENS, max_size=8),
+        st.lists(_TOKENS, max_size=8),
+        st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=2), max_size=3),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=_RECORDS, window=st.integers(0, 3))
+def test_one_statistics_pass_equals_the_metric_functions(records, window):
+    # exact equality: the report and each per-sentence row are the values
+    # the five metric functions give on the corpus and on the line alone
+    def separately(recs):
+        return MetricReport(
+            bleu(recs), exact_match(recs), window_overlap(recs, window), term_score(recs),
+            *structure_metrics(recs, TAGGED_VOCAB),
+        )
+
+    stats = sentence_metrics(records, vocab=TAGGED_VOCAB, structural=True, window=window)
+    assert len(stats) == len(records)
+    assert score(stats, structural=True) == separately(records)
+    assert evaluate_records(
+        records, vocab=TAGGED_VOCAB, structural=True, window=window
+    ) == separately(records)
+    for record, line_stats in zip(records, stats):
+        assert score([line_stats], structural=True) == separately([record])
+
+
+def test_structural_statistics_need_a_vocabulary():
+    with pytest.raises(ValueError, match="vocabulary"):
+        evaluate_records([rec("a", "a")], structural=True)
