@@ -24,7 +24,7 @@ from pathlib import Path
 from . import corpus_io, lexical, mining, structural
 from .errors import CorpusFormatError, CtmtError, OutputParseError
 from .metrics import EvalRecord, evaluate_records, score, sentence_metrics
-from .types import ConstraintPair, DerivationTable, Nonterminal, SerializedExample, TokenSeq
+from .types import ConstraintPair, SerializedExample, TemplateVerdict, TokenSeq
 from .vocab import DEFAULT_VOCAB, ReservedVocab
 
 log = logging.getLogger(__name__)
@@ -181,13 +181,6 @@ def _read_constraint_sets(path, n: int) -> list[list[ConstraintPair]]:
     return constraint_sets
 
 
-def _constraints_from_meta(meta: dict) -> list[ConstraintPair]:
-    return [
-        ConstraintPair(src=list(c["src"]), tgt=list(c["tgt"]), index=k + 1)
-        for k, c in enumerate(meta.get("constraints", []))
-    ]
-
-
 # ---------------------------------------------------------------------------
 # prepare / encode
 
@@ -206,8 +199,8 @@ def _serialize_line(mode, x, y, cons, spans, vocab) -> SerializedExample:
 
 
 def _meta(mode: str, example: SerializedExample, index: int) -> dict:
-    """The metadata record of a serialized line: everything decode and
-    evaluate need downstream."""
+    """The metadata record of a serialized line, as corpus_io.read_meta
+    returns it: everything decode and evaluate need downstream."""
     if mode == "structural":
         meta = {"mode": mode, "source_tags": example.source_tags}
         if example.target_tags is not None:
@@ -215,7 +208,7 @@ def _meta(mode: str, example: SerializedExample, index: int) -> dict:
     else:
         meta = {
             "mode": mode,
-            "constraints": [{"src": c.src, "tgt": c.tgt} for c in example.constraints],
+            "constraints": example.constraints,
             "src_spans": [list(s) for s in example.src_spans],
         }
     meta["index"] = index
@@ -269,53 +262,17 @@ def cmd_encode(args) -> int:
 # ---------------------------------------------------------------------------
 # decode
 
-def _lenient_rules(tokens: TokenSeq, vocab: ReservedVocab) -> dict[Nonterminal, TokenSeq]:
-    rules: dict[Nonterminal, TokenSeq] = {}
-    current: TokenSeq | None = None
-    for tok in tokens:
-        if tok == vocab.sep_token:
-            continue
-        nt = vocab.parse_token(tok)
-        if nt is None:
-            if current is not None and not vocab.is_tag(tok):
-                current.append(tok)
-        elif nt in rules:
-            current = []
-        else:
-            current = rules.setdefault(nt, [])
-    return rules
-
-
-def _lenient_decode(
-    tail: TokenSeq, vocab: ReservedVocab, constraint_rules: DerivationTable
-) -> TokenSeq:
-    """Best-effort sentence for an unparseable output line.
-
-    The region up to the first separator is treated as the template: tags
-    and stray free tokens pass through, nonterminals expand to whatever
-    rule the rest of the line provides, missing rules expand to nothing.
-    """
-    cut = tail.index(vocab.sep_token) if vocab.sep_token in tail else len(tail)
-    rules = _lenient_rules(tail[cut + 1 :], vocab)
-    out: TokenSeq = []
-    for tok in tail[:cut]:
-        nt = vocab.parse_token(tok)
-        if nt is None:
-            out.append(tok)
-        elif nt.kind == "C":
-            out.extend(constraint_rules.get(nt) or [])
-        else:
-            out.extend(rules.get(nt) or [])
-    return out
-
-
 def decode_line(
     mode: str, tail: TokenSeq, meta: dict, vocab: ReservedVocab
 ) -> tuple[TokenSeq, dict]:
-    """Reconstruct one model output line, never raising on bad content."""
+    """Reconstruct one model output line, never raising on bad content.
+
+    ``meta`` is the line's record as corpus_io.read_meta returns it. A line
+    that fails to parse or validate is expanded from its best-effort
+    reading, where C-nonterminals with no constraint expand to nothing.
+    """
+    constraints = meta.get("constraints", [])
     audit: dict = {"index": meta.get("index"), "fallback": False, "warnings": []}
-    constraints = _constraints_from_meta(meta)
-    d_table = lexical.constraint_derivation(constraints)
     try:
         if mode == "structural":
             parsed = structural.parse_structural_output(tail, vocab)
@@ -326,23 +283,19 @@ def decode_line(
             parsed = lexical.parse_output(tail, vocab, len(constraints))
             verdict = lexical.validate_template(parsed.template, len(constraints))
     except OutputParseError as exc:
-        sentence = _lenient_decode(tail, vocab, d_table)
-        audit.update(valid=False, reason=str(exc), fallback=True, omitted_y=0)
-        return sentence, audit
-
-    audit["valid"] = verdict.valid
-    audit["reason"] = verdict.reason
-    audit["warnings"] = parsed.warnings
-    audit["omitted_y"] = len(parsed.omitted())
-    if mode == "structural":
-        audit["tags"] = parsed.template.tags()
+        parsed, verdict = exc.parsed, TemplateVerdict(False, str(exc))
+        audit.update(fallback=True, omitted_y=0)
     else:
-        audit["constraint_indices"] = parsed.template.constraint_indices()
-    if verdict.valid:
-        sentence = lexical.reconstruct(parsed.template, d_table, parsed.derivation)
-    else:
-        sentence = _lenient_decode(tail, vocab, d_table)
-    return sentence, audit
+        audit.update(warnings=parsed.warnings, omitted_y=len(parsed.omitted()))
+        if mode == "structural":
+            audit["tags"] = parsed.template.tags()
+        else:
+            audit["constraint_indices"] = parsed.template.constraint_indices()
+    audit.update(valid=verdict.valid, reason=verdict.reason)
+    d_table = lexical.constraint_derivation(constraints)
+    if not verdict.valid:
+        d_table.rules += [(nt, []) for nt in parsed.template.nonterminals("C") if nt not in d_table]
+    return lexical.reconstruct(parsed.template, d_table, parsed.derivation), audit
 
 
 def _read_model_outputs(args, metas: list[dict]) -> list[TokenSeq]:
@@ -365,11 +318,15 @@ def _read_model_outputs(args, metas: list[dict]) -> list[TokenSeq]:
 
 
 def cmd_decode(args) -> int:
-    if not args.model_output and not args.translator:
-        raise UsageError("decode needs --model-output or --translator")
+    try:
+        command = args.translator and shlex.split(args.translator)
+    except ValueError as exc:
+        raise UsageError(f"--translator: {exc}") from exc
+    if not args.model_output and not command:
+        raise UsageError("decode needs --model-output or a --translator command")
     vocab = _load_vocab(args)
     enc_dir = Path(args.encode_dir)
-    metas = corpus_io.read_jsonl(enc_dir / "encode.meta.jsonl")
+    metas = corpus_io.read_meta(enc_dir / "encode.meta.jsonl")
     tails = _read_model_outputs(args, metas)
     out_dir = Path(args.out_dir) if args.out_dir else enc_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -572,20 +529,23 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
-    return value
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return value
+
+    return integer
 
 
 def _add_common(sub, *, mode=True, vocab=True, shards=True):
     if mode:
-        sub.add_argument("--mode", choices=["lexical", "structural"], default="lexical")
+        sub.add_argument("--mode", choices=corpus_io.MODES, default="lexical")
     if vocab:
         sub.add_argument("--vocab", help="vocabulary manifest (vocab.json)")
     if shards:
-        sub.add_argument("--shards", type=int, default=1, help="contiguous corpus shards")
+        sub.add_argument("--shards", type=_int_at_least(1), default=1, help="contiguous corpus shards")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -634,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--constraints")
-    p.add_argument("--window", type=_non_negative_int, default=2)
+    p.add_argument("--window", type=_int_at_least(0), default=2)
     p.add_argument("--report", help="write the JSON report here as well")
     p.add_argument("--per-sentence", help="write a per-sentence TSV here")
     p.set_defaults(func=cmd_evaluate)

@@ -113,8 +113,16 @@ def read_jsonl(path: str | Path) -> list[dict]:
     return records
 
 
+def _json_value(value: Any) -> dict:
+    if isinstance(value, ConstraintPair):
+        return {"src": value.src, "tgt": value.tgt}
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def write_jsonl(path: str | Path, records: list[dict]) -> None:
-    _write_lines(path, [json.dumps(r, ensure_ascii=False, sort_keys=True) for r in records])
+    """Write one JSON object per line; a ConstraintPair becomes ``{"src", "tgt"}``."""
+    lines = [json.dumps(r, ensure_ascii=False, sort_keys=True, default=_json_value) for r in records]
+    _write_lines(path, lines)
 
 
 def _token_list(value: Any, lineno: int, field: str) -> TokenSeq:
@@ -123,32 +131,49 @@ def _token_list(value: Any, lineno: int, field: str) -> TokenSeq:
     return list(value)
 
 
+def _constraint_list(items: Any, lineno: int) -> list[ConstraintPair]:
+    """A record's constraint array: objects with non-empty src and tgt token lists."""
+    if not isinstance(items, list):
+        raise CorpusFormatError(f"line {lineno}: 'constraints' must be an array")
+    pairs: list[ConstraintPair] = []
+    for k, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise CorpusFormatError(f"line {lineno}: constraint items must be objects")
+        src = _token_list(item.get("src"), lineno, "src")
+        tgt = _token_list(item.get("tgt"), lineno, "tgt")
+        try:
+            pairs.append(ConstraintPair(src=src, tgt=tgt, index=k + 1))
+        except ValueError as exc:
+            raise CorpusFormatError(f"line {lineno}: {exc}") from exc
+    return pairs
+
+
 def read_constraints(path: str | Path) -> list[list[ConstraintPair]]:
     """Read one constraint set per line; empty sets are allowed."""
-    out: list[list[ConstraintPair]] = []
-    for lineno, record in enumerate(read_jsonl(path), start=1):
-        items = record.get("constraints")
-        if not isinstance(items, list):
-            raise CorpusFormatError(f"line {lineno}: missing 'constraints' array")
-        pairs: list[ConstraintPair] = []
-        for k, item in enumerate(items):
-            if not isinstance(item, dict):
-                raise CorpusFormatError(f"line {lineno}: constraint items must be objects")
-            src = _token_list(item.get("src"), lineno, "src")
-            tgt = _token_list(item.get("tgt"), lineno, "tgt")
-            try:
-                pairs.append(ConstraintPair(src=src, tgt=tgt, index=k + 1))
-            except ValueError as exc:
-                raise CorpusFormatError(f"line {lineno}: {exc}") from exc
-        out.append(pairs)
-    return out
+    return [
+        _constraint_list(record.get("constraints"), lineno)
+        for lineno, record in enumerate(read_jsonl(path), start=1)
+    ]
 
 
 def write_constraints(path: str | Path, constraint_sets: list[list[ConstraintPair]]) -> None:
-    records = [
-        {"constraints": [{"src": c.src, "tgt": c.tgt} for c in cs]} for cs in constraint_sets
-    ]
-    write_jsonl(path, records)
+    write_jsonl(path, [{"constraints": cs} for cs in constraint_sets])
+
+
+MODES = ("lexical", "structural")
+
+
+def read_meta(path: str | Path) -> list[dict]:
+    """Read metadata records, checking ``constraints`` (read as in
+    read_constraints), ``source_tags`` and ``mode`` where present."""
+    records = read_jsonl(path)
+    for lineno, record in enumerate(records, start=1):
+        if "constraints" in record:
+            record["constraints"] = _constraint_list(record["constraints"], lineno)
+        _token_list(record.get("source_tags", []), lineno, "source_tags")
+        if record.get("mode", "lexical") not in MODES:
+            raise CorpusFormatError(f"line {lineno}: mode must be one of {', '.join(MODES)}")
+    return records
 
 
 Span = tuple[int, int]

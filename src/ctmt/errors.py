@@ -26,7 +26,12 @@ class SpanError(CtmtError):
 
 
 class OutputParseError(CtmtError):
-    """A model output line cannot be split into template and derivations."""
+    """A model output line cannot be split into template and derivations;
+    ``parsed`` carries the line's best-effort reading, when there is one."""
+
+    def __init__(self, message: str, parsed=None):
+        super().__init__(message)
+        self.parsed = parsed
 
 
 class InternalError(CtmtError):

@@ -289,40 +289,76 @@ def build_inference_input(
     )
 
 
+def read_output(
+    tail: TokenSeq,
+    vocab: ReservedVocab,
+    *,
+    structural: bool = False,
+    n_constraints: int | None = None,
+) -> tuple[ParsedOutput, str | None]:
+    """Tolerant reading of a model continuation ``t <sep> f``, and the first
+    violation a strict parse rejects (None if there is none).
+
+    Every token of the template region (up to the first separator, or the
+    whole line) becomes an element. In the derivation region each
+    nonterminal opens a rule and a repeated one keeps its first; separators,
+    rejected tags and free tokens before any rule are dropped.
+    """
+    sep = vocab.sep_token
+    cut = tail.index(sep) if sep in tail else len(tail)
+    error = None if cut < len(tail) else "no separator between template and derivations"
+    allowed = ("Y",) if structural else ("Y", "C")
+    elements: list[Nonterminal | str] = []
+    warnings: list[str] = []
+    for tok in tail[:cut]:
+        if structural and vocab.is_tag(tok):
+            elements.append(tok)
+            continue
+        nt = vocab.parse_token(tok)
+        elements.append(tok if nt is None else nt)
+        if nt is None or nt.kind not in allowed:
+            error = error or f"token {tok!r} is not allowed in the template region"
+        elif n_constraints is not None and nt.kind == "C" and nt.index > n_constraints:
+            warnings.append(f"constraint index {nt.index} exceeds the {n_constraints} provided")
+
+    rules: dict[Nonterminal, TokenSeq] = {}
+    current: TokenSeq | None = None
+    for tok in tail[cut + 1 :]:
+        if tok == sep:
+            error = error or "unexpected separator inside the derivation region"
+        elif structural and vocab.is_tag(tok):
+            error = error or f"markup tag {tok!r} inside the derivation region"
+        elif (nt := vocab.parse_token(tok)) is None:
+            if current is None:
+                error = error or f"free token {tok!r} before any derivation nonterminal"
+            else:
+                current.append(tok)
+        else:
+            if nt.kind != "Y":
+                error = error or f"{tok!r} is not allowed in the derivation region"
+            current = []
+            if nt in rules:
+                warnings.append(f"repeated derivation for {nt.kind}{nt.index}; kept the first rule")
+            else:
+                rules[nt] = current
+    return ParsedOutput(Template(elements), DerivationTable(list(rules.items())), warnings), error
+
+
+def strict(parsed: ParsedOutput, error: str | None) -> ParsedOutput:
+    """The reading of a line a strict parse accepts; otherwise raise
+    OutputParseError with the violation, carrying the reading."""
+    if error is not None:
+        raise OutputParseError(error, parsed)
+    return parsed
+
+
 def scan_derivation_rules(
     tokens: TokenSeq, vocab: ReservedVocab, *, reject_tags: bool = False
 ) -> tuple[DerivationTable, list[str]]:
-    """Parse a derivation region: each Y-token opens a rule running to the
-    next nonterminal token or the end. Returns the table and any warnings;
-    a repeated nonterminal keeps its first rule."""
-    raw: list[tuple[Nonterminal, TokenSeq]] = []
-    current: TokenSeq | None = None
-    for tok in tokens:
-        if tok == vocab.sep_token:
-            raise OutputParseError("unexpected separator inside the derivation region")
-        if reject_tags and vocab.is_tag(tok):
-            raise OutputParseError(f"markup tag {tok!r} inside the derivation region")
-        nt = vocab.parse_token(tok)
-        if nt is None:
-            if current is None:
-                raise OutputParseError(f"free token {tok!r} before any derivation nonterminal")
-            current.append(tok)
-        elif nt.kind == "Y":
-            current = []
-            raw.append((nt, current))
-        else:
-            raise OutputParseError(f"{tok!r} is not allowed in the derivation region")
-
-    warnings: list[str] = []
-    rules: list[tuple[Nonterminal, TokenSeq]] = []
-    seen: set[Nonterminal] = set()
-    for nt, rhs in raw:
-        if nt in seen:
-            warnings.append(f"repeated derivation for {nt.kind}{nt.index}; kept the first rule")
-            continue
-        seen.add(nt)
-        rules.append((nt, rhs))
-    return DerivationTable(rules), warnings
+    """Parse a derivation region strictly, as read_output does after the
+    separator. Returns the table and the repeated-rule warnings."""
+    parsed = strict(*read_output([vocab.sep_token, *tokens], vocab, structural=reject_tags))
+    return parsed.derivation, parsed.warnings
 
 
 def parse_output(
@@ -334,20 +370,7 @@ def parse_output(
     C-nonterminals. When ``n_constraints`` is given, out-of-range
     constraint indices are reported as warnings for auditing.
     """
-    if vocab.sep_token not in tail:
-        raise OutputParseError("no separator between template and derivations")
-    cut = tail.index(vocab.sep_token)
-    elements: list[Nonterminal | str] = []
-    warnings: list[str] = []
-    for tok in tail[:cut]:
-        nt = vocab.parse_token(tok)
-        if nt is None or nt.kind == "X":
-            raise OutputParseError(f"token {tok!r} is not allowed in the template region")
-        if n_constraints is not None and nt.kind == "C" and nt.index > n_constraints:
-            warnings.append(f"constraint index {nt.index} exceeds the {n_constraints} provided")
-        elements.append(nt)
-    derivation, rule_warnings = scan_derivation_rules(tail[cut + 1 :], vocab)
-    return ParsedOutput(Template(elements), derivation, warnings + rule_warnings)
+    return strict(*read_output(tail, vocab, n_constraints=n_constraints))
 
 
 def validate_template(template: Template, n_constraints: int) -> TemplateVerdict:

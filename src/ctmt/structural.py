@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 from collections import Counter
 
-from .errors import OutputParseError
 from .types import (
     DerivationTable,
     Nonterminal,
@@ -23,7 +22,7 @@ from .types import (
     TemplateVerdict,
     TokenSeq,
 )
-from .lexical import reconstruct, scan_derivation_rules
+from .lexical import read_output, reconstruct, strict
 from .vocab import ReservedVocab
 
 log = logging.getLogger(__name__)
@@ -100,20 +99,7 @@ def parse_structural_output(tail: TokenSeq, vocab: ReservedVocab) -> ParsedOutpu
     derivation region is parsed exactly as in the lexical task, with tags
     rejected.
     """
-    if vocab.sep_token not in tail:
-        raise OutputParseError("no separator between template and derivations")
-    cut = tail.index(vocab.sep_token)
-    elements: list[Nonterminal | str] = []
-    for tok in tail[:cut]:
-        if vocab.is_tag(tok):
-            elements.append(tok)
-            continue
-        nt = vocab.parse_token(tok)
-        if nt is None or nt.kind != "Y":
-            raise OutputParseError(f"token {tok!r} is not allowed in the template region")
-        elements.append(nt)
-    derivation, warnings = scan_derivation_rules(tail[cut + 1 :], vocab, reject_tags=True)
-    return ParsedOutput(Template(elements), derivation, warnings)
+    return strict(*read_output(tail, vocab, structural=True))
 
 
 def _nesting_error(tags: list[str], vocab: ReservedVocab) -> str | None:

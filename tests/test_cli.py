@@ -7,9 +7,21 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctmt import corpus_io
-from ctmt.cli import TranslatorBridge, main, shard_ranges
+from ctmt import (
+    ConstraintPair,
+    OutputParseError,
+    constraint_derivation,
+    corpus_io,
+    parse_output,
+    parse_structural_output,
+    reconstruct,
+    validate_structural_template,
+    validate_template,
+)
+from ctmt.cli import TranslatorBridge, decode_line, main, shard_ranges
 from ctmt.lexical import decoder_prefix_of
 from ctmt.vocab import DEFAULT_VOCAB
 
@@ -656,6 +668,128 @@ def test_decode_survives_corrupted_outputs(tmp_path, capsys):
     assert len(audits) == n
 
 
+SOUP = ["<Y_0>", "<Y_1>", "<Y_2>", "<C_1>", "<C_2>", "<C_7>", "<X_0>", "<X_1>", "<sep>",
+        "w", "v", "<ph>", "</ph>", "&amp;", "<Y_99>"]
+
+
+@st.composite
+def model_lines(draw):
+    """(mode, vocab, tail, meta): a well-formed continuation with up to three
+    random insertions or deletions drawn from a soup of reserved tokens."""
+    mode = draw(st.sampled_from(["lexical", "structural"]))
+    vocab = draw(st.sampled_from([DEFAULT_VOCAB, TAGGED_VOCAB]))
+    if mode == "lexical":
+        n = draw(st.integers(0, 3))
+        order = draw(st.permutations(range(1, n + 1)))
+        template = ["<Y_0>"]
+        for slot, c in enumerate(order, start=1):
+            template += [f"<C_{c}>", f"<Y_{slot}>"]
+        constraints = [ConstraintPair([f"s{k}"], [f"T{k}"], k) for k in range(1, n + 1)]
+        meta = {"index": 0, "constraints": constraints}
+        words = ["w", "v", "<ph>", "&amp;"] if vocab is TAGGED_VOCAB else ["w", "v"]
+    else:
+        tags = draw(st.sampled_from([[], ["<ph>", "</ph>"], ["&amp;"]]))
+        if vocab is DEFAULT_VOCAB:
+            tags = []
+        template = ["<Y_0>"]
+        for slot, tag in enumerate(tags, start=1):
+            template += [tag, f"<Y_{slot}>"]
+        meta = {"index": 0, "source_tags": tags}
+        words = ["w", "v"]
+    line = template + ["<sep>"]
+    for k in range(len(template) // 2 + 1):
+        line += [f"<Y_{k}>", *draw(st.lists(st.sampled_from(words), max_size=3))]
+    edits = draw(st.lists(st.tuples(st.integers(0, 40), st.sampled_from(SOUP + [None])), max_size=3))
+    for pos, tok in edits:
+        pos %= len(line) + 1
+        if tok is not None:
+            line.insert(pos, tok)
+        elif pos < len(line):
+            del line[pos]
+    return mode, vocab, line, meta
+
+
+@settings(max_examples=400, deadline=None)
+@given(model_lines())
+def test_decode_line_is_total_and_exact_on_valid_lines(case):
+    mode, vocab, tail, meta = case
+    sentence, audit = decode_line(mode, tail, meta, vocab)
+    assert all(isinstance(tok, str) for tok in sentence)
+    constraints = meta.get("constraints", [])
+    try:
+        if mode == "structural":
+            parsed = parse_structural_output(tail, vocab)
+            verdict = validate_structural_template(parsed.template, meta["source_tags"], vocab)
+        else:
+            parsed = parse_output(tail, vocab, len(constraints))
+            verdict = validate_template(parsed.template, len(constraints))
+    except OutputParseError as exc:
+        assert audit["fallback"] and not audit["valid"] and audit["reason"] == str(exc)
+        return
+    assert not audit["fallback"] and audit["valid"] == verdict.valid
+    if verdict.valid:
+        assert sentence == reconstruct(
+            parsed.template, constraint_derivation(constraints), parsed.derivation
+        )
+
+
+TWO_CONSTRAINTS = {
+    "index": 0,
+    "constraints": [ConstraintPair(["a"], ["T1"], 1), ConstraintPair(["b"], ["T2"], 2)],
+}
+
+
+@pytest.mark.parametrize(
+    "tail, sentence, reason",
+    [
+        # no separator: the whole line is the template, with no rules
+        ("<Y_0> <C_1> w <Y_1>", "T1 w", "no separator between template and derivations"),
+        # a stray template token passes through; one before any head is dropped
+        ("<Y_0> w <C_2> <C_1> <Y_1> <sep> v <Y_0> a <Y_1> b", "a w T2 T1 b",
+         "token 'w' is not allowed in the template region"),
+        # X and C heads open rules; an X rule serves an X in the template, a
+        # C rule never overrides the constraint
+        ("<Y_0> <C_2> <X_1> <C_1> <Y_1> <sep> <Y_0> a <C_1> z <X_1> c <Y_1> b", "a T2 c T1 b",
+         "token '<X_1>' is not allowed in the template region"),
+        ("<Y_0> <C_2> <Y_1> <C_1> <Y_2> <sep> <Y_0> a <C_2> z <Y_2> b", "a T2 T1 b",
+         "'<C_2>' is not allowed in the derivation region"),
+        # a C index with no constraint expands to nothing
+        ("<Y_0> <C_7> <Y_1> <C_1> <Y_2> <sep> <Y_0> a <Y_2> b", "a T1 b",
+         "missing constraint index 2"),
+        # a repeated head keeps its first rule; a separator does not end it
+        ("<Y_0> <C_1> <Y_1> <C_2> <Y_2> <sep> <Y_0> a <Y_0> x <Y_1> b <sep> c <Y_1> y", "a T1 b c T2",
+         "unexpected separator inside the derivation region"),
+    ],
+    ids=["no-separator", "stray-tokens", "x-head", "c-head", "unknown-c-index", "repeated-head"],
+)
+def test_decode_line_fallback_expansion(tail, sentence, reason):
+    decoded, audit = decode_line("lexical", tail.split(), TWO_CONSTRAINTS, DEFAULT_VOCAB)
+    assert " ".join(decoded) == sentence
+    assert not audit["valid"] and audit["reason"] == reason
+
+
+def test_decode_line_fallback_keeps_tags_in_lexical_derivations():
+    # a registered tag is an ordinary token in a lexical derivation, whether
+    # the line is valid, parses but fails validation, or does not parse
+    meta = {"index": 0, "constraints": [ConstraintPair(["a"], ["T1"], 1)]}
+    cases = [
+        ("<Y_0> <C_1> <Y_1> <sep> <Y_0> <ph> a </ph> <Y_1> b", "<ph> a </ph> T1 b", True),
+        ("<Y_0> <C_1> <sep> <Y_0> <ph> a </ph>", "<ph> a </ph> T1", False),
+        ("<Y_0> <C_1> <Y_1> junk <sep> <Y_0> <ph> a </ph> <Y_1> b", "<ph> a </ph> T1 b junk", False),
+    ]
+    for tail, sentence, valid in cases:
+        decoded, audit = decode_line("lexical", tail.split(), meta, TAGGED_VOCAB)
+        assert (" ".join(decoded), audit["valid"]) == (sentence, valid)
+
+
+def test_decode_line_fallback_drops_tags_in_structural_derivations():
+    meta = {"index": 0, "source_tags": ["<ph>", "</ph>"]}
+    tail = "<Y_0> <ph> <Y_1> </ph> <sep> <Y_0> a <Y_1> <g> b".split()
+    decoded, audit = decode_line("structural", tail, meta, TAGGED_VOCAB)
+    assert decoded == ["a", "<ph>", "b", "</ph>"]
+    assert audit["fallback"] and audit["reason"] == "markup tag '<g>' inside the derivation region"
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -780,6 +914,36 @@ def test_decode_meta_line_not_an_object_is_data_error(golden_files, capsys):
 
 
 @pytest.mark.parametrize(
+    "record, message",
+    [
+        ('{"constraints": [{"src": [], "tgt": ["x"]}]}', "constraint phrases must be non-empty"),
+        ('{"constraints": [{"tgt": ["x"]}]}', "src must be a list of strings"),
+        ('{"constraints": [5]}', "constraint items must be objects"),
+        ('{"constraints": 5}', "'constraints' must be an array"),
+        ('{"source_tags": 3}', "source_tags must be a list of strings"),
+        ('{"constraints": [{"src": ["a"], "tgt": "xy"}]}', "tgt must be a list of strings"),
+        ('{"mode": "other"}', "mode must be one of lexical, structural"),
+    ],
+)
+def test_decode_malformed_meta_record_is_data_error(tmp_path, capsys, record, message):
+    enc_dir = tmp_path / "enc"
+    enc_dir.mkdir()
+    write_lines(enc_dir / "encode.meta.jsonl", ['{"index": 0}', record])
+    model_out = write_lines(tmp_path / "model.out", ["<Y_0> <sep> <Y_0> a"] * 2)
+    code = main(["decode", "--encode-dir", str(enc_dir), "--model-output", model_out])
+    assert code == 2
+    assert capsys.readouterr().err == f"ctmt: line 2: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["   ", 'cat "x'])
+def test_decode_bad_translator_command_is_usage_error(golden_files, capsys, command):
+    code = main(["decode", "--encode-dir", str(golden_files["dir"]), "--translator", command])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ctmt: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["bench", "--src", "s", "--tgt", "t", "--baseline-tps", "0"],
@@ -793,6 +957,8 @@ def test_decode_meta_line_not_an_object_is_data_error(golden_files, capsys):
         ["bench", "--src", "s", "--tgt", "t", "--budget-fraction", "-1"],
         ["bench", "--src", "s", "--tgt", "t", "--budget-fraction", "nan"],
         ["bench", "--src", "s", "--tgt", "t", "--baseline-tps", "inf"],
+        ["prepare", "--src", "s", "--tgt", "t", "--out-dir", "o", "--shards", "0"],
+        ["prepare", "--src", "s", "--tgt", "t", "--out-dir", "o", "--shards", "-1"],
     ],
 )
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, monkeypatch, argv):

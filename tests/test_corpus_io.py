@@ -144,6 +144,20 @@ def test_vocab_manifest_round_trip(tmp_path):
     assert corpus_io.load_vocab(path) == vocab
 
 
+def test_meta_round_trip(tmp_path):
+    lexical = {"mode": "lexical", "index": 0, "src_spans": [[0, 1]],
+               "constraints": [ConstraintPair(["a"], ["x", "y"], 1)]}
+    structural = {"mode": "structural", "index": 1, "source_tags": ["<b>", "</b>"]}
+    path = tmp_path / "m.meta.jsonl"
+    corpus_io.write_jsonl(path, [lexical, structural])
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        '{"constraints": [{"src": ["a"], "tgt": ["x", "y"]}], "index": 0, '
+        '"mode": "lexical", "src_spans": [[0, 1]]}',
+        '{"index": 1, "mode": "structural", "source_tags": ["<b>", "</b>"]}',
+    ]
+    assert corpus_io.read_meta(path) == [lexical, structural]
+
+
 token_st = st.text(
     alphabet=st.characters(
         blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs"), min_codepoint=33

@@ -318,6 +318,20 @@ def test_parse_output_errors(vocab):
         parse_output("<Y_0> <sep> <Y_0> a <sep> b".split(), vocab)
 
 
+def test_parse_error_names_the_first_violation_and_carries_the_reading(vocab):
+    with pytest.raises(OutputParseError, match="no separator") as info:
+        parse_output("<Y_0> junk <C_1>".split(), vocab)
+    assert info.value.parsed.template.elements == [Nonterminal("Y", 0), "junk", Nonterminal("C", 1)]
+    tail = "<Y_0> junk <X_1> <sep> v <X_1> a <Y_0> b <sep> c <Y_0> d".split()
+    with pytest.raises(OutputParseError, match="token 'junk' is not allowed") as info:
+        parse_output(tail, vocab)
+    parsed = info.value.parsed
+    assert parsed.template.elements == [Nonterminal("Y", 0), "junk", Nonterminal("X", 1)]
+    assert parsed.derivation.rules == [(Nonterminal("X", 1), ["a"]), (Nonterminal("Y", 0), ["b", "c"])]
+    with pytest.raises(OutputParseError, match="unexpected separator"):
+        parse_output("<Y_0> <sep> <Y_0> a <sep> <X_1> b".split(), vocab)
+
+
 def test_parse_output_duplicate_rule_warns(vocab):
     parsed = parse_output("<Y_0> <sep> <Y_0> a <Y_0> b".split(), vocab)
     assert parsed.derivation.get(Nonterminal("Y", 0)) == ["a"]

@@ -119,6 +119,15 @@ def test_parse_structural_output(tagged_vocab):
     assert parsed.omitted() == [Y(0)]
 
 
+def test_parse_structural_error_carries_the_reading(tagged_vocab):
+    tail = "<Y_0> <ph> junk <Y_1> </ph> <sep> <Y_0> a <ph> b <Y_1> c".split()
+    with pytest.raises(OutputParseError, match="token 'junk' is not allowed") as info:
+        parse_structural_output(tail, tagged_vocab)
+    parsed = info.value.parsed
+    assert parsed.template.elements == [Y(0), "<ph>", "junk", Y(1), "</ph>"]
+    assert parsed.derivation.rules == [(Y(0), ["a", "b"]), (Y(1), ["c"])]
+
+
 def test_parse_structural_rejects_bad_tokens(tagged_vocab):
     with pytest.raises(OutputParseError):
         parse_structural_output("<Y_0> junk <sep> <Y_0> a".split(), tagged_vocab)
