@@ -14,6 +14,7 @@ validates, and expands back into a plain sentence.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 from .errors import (
@@ -56,18 +57,24 @@ def find_disjoint_assignment(
     Phrases are placed in the given order and each tries its leftmost free
     occurrence first, so when plain greedy claiming succeeds this returns
     exactly the greedy spans; otherwise the search backtracks through the
-    alternative occurrences. The budget caps backtracking on pathological
-    inputs, erring toward None.
+    alternative occurrences. Two impossible cases fail at once, without a
+    search: a phrase that does not occur at all, and, checked once greedy
+    placement has failed, phrases that together need more copies of some
+    token than the sentence has. The budget caps backtracking on the
+    remaining pathological inputs, erring toward None.
     """
     occs = [occurrences(tokens, p) for p in phrases]
+    if not all(occs):
+        return None
     chosen: list[Span] = []
     nodes = node_budget
+    counted = False
 
     def free(span: Span) -> bool:
         return all(e <= span[0] or span[1] <= b for b, e in chosen)
 
     def place(k: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, counted
         if k == len(occs):
             return True
         for span in occs[k]:
@@ -79,6 +86,12 @@ def find_disjoint_assignment(
                 if place(k + 1):
                     return True
                 chosen.pop()
+        if not counted:
+            # The first dead end, where greedy placement failed. If the
+            # token counts already rule out any placement, spend no more.
+            counted = True
+            if Counter(t for p in phrases for t in p) - Counter(tokens):
+                nodes = 0
         return False
 
     return list(chosen) if place(0) else None

@@ -14,6 +14,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .lexical import claim_spans, occurrences
 from .structural import tag_sequence, tags_well_formed
@@ -137,27 +138,44 @@ def _matched_occurrence_weights(tokens: TokenSeq, phrases: list[TokenSeq]) -> li
     return _span_weights(len(tokens), claim_spans(tokens, phrases))
 
 
+def _extend_rows(
+    row: list[int], tokens: TokenSeq, weights: list[int],
+    ref: TokenSeq, ref_weights: list[int], limit: int | None = None,
+) -> list[int] | None:
+    """Continue the weighted-Levenshtein DP from ``row`` over ``tokens``.
+
+    ``row`` holds the costs of turning the hypothesis prefix read so far
+    into each reference prefix; the result is that row after ``tokens``.
+    With weights >= 0 a row's minimum never falls from one row to the
+    next, so once it reaches ``limit`` the final distance must too, and
+    None is returned at once.
+    """
+    for h_tok, h_w in zip(tokens, weights):
+        left = row[0] + h_w
+        cur = [left]
+        for r_tok, r_w, diag, up in zip(ref, ref_weights, row, row[1:]):
+            if h_tok != r_tok:
+                diag += h_w if h_w > r_w else r_w
+            up += h_w
+            if up < diag:
+                diag = up
+            left += r_w
+            if diag < left:
+                left = diag
+            cur.append(left)
+        if limit is not None and min(cur) >= limit:
+            return None
+        row = cur
+    return row
+
+
 def weighted_edit_distance(
     hyp: TokenSeq, ref: TokenSeq, hyp_weights: list[int], ref_weights: list[int]
 ) -> int:
     """Levenshtein distance where deleting or inserting a token costs its
     weight and substituting costs the heavier of the two tokens."""
-    n, m = len(hyp), len(ref)
-    prev = [0] * (m + 1)
-    for j in range(1, m + 1):
-        prev[j] = prev[j - 1] + ref_weights[j - 1]
-    for i in range(1, n + 1):
-        cur = [prev[0] + hyp_weights[i - 1]] + [0] * m
-        h_tok = hyp[i - 1]
-        h_w = hyp_weights[i - 1]
-        for j in range(1, m + 1):
-            if h_tok == ref[j - 1]:
-                sub = prev[j - 1]
-            else:
-                sub = prev[j - 1] + max(h_w, ref_weights[j - 1])
-            cur[j] = min(sub, prev[j] + h_w, cur[j - 1] + ref_weights[j - 1])
-        prev = cur
-    return prev[m]
+    first_row = list(accumulate(ref_weights, initial=0))
+    return _extend_rows(first_row, hyp, hyp_weights, ref, ref_weights)[-1]
 
 
 def _ref_substring_positions(ref: TokenSeq) -> dict[tuple[str, ...], list[int]]:
@@ -178,23 +196,36 @@ def shifted_edit_cost(
     its reference position) that lowers the weighted edit distance by more
     than the shift's own cost, then stop. A shift costs the weight of its
     heaviest moved token.
+
+    The search is exact, only cheaper than scoring every candidate in full:
+    a candidate keeps the current hypothesis's first ``min(i1, k)`` tokens,
+    so its DP starts from that row of the current hypothesis, and it is
+    dropped once a row shows it cannot beat the best total so far. The
+    first candidate with the lowest total still wins, in the same order.
     """
     if hyp == ref:
         return 0
     cur = list(hyp)
     cur_w = list(hyp_weights)
+    first_row = list(accumulate(ref_weights, initial=0))  # the empty prefix: insert every token
     distance = weighted_edit_distance(cur, ref, cur_w, ref_weights)
     shift_total = 0
     ref_index = _ref_substring_positions(ref)
 
     while distance > 0:
-        best = None  # (new_distance + cost, new_distance, cost, tokens, weights)
+        rows = [first_row]  # rows[p]: the DP row after cur[:p]
+        for p in range(len(cur)):
+            rows.append(_extend_rows(rows[p], cur[p : p + 1], cur_w[p : p + 1], ref, ref_weights))
+        best = None  # (new_distance, cost, tokens, weights)
+        best_total = distance  # a shift must bring the total below this
         for i1 in range(len(cur)):
             for i2 in range(i1 + 1, min(i1 + MAX_SHIFT_LEN, len(cur)) + 1):
                 positions = ref_index.get(tuple(cur[i1:i2]))
                 if not positions:
                     continue
                 cost = max(cur_w[i1:i2])
+                if cost >= best_total:
+                    continue
                 rest = cur[:i1] + cur[i2:]
                 rest_w = cur_w[:i1] + cur_w[i2:]
                 tried: set[int] = set()
@@ -205,13 +236,16 @@ def shifted_edit_cost(
                     tried.add(k)
                     cand = rest[:k] + cur[i1:i2] + rest[k:]
                     cand_w = rest_w[:k] + cur_w[i1:i2] + rest_w[k:]
-                    cand_dist = weighted_edit_distance(cand, ref, cand_w, ref_weights)
-                    total = cand_dist + cost
-                    if total < distance and (best is None or total < best[0]):
-                        best = (total, cand_dist, cost, cand, cand_w)
+                    p = min(i1, k)
+                    row = _extend_rows(
+                        rows[p], cand[p:], cand_w[p:], ref, ref_weights, best_total - cost
+                    )
+                    if row is not None and row[-1] + cost < best_total:
+                        best_total = row[-1] + cost
+                        best = (row[-1], cost, cand, cand_w)
         if best is None:
             break
-        _, distance, cost, cur, cur_w = best
+        distance, cost, cur, cur_w = best
         shift_total += cost
     return shift_total + distance
 

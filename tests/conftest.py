@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the package's own algorithms so they
 can vouch for them: phrase extraction is checked against a full scan of
 every span pair, and the shift-based edit cost against a shortest-path
-search over all block moves.
+search over all block moves. The greedy shift search and the span search
+are also checked against plain copies that do every step in full, with
+no reuse, pruning or early failure.
 """
 
 from __future__ import annotations
@@ -301,3 +303,98 @@ def reference_ter(hyp, ref):
         _, edits, cur = best
         shifts += 1
     return shifts + edits
+
+
+def reference_shifted_edit_cost(hyp, ref, hw, rw):
+    """Weighted greedy shift search that scores every candidate with a
+    full DP: a shift of a hypothesis substring that occurs in the
+    reference, to a reference position, costs its heaviest moved weight,
+    and each round takes the first candidate with the lowest total below
+    the current distance. Kept free of package code on purpose."""
+    if hyp == ref:
+        return 0
+    positions: dict[tuple, list[int]] = {}
+    for j1 in range(len(ref)):
+        for j2 in range(j1 + 1, min(j1 + 10, len(ref)) + 1):
+            positions.setdefault(tuple(ref[j1:j2]), []).append(j1)
+
+    cur, cur_w = list(hyp), list(hw)
+    distance = simple_weighted_lev(cur, ref, cur_w, rw)
+    shift_total = 0
+    while distance > 0:
+        best = None
+        for i1 in range(len(cur)):
+            for i2 in range(i1 + 1, min(i1 + 10, len(cur)) + 1):
+                hits = positions.get(tuple(cur[i1:i2]))
+                if not hits:
+                    continue
+                cost = max(cur_w[i1:i2])
+                rest, rest_w = cur[:i1] + cur[i2:], cur_w[:i1] + cur_w[i2:]
+                seen = set()
+                for j in hits:
+                    k = min(j, len(rest))
+                    if k in seen or k == i1:
+                        continue
+                    seen.add(k)
+                    cand = rest[:k] + cur[i1:i2] + rest[k:]
+                    cand_w = rest_w[:k] + cur_w[i1:i2] + rest_w[k:]
+                    d = simple_weighted_lev(cand, ref, cand_w, rw)
+                    if d + cost < distance and (best is None or d + cost < best[0]):
+                        best = (d + cost, d, cost, cand, cand_w)
+        if best is None:
+            break
+        _, distance, cost, cur, cur_w = best
+        shift_total += cost
+    return shift_total + distance
+
+
+# ---------------------------------------------------------------------------
+# reference span search: depth-first over occurrences, without fast failures
+
+def reference_occurrences(tokens, phrase):
+    return [(s, s + len(phrase)) for s in range(len(tokens) - len(phrase) + 1)
+            if tokens[s : s + len(phrase)] == phrase]
+
+
+def reference_disjoint_assignment(tokens, phrases, node_budget=100_000):
+    """Phrases in order, each trying its occurrences leftmost first and
+    backtracking; each occurrence tried spends one node of the budget,
+    and running out gives None."""
+    occs = [reference_occurrences(tokens, list(p)) for p in phrases]
+    chosen = []
+    nodes = node_budget
+
+    def place(k):
+        nonlocal nodes
+        if k == len(occs):
+            return True
+        for b, e in occs[k]:
+            nodes -= 1
+            if nodes <= 0:
+                return False
+            if all(ce <= b or e <= cb for cb, ce in chosen):
+                chosen.append((b, e))
+                if place(k + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return list(chosen) if place(0) else None
+
+
+def reference_claim_spans(tokens, phrases):
+    """The full assignment when there is one; otherwise leftmost greedy
+    claiming, with None for each phrase left without a free occurrence."""
+    full = reference_disjoint_assignment(tokens, phrases)
+    if full is not None:
+        return full
+    claimed, out = [], []
+    for phrase in phrases:
+        found = None
+        for b, e in reference_occurrences(tokens, list(phrase)):
+            if all(ce <= b or e <= cb for cb, ce in claimed):
+                found = (b, e)
+                claimed.append(found)
+                break
+        out.append(found)
+    return out

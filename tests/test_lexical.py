@@ -24,7 +24,7 @@ from ctmt import (
     segment,
     validate_template,
 )
-from ctmt.lexical import canonical_constraints, claim_spans, decoder_prefix_of
+from ctmt.lexical import canonical_constraints, claim_spans, decoder_prefix_of, find_disjoint_assignment
 
 from conftest import (
     GOLD_ENC,
@@ -35,6 +35,8 @@ from conftest import (
     GOLD_SRC,
     GOLD_YPRIME,
     gold_constraints,
+    reference_claim_spans,
+    reference_disjoint_assignment,
 )
 
 
@@ -230,6 +232,42 @@ def test_match_is_claim_then_raise(x, phrases):
         first = " ".join(phrases[claimed.index(None)])
         with pytest.raises(ConstraintMatchError, match=re.escape(repr(first))):
             match_constraint_spans(x, constraints)
+
+
+@st.composite
+def sentence_and_phrases(draw):
+    """Up to 12 tokens over 2-3 letters and up to 9 phrases, most of them
+    cut from the sentence, so that greedy placement often fails and the
+    search backtracks, succeeds, runs out of copies or out of budget."""
+    x = draw(st.lists(st.sampled_from("abc"[: draw(st.integers(2, 3))]), max_size=12))
+    phrases = []
+    for _ in range(draw(st.integers(0, 9))):
+        if x and draw(st.booleans()):
+            start = draw(st.integers(0, len(x) - 1))
+            phrases.append(x[start : start + draw(st.integers(1, 3))])
+        else:
+            phrases.append(draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=2)))
+    return x, phrases
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentence_and_phrases())
+def test_span_search_equals_the_plain_search(case):
+    x, phrases = case
+    for budget in (100_000, 50):
+        assert find_disjoint_assignment(x, phrases, budget) == reference_disjoint_assignment(
+            x, phrases, budget
+        )
+    assert claim_spans(x, phrases) == reference_claim_spans(x, phrases)
+
+
+def test_span_search_fails_fast_on_too_few_copies():
+    # nine one-token phrases against eight copies: no placement exists,
+    # and the plain search would spend its whole budget finding that out
+    x = ["w"] * 8 + ["a", "b"]
+    phrases = [["w"]] * 9
+    assert find_disjoint_assignment(x, phrases) is None
+    assert claim_spans(x, phrases) == [(k, k + 1) for k in range(8)] + [None]
 
 
 def test_builders_return_what_they_settled(vocab):

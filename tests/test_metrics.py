@@ -19,6 +19,7 @@ from ctmt.metrics import (
 from conftest import (
     TAGGED_VOCAB,
     exhaustive_min_shift_cost,
+    reference_shifted_edit_cost,
     reference_ter,
     simple_weighted_lev,
 )
@@ -206,6 +207,24 @@ def test_greedy_never_beats_exhaustive_minimum():
         assert greedy >= exact
         equal += greedy == exact
     assert equal / trials >= 0.95
+
+
+@st.composite
+def weighted_pair(draw):
+    """Up to 20 tokens a side over 2-6 letters, so tokens repeat and long
+    shifts and pruned candidates occur; weights 1 or 2."""
+    alphabet = "abcdef"[: draw(st.integers(2, 6))]
+    side = st.lists(st.tuples(st.sampled_from(alphabet), st.sampled_from([1, 2])), max_size=20)
+    hyp, ref = draw(side), draw(side)
+    return [t for t, _ in hyp], [t for t, _ in ref], [w for _, w in hyp], [w for _, w in ref]
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_pair())
+def test_shift_search_equals_the_full_search(pair):
+    hyp, ref, hw, rw = pair
+    assert shifted_edit_cost(hyp, ref, hw, rw) == reference_shifted_edit_cost(hyp, ref, hw, rw)
+    assert weighted_edit_distance(hyp, ref, hw, rw) == simple_weighted_lev(hyp, ref, hw, rw)
 
 
 # ---------------------------------------------------------------------------
