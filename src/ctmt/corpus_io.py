@@ -20,8 +20,6 @@ from .vocab import ReservedVocab
 
 _ASCII_WS = re.compile(r"[ \t\r\n\f\v]+")
 
-AlignmentSet = set
-
 
 def split_tokens(line: str) -> TokenSeq:
     """Split one line on ASCII whitespace runs; empty line gives no tokens."""

@@ -196,34 +196,26 @@ def _render_source(
     ordered: list[ConstraintPair],
     spans: list[Span],
     vocab: ReservedVocab,
-) -> TokenSeq:
-    """Render ``c <sep> s <sep> e`` for canonically ordered constraints."""
+) -> SerializedExample:
+    """The source stream ``c <sep> s <sep> e`` and the forced prefix
+    ``d <sep>`` of canonically ordered constraints."""
     if len(ordered) > vocab.max_index:
         raise CapacityError(
             f"{len(ordered)} constraints exceed reserved max_index {vocab.max_index}"
         )
-    fragments = segment(x, spans)
-    c_tokens: TokenSeq = []
-    s_tokens: TokenSeq = [vocab.render(Nonterminal("X", 0))]
-    e_tokens: TokenSeq = [vocab.render(Nonterminal("X", 0)), *fragments[0]]
-    for n, con in enumerate(ordered, start=1):
-        c_tokens += [vocab.render(Nonterminal("C", n)), *con.src]
-        s_tokens += [vocab.render(Nonterminal("C", n)), vocab.render(Nonterminal("X", n))]
-        e_tokens += [vocab.render(Nonterminal("X", n)), *fragments[n]]
-    return c_tokens + [vocab.sep_token] + s_tokens + [vocab.sep_token] + e_tokens
+    slots = [vocab.render(Nonterminal("C", c.index)) for c in ordered]
+    return SerializedExample(
+        encoder_input=constraint_section(slots, [c.src for c in ordered], vocab)
+        + render_side("X", slots, segment(x, spans), vocab),
+        decoder_prefix=constraint_section(slots, [c.tgt for c in ordered], vocab),
+        constraints=ordered,
+        src_spans=spans,
+    )
 
 
 def constraint_derivation(constraints: list[ConstraintPair]) -> DerivationTable:
     """The C-rules supplied by the user: C_n rewrites to the n-th target phrase."""
     return DerivationTable([(Nonterminal("C", c.index), list(c.tgt)) for c in constraints])
-
-
-def _render_prefix(ordered: list[ConstraintPair], vocab: ReservedVocab) -> TokenSeq:
-    """Render the constraint section ``d <sep>``."""
-    d_tokens: TokenSeq = []
-    for con in ordered:
-        d_tokens += [vocab.render(Nonterminal("C", con.index)), *con.tgt]
-    return d_tokens + [vocab.sep_token]
 
 
 def build_training_pair(
@@ -248,7 +240,7 @@ def build_training_pair(
     vocab.check_plain(x, "source sentence")
     vocab.check_plain(y, "target sentence")
     ordered, spans, perm = canonical_constraints(x, constraints, src_spans)
-    encoder_input = _render_source(x, ordered, spans, vocab)
+    example = _render_source(x, ordered, spans, vocab)
 
     if tgt_spans is None:
         t_spans = match_constraint_spans(y, [replace(c, src=c.tgt) for c in ordered])
@@ -259,26 +251,11 @@ def build_training_pair(
         _check_spans(y, [c.tgt for c in ordered], t_spans, "target")
 
     target_order = sorted(range(len(ordered)), key=lambda i: t_spans[i])
-    q_fragments = segment(y, sorted(t_spans))
-
-    prefix = _render_prefix(ordered, vocab)
-    t_tokens: TokenSeq = [vocab.render(Nonterminal("Y", 0))]
-    for slot, i in enumerate(target_order, start=1):
-        t_tokens += [
-            vocab.render(Nonterminal("C", ordered[i].index)),
-            vocab.render(Nonterminal("Y", slot)),
-        ]
-    f_tokens: TokenSeq = []
-    for n, fragment in enumerate(q_fragments):
-        f_tokens += [vocab.render(Nonterminal("Y", n)), *fragment]
-
-    return SerializedExample(
-        encoder_input=encoder_input,
-        decoder_prefix=prefix,
-        target_output=prefix + t_tokens + [vocab.sep_token] + f_tokens,
-        constraints=ordered,
-        src_spans=spans,
+    slots = [vocab.render(Nonterminal("C", ordered[i].index)) for i in target_order]
+    example.target_output = example.decoder_prefix + render_side(
+        "Y", slots, segment(y, sorted(t_spans)), vocab
     )
+    return example
 
 
 def build_inference_input(
@@ -294,12 +271,40 @@ def build_inference_input(
     for c in constraints:
         vocab.check_plain(c.tgt, "constraint target phrase")
     ordered, spans, _ = canonical_constraints(x, constraints, src_spans)
-    return SerializedExample(
-        encoder_input=_render_source(x, ordered, spans, vocab),
-        decoder_prefix=_render_prefix(ordered, vocab),
-        constraints=ordered,
-        src_spans=spans,
-    )
+    return _render_source(x, ordered, spans, vocab)
+
+
+def render_side(
+    kind: str, slots: list[str], fragments: list[TokenSeq], vocab: ReservedVocab
+) -> TokenSeq:
+    """One side of a template stream, ``K0 s1 K1 ... sN KN <sep> K0 f0 ... KN fN``.
+
+    The template puts each slot token (a rendered C-nonterminal or a markup
+    tag) between kind-K nonterminals; after the separator each nonterminal
+    is followed by its fragment. There is one fragment more than slots.
+    read_output reads the target side back.
+    """
+    nts = [vocab.render(Nonterminal(kind, n)) for n in range(len(fragments))]
+    stream = nts[:1]
+    for slot, nt in zip(slots, nts[1:]):
+        stream += (slot, nt)
+    stream.append(vocab.sep_token)
+    for nt, fragment in zip(nts, fragments):
+        stream.append(nt)
+        stream += fragment
+    return stream
+
+
+def constraint_section(slots: list[str], phrases: list[TokenSeq], vocab: ReservedVocab) -> TokenSeq:
+    """The constraint section: each rendered C-nonterminal followed by its
+    phrase, then a separator. With source phrases it is ``c <sep>``; with
+    target phrases it is the forced decoder prefix ``d <sep>``."""
+    section: TokenSeq = []
+    for slot, phrase in zip(slots, phrases):
+        section.append(slot)
+        section += phrase
+    section.append(vocab.sep_token)
+    return section
 
 
 def read_output(

@@ -22,7 +22,7 @@ from .types import (
     TemplateVerdict,
     TokenSeq,
 )
-from .lexical import read_output, reconstruct, strict
+from .lexical import read_output, reconstruct, render_side, strict
 from .vocab import ReservedVocab
 
 log = logging.getLogger(__name__)
@@ -45,16 +45,6 @@ def segment_tagged(x: TokenSeq, vocab: ReservedVocab) -> tuple[list[str], list[T
     return tags, fragments
 
 
-def _render_side(tags: list[str], fragments: list[TokenSeq], kind: str, vocab: ReservedVocab) -> TokenSeq:
-    template: TokenSeq = [vocab.render(Nonterminal(kind, 0))]
-    for n, tag in enumerate(tags, start=1):
-        template += [tag, vocab.render(Nonterminal(kind, n))]
-    derivation: TokenSeq = []
-    for n, fragment in enumerate(fragments):
-        derivation += [vocab.render(Nonterminal(kind, n)), *fragment]
-    return template + [vocab.sep_token] + derivation
-
-
 def build_structural_pair(
     x: TokenSeq, y: TokenSeq, *, vocab: ReservedVocab
 ) -> SerializedExample:
@@ -75,9 +65,9 @@ def build_structural_pair(
             "tag multiset mismatch: source %s vs target %s", sorted(src_tags), sorted(tgt_tags)
         )
     return SerializedExample(
-        encoder_input=_render_side(src_tags, p, "X", vocab),
+        encoder_input=render_side("X", src_tags, p, vocab),
         decoder_prefix=[],
-        target_output=_render_side(tgt_tags, q, "Y", vocab),
+        target_output=render_side("Y", tgt_tags, q, vocab),
         source_tags=src_tags,
         target_tags=tgt_tags,
     )
@@ -88,7 +78,7 @@ def build_structural_input(x: TokenSeq, *, vocab: ReservedVocab) -> SerializedEx
     vocab.check_plain(x, "source sentence")
     tags, fragments = segment_tagged(x, vocab)
     return SerializedExample(
-        encoder_input=_render_side(tags, fragments, "X", vocab), decoder_prefix=[], source_tags=tags
+        encoder_input=render_side("X", tags, fragments, vocab), decoder_prefix=[], source_tags=tags
     )
 
 

@@ -9,10 +9,6 @@ nonterminal back to its fragment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .vocab import ReservedVocab
 
 TokenSeq = list[str]
 
@@ -71,9 +67,6 @@ class Template:
     def tags(self) -> list[str]:
         return [e for e in self.elements if isinstance(e, str)]
 
-    def render(self, vocab: "ReservedVocab") -> TokenSeq:
-        return [vocab.render(e) if isinstance(e, Nonterminal) else e for e in self.elements]
-
 
 @dataclass
 class DerivationTable:
@@ -89,13 +82,6 @@ class DerivationTable:
 
     def __contains__(self, nt: Nonterminal) -> bool:
         return self.get(nt) is not None
-
-    def render(self, vocab: "ReservedVocab") -> TokenSeq:
-        out: TokenSeq = []
-        for lhs, rhs in self.rules:
-            out.append(vocab.render(lhs))
-            out.extend(rhs)
-        return out
 
 
 @dataclass

@@ -4,6 +4,7 @@ import stat
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -804,6 +805,44 @@ def test_bench_reports_throughput(golden_files, capsys):
     assert report["within_budget"] is True
     assert report["serialize_tps"] > 0
     assert report["reconstruct_tps"] > 0
+
+
+def test_bench_gate_fails_a_slow_transform(golden_files, capsys, monkeypatch):
+    # the fastest of repeated passes must not hide a reconstruction that is slow every time
+    import ctmt.cli as cli_mod
+
+    real = cli_mod.decode_line
+
+    def slow(mode, tail, meta, vocab):
+        time.sleep(0.001)
+        return real(mode, tail, meta, vocab)
+
+    monkeypatch.setattr(cli_mod, "decode_line", slow)
+    code, out = run(
+        capsys, "bench",
+        "--src", golden_files["src"], "--tgt", golden_files["tgt"],
+        "--constraints", golden_files["cons"],
+    )
+    assert code == 3
+    assert last_json(out)["within_budget"] is False
+
+
+def test_bench_skips_bad_lines_like_roundtrip(golden_files, capsys, caplog):
+    from conftest import GOLD_REF
+
+    tmp = golden_files["dir"]
+    src = write_lines(tmp / "b.src", [GOLD_SRC, "p r"])
+    tgt = write_lines(tmp / "b.tgt", [GOLD_REF, "x y"])
+    cons_lines = Path(golden_files["cons"]).read_text(encoding="utf-8").splitlines()
+    missing = json.dumps({"constraints": [{"src": ["q"], "tgt": ["x"]}]})
+    cons = write_lines(tmp / "b.cons.jsonl", [*cons_lines, missing])
+    for command in ("roundtrip", "bench"):
+        caplog.clear()
+        code, out = run(capsys, command, "--src", src, "--tgt", tgt, "--constraints", cons)
+        assert code == 0
+        report = last_json(out)
+        assert (report["sentences"], report["skipped"]) == (1, 1)
+        assert "line 2 skipped: constraint phrase 'q' has no available occurrence" in caplog.text
 
 
 def test_bench_empty_corpus(tmp_path, capsys):

@@ -24,7 +24,14 @@ from ctmt import (
     segment,
     validate_template,
 )
-from ctmt.lexical import canonical_constraints, claim_spans, decoder_prefix_of, find_disjoint_assignment
+from ctmt.lexical import (
+    canonical_constraints,
+    claim_spans,
+    decoder_prefix_of,
+    find_disjoint_assignment,
+    read_output,
+    render_side,
+)
 
 from conftest import (
     GOLD_ENC,
@@ -34,6 +41,7 @@ from conftest import (
     GOLD_RESULT,
     GOLD_SRC,
     GOLD_YPRIME,
+    TAGGED_VOCAB,
     gold_constraints,
     reference_claim_spans,
     reference_disjoint_assignment,
@@ -549,3 +557,35 @@ def test_round_trip_without_given_spans(case):
     ordered, _, _ = canonical_constraints(x, constraints)
     rebuilt = reconstruct(parsed.template, constraint_derivation(ordered), parsed.derivation)
     assert rebuilt == y
+
+
+@st.composite
+def rendered_target_side(draw):
+    """Slots and fragments of one target side, and whether the slots are tags."""
+    structural = draw(st.booleans())
+    vocab = TAGGED_VOCAB if structural else __import__("ctmt").DEFAULT_VOCAB
+    if structural:
+        slot_st = st.sampled_from(sorted(vocab.registered_tags))
+    else:
+        slot_st = st.integers(1, vocab.max_index).map(lambda i: Nonterminal("C", i))
+    slots = draw(st.lists(slot_st, max_size=6))
+    fragments = draw(
+        st.lists(st.lists(token_st, max_size=4), min_size=len(slots) + 1, max_size=len(slots) + 1)
+    )
+    return structural, vocab, slots, fragments
+
+
+@settings(max_examples=300, deadline=None)
+@given(rendered_target_side())
+def test_read_output_inverts_render_side(case):
+    structural, vocab, slots, fragments = case
+    rendered = [s if isinstance(s, str) else vocab.render(s) for s in slots]
+    stream = render_side("Y", rendered, fragments, vocab)
+    parsed, error = read_output(stream, vocab, structural=structural)
+    assert error is None
+    ys = [Nonterminal("Y", n) for n in range(len(fragments))]
+    template = [ys[0]]
+    for slot, y in zip(slots, ys[1:]):
+        template += [slot, y]
+    assert parsed.template.elements == template
+    assert parsed.derivation.rules == list(zip(ys, fragments))
