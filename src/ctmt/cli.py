@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import corpus_io, lexical, mining, structural
 from .errors import CorpusFormatError, CtmtError, OutputParseError
-from .metrics import EvalRecord, evaluate_records, score, sentence_metrics
+from .metrics import WINDOW, EvalRecord, evaluate_records, score, sentence_metrics
 from .types import ConstraintPair, SerializedExample, TemplateVerdict, TokenSeq
 from .vocab import DEFAULT_VOCAB, ReservedVocab
 
@@ -593,10 +593,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt", required=True)
     p.add_argument("--align", required=True)
     p.add_argument("--out", required=True, help="output stem for .cons.jsonl and .spans.jsonl")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-constraints", type=int, default=3)
-    p.add_argument("--min-len", type=int, default=1)
-    p.add_argument("--max-len", type=int, default=3)
+    defaults = mining.SamplerConfig()
+    p.add_argument("--seed", type=int, default=defaults.rng_seed)
+    p.add_argument("--max-constraints", type=int, default=defaults.max_constraints)
+    p.add_argument("--min-len", type=int, default=defaults.min_len)
+    p.add_argument("--max-len", type=int, default=defaults.max_len)
     p.set_defaults(func=cmd_sample)
 
     p = commands.add_parser("evaluate", help="score hypotheses against references")
@@ -604,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--constraints")
-    p.add_argument("--window", type=_int_at_least(0), default=2)
+    p.add_argument("--window", type=_int_at_least(0), default=WINDOW)
     p.add_argument("--report", help="write the JSON report here as well")
     p.add_argument("--per-sentence", help="write a per-sentence TSV here")
     p.set_defaults(func=cmd_evaluate)

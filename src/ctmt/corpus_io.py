@@ -19,6 +19,7 @@ from .types import ConstraintPair, TokenSeq
 from .vocab import ReservedVocab
 
 _ASCII_WS = re.compile(r"[ \t\r\n\f\v]+")
+_ALIGN_ITEM = re.compile(r"([0-9]+)-([0-9]+)")
 
 
 def split_tokens(line: str) -> TokenSeq:
@@ -78,10 +79,10 @@ def read_alignments(
     for lineno, (line, (src, tgt)) in enumerate(zip(lines, pairs), start=1):
         links: set[tuple[int, int]] = set()
         for item in split_tokens(line):
-            left, sep, right = item.partition("-")
-            if not sep or not left.isdigit() or not right.isdigit():
+            m = _ALIGN_ITEM.fullmatch(item)
+            if m is None:
                 raise CorpusFormatError(f"line {lineno}: malformed alignment item {item!r}")
-            i, j = int(left), int(right)
+            i, j = int(m.group(1)), int(m.group(2))
             if i >= len(src) or j >= len(tgt):
                 raise CorpusFormatError(
                     f"line {lineno}: link {i}-{j} out of bounds for "

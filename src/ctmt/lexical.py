@@ -52,46 +52,35 @@ def occurrences(tokens: TokenSeq, phrase: TokenSeq) -> list[Span]:
 def find_disjoint_assignment(
     tokens: TokenSeq, phrases: list[TokenSeq], node_budget: int = 100_000
 ) -> list[Span] | None:
-    """One non-overlapping occurrence per phrase, or None if impossible.
+    """One non-overlapping occurrence per phrase, or None if there is none.
 
-    Phrases are placed in the given order and each tries its leftmost free
-    occurrence first, so when plain greedy claiming succeeds this returns
-    exactly the greedy spans; otherwise the search backtracks through the
-    alternative occurrences. Two impossible cases fail at once, without a
-    search: a phrase that does not occur at all, and, checked once greedy
-    placement has failed, phrases that together need more copies of some
-    token than the sentence has. The budget caps backtracking on the
-    remaining pathological inputs, erring toward None.
+    Two impossible cases are rejected before any search: a phrase that does
+    not occur at all, and phrases that together need more copies of some
+    token than the sentence has. Otherwise phrases are placed in the given
+    order, each trying its leftmost free occurrence first and backtracking
+    through the alternatives; its first descent is plain greedy claiming.
+    Each occurrence tried spends one node of the budget, so a None from the
+    search itself means only that the budget ran out.
     """
     occs = [occurrences(tokens, p) for p in phrases]
-    if not all(occs):
+    if not all(occs) or Counter(t for p in phrases for t in p) - Counter(tokens):
         return None
     chosen: list[Span] = []
     nodes = node_budget
-    counted = False
-
-    def free(span: Span) -> bool:
-        return all(e <= span[0] or span[1] <= b for b, e in chosen)
 
     def place(k: int) -> bool:
-        nonlocal nodes, counted
+        nonlocal nodes
         if k == len(occs):
             return True
         for span in occs[k]:
             nodes -= 1
             if nodes <= 0:
                 return False
-            if free(span):
+            if all(e <= span[0] or span[1] <= b for b, e in chosen):
                 chosen.append(span)
                 if place(k + 1):
                     return True
                 chosen.pop()
-        if not counted:
-            # The first dead end, where greedy placement failed. If the
-            # token counts already rule out any placement, spend no more.
-            counted = True
-            if Counter(t for p in phrases for t in p) - Counter(tokens):
-                nodes = 0
         return False
 
     return list(chosen) if place(0) else None
@@ -100,15 +89,12 @@ def find_disjoint_assignment(
 def claim_spans(tokens: TokenSeq, phrases: list[TokenSeq]) -> list[Span | None]:
     """One occurrence per phrase, no token position serving two phrases.
 
-    When all phrases can be placed disjointly this is the
-    find_disjoint_assignment result (identical to plain greedy whenever
-    greedy succeeds); otherwise each phrase in order claims its leftmost
-    free occurrence and the phrases left without one get None.
+    Each phrase in order claims its leftmost free occurrence. Only when that
+    leaves a phrase without one does find_disjoint_assignment search for a
+    full placement; its result is returned when it finds one, and the greedy
+    claim, with None for each phrase left unplaced, when it does not.
     """
     phrases = [list(p) for p in phrases]
-    full = find_disjoint_assignment(tokens, phrases)
-    if full is not None:
-        return full
     claimed: list[Span] = []
     out: list[Span | None] = []
     for phrase in phrases:
@@ -119,23 +105,48 @@ def claim_spans(tokens: TokenSeq, phrases: list[TokenSeq]) -> list[Span | None]:
                 claimed.append(found)
                 break
         out.append(found)
-    return out
+    if None not in out:
+        return out
+    return find_disjoint_assignment(tokens, phrases) or out
+
+
+def _place_phrases(
+    tokens: TokenSeq, phrases: list[TokenSeq], spans: list[Span] | None, side: str
+) -> list[Span]:
+    """One span per phrase, aligned item-for-item: given spans are checked
+    for count, coverage and overlap, and otherwise claim_spans places the
+    phrases, raising ConstraintMatchError for the first it cannot place."""
+    if spans is None:
+        spans = claim_spans(tokens, phrases)
+        if None in spans:
+            phrase = phrases[spans.index(None)]
+            raise ConstraintMatchError(
+                f"constraint phrase {' '.join(phrase)!r} has no available occurrence"
+            )
+        return spans
+    if len(spans) != len(phrases):
+        raise SpanError(f"one {side} span is required per constraint")
+    for phrase, (start, end) in zip(phrases, spans):
+        if start < 0 or end > len(tokens) or tokens[start:end] != phrase:
+            raise SpanError(
+                f"{side} span ({start},{end}) does not cover phrase {' '.join(phrase)!r}"
+            )
+    ordered = sorted(spans)
+    for a, b in zip(ordered, ordered[1:]):
+        if b[0] < a[1]:
+            raise SpanError(f"{side} spans {a} and {b} overlap")
+    return spans
 
 
 def match_constraint_spans(x: TokenSeq, constraints: list[ConstraintPair]) -> list[Span]:
     """Locate each constraint's source phrase in x.
 
-    The spans are those of claim_spans, in the input constraint order;
-    a phrase it cannot place raises ConstraintMatchError naming the first
-    such phrase.
+    The spans are those of claim_spans, in the input constraint order: each
+    phrase claims its leftmost free occurrence, and the backtracking search
+    runs only when that fails. A phrase left unplaced raises
+    ConstraintMatchError naming the first such phrase.
     """
-    spans = claim_spans(x, [c.src for c in constraints])
-    for c, span in zip(constraints, spans):
-        if span is None:
-            raise ConstraintMatchError(
-                f"constraint phrase {' '.join(c.src)!r} has no available occurrence"
-            )
-    return spans
+    return _place_phrases(x, [c.src for c in constraints], None, "source")
 
 
 def segment(x: TokenSeq, spans: list[Span]) -> list[TokenSeq]:
@@ -157,18 +168,6 @@ def segment(x: TokenSeq, spans: list[Span]) -> list[TokenSeq]:
     return fragments
 
 
-def _check_spans(tokens: TokenSeq, phrases: list[TokenSeq], spans: list[Span], side: str) -> None:
-    for phrase, (start, end) in zip(phrases, spans):
-        if start < 0 or end > len(tokens) or tokens[start:end] != phrase:
-            raise SpanError(
-                f"{side} span ({start},{end}) does not cover phrase {' '.join(phrase)!r}"
-            )
-    ordered = sorted(spans)
-    for a, b in zip(ordered, ordered[1:]):
-        if b[0] < a[1]:
-            raise SpanError(f"{side} spans {a} and {b} overlap")
-
-
 def canonical_constraints(
     x: TokenSeq,
     constraints: list[ConstraintPair],
@@ -176,16 +175,12 @@ def canonical_constraints(
 ) -> tuple[list[ConstraintPair], list[Span], list[int]]:
     """Re-index constraints 1..N by ascending source span position.
 
-    Spans are matched via match_constraint_spans unless supplied. Returns
-    the re-indexed constraints, their ascending spans, and the permutation
-    mapping canonical position to input position.
+    Supplied spans are checked; otherwise they are matched as
+    match_constraint_spans does. Returns the re-indexed constraints, their
+    ascending spans, and the permutation mapping canonical position to
+    input position.
     """
-    if src_spans is None:
-        src_spans = match_constraint_spans(x, constraints)
-    else:
-        if len(src_spans) != len(constraints):
-            raise SpanError("one source span is required per constraint")
-        _check_spans(x, [c.src for c in constraints], src_spans, "source")
+    src_spans = _place_phrases(x, [c.src for c in constraints], src_spans, "source")
     perm = sorted(range(len(src_spans)), key=lambda i: src_spans[i])
     ordered = [replace(constraints[i], index=rank + 1) for rank, i in enumerate(perm)]
     return ordered, [src_spans[i] for i in perm], perm
@@ -232,8 +227,8 @@ def build_training_pair(
     Constraints are indexed 1..N by source position. The constraint
     sections always list ascending indices; the target template follows
     the order the constraints take in y. ``tgt_spans``, when given, must
-    be aligned item-for-item with ``constraints``; otherwise each target
-    phrase claims its leftmost free occurrence in y. The example carries
+    be aligned item-for-item with ``constraints``; otherwise the target
+    phrases are placed in y by claim_spans, in canonical order. The example carries
     the streams in ``encoder_input`` and ``target_output``, the forced
     prefix, and the canonical constraints with their source spans.
     """
@@ -242,13 +237,10 @@ def build_training_pair(
     ordered, spans, perm = canonical_constraints(x, constraints, src_spans)
     example = _render_source(x, ordered, spans, vocab)
 
-    if tgt_spans is None:
-        t_spans = match_constraint_spans(y, [replace(c, src=c.tgt) for c in ordered])
-    else:
-        if len(tgt_spans) != len(constraints):
-            raise SpanError("one target span is required per constraint")
-        t_spans = [tgt_spans[i] for i in perm]
-        _check_spans(y, [c.tgt for c in ordered], t_spans, "target")
+    if tgt_spans is not None and len(tgt_spans) == len(perm):
+        # into canonical order; a wrong count reaches _place_phrases as given
+        tgt_spans = [tgt_spans[i] for i in perm]
+    t_spans = _place_phrases(y, [c.tgt for c in ordered], tgt_spans, "target")
 
     target_order = sorted(range(len(ordered)), key=lambda i: t_spans[i])
     slots = [vocab.render(Nonterminal("C", ordered[i].index)) for i in target_order]

@@ -29,6 +29,8 @@ Span = tuple[int, int]
 MAX_SHIFT_LEN = 10
 # BLEU counts n-grams up to this order.
 MAX_NGRAM = 4
+# Window Overlap compares this many tokens on each side of a matched phrase.
+WINDOW = 2
 
 
 @dataclass
@@ -104,7 +106,7 @@ def _window_score(r: EvalRecord, hs: Span | None, rs: Span | None, width: int) -
     return sum((Counter(hw) & Counter(rw)).values()) / denom
 
 
-def window_overlap(records: list[EvalRecord], window: int = 2) -> float:
+def window_overlap(records: list[EvalRecord], window: int = WINDOW) -> float:
     """Context agreement around each constraint matched in both sentences.
 
     For a constraint found in the hypothesis and in the reference, the up
@@ -354,7 +356,7 @@ def structure_metrics(records: list[EvalRecord], vocab: ReservedVocab) -> tuple[
 
 def sentence_metrics(
     records: list[EvalRecord], *, vocab: ReservedVocab | None = None,
-    structural: bool = False, window: int = 2,
+    structural: bool = False, window: int = WINDOW,
 ) -> list[SentenceStats]:
     """Each record's statistics. Its phrases are claimed once per side, and
     those spans serve Exact Match, Window Overlap and the 1-TERm weights."""
@@ -395,7 +397,7 @@ def score(stats: list[SentenceStats], structural: bool = False) -> MetricReport:
 
 def evaluate_records(
     records: list[EvalRecord], *, vocab: ReservedVocab | None = None,
-    structural: bool = False, window: int = 2,
+    structural: bool = False, window: int = WINDOW,
 ) -> MetricReport:
     stats = sentence_metrics(records, vocab=vocab, structural=structural, window=window)
     return score(stats, structural)

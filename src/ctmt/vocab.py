@@ -10,7 +10,7 @@ only when ``</name>`` is registered too, and every other registered symbol
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from .errors import CapacityError, ReservedTokenError
@@ -113,14 +113,23 @@ class ReservedVocab:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReservedVocab":
-        return cls(
-            sep_token=data.get("sep_token", "<sep>"),
-            x_prefix=data.get("x_prefix", "X"),
-            y_prefix=data.get("y_prefix", "Y"),
-            c_prefix=data.get("c_prefix", "C"),
-            max_index=int(data.get("max_index", 64)),
-            registered_tags=frozenset(data.get("registered_tags", ())),
-        )
+        """The vocabulary of a manifest as to_dict writes it. Each field must
+        have its JSON type (an integer that is not a boolean for max_index,
+        a list of strings for registered_tags, a string otherwise); an absent
+        field keeps its default and unknown keys are ignored."""
+        if not isinstance(data, dict):
+            raise ValueError("expected a JSON object")
+        given = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        for name, value in given.items():
+            if name == "max_index":
+                if type(value) is not int:
+                    raise ValueError(f"max_index must be an integer, not {value!r}")
+            elif name == "registered_tags":
+                if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+                    raise ValueError(f"registered_tags must be a list of strings, not {value!r}")
+            elif not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, not {value!r}")
+        return cls(**given)
 
 
 DEFAULT_VOCAB = ReservedVocab()

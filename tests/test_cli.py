@@ -974,6 +974,38 @@ def test_decode_malformed_meta_record_is_data_error(tmp_path, capsys, record, me
     assert capsys.readouterr().err == f"ctmt: line 2: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ('["<ph>"]', "expected a JSON object"),
+        ('{"registered_tags": "<ph>"}', "registered_tags must be a list of strings"),
+        ('{"max_index": true}', "max_index must be an integer"),
+        ('{"max_index": 2.9}', "max_index must be an integer"),
+    ],
+)
+def test_prepare_malformed_vocab_manifest_is_data_error(tmp_path, capsys, manifest, message):
+    vocab_path = tmp_path / "vocab.json"
+    vocab_path.write_text(manifest, encoding="utf-8")
+    src = write_lines(tmp_path / "m.src", ["a < b"])
+    tgt = write_lines(tmp_path / "m.tgt", ["x"])
+    code = main(["prepare", "--vocab", str(vocab_path), "--src", src, "--tgt", tgt,
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ctmt: invalid vocabulary manifest: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("item", ["\u00b2-0", "\u0661-\u0660"])
+def test_sample_non_ascii_alignment_digits_are_data_error(tmp_path, capsys, item):
+    src = write_lines(tmp_path / "d.src", ["a b"])
+    tgt = write_lines(tmp_path / "d.tgt", ["x y"])
+    align = write_lines(tmp_path / "d.align", [item])
+    code = main(["sample", "--src", src, "--tgt", tgt, "--align", align,
+                 "--out", str(tmp_path / "mined")])
+    assert code == 2
+    assert capsys.readouterr().err == f"ctmt: line 1: malformed alignment item {item!r}\n"
+
+
 @pytest.mark.parametrize("command", ["   ", 'cat "x'])
 def test_decode_bad_translator_command_is_usage_error(golden_files, capsys, command):
     code = main(["decode", "--encode-dir", str(golden_files["dir"]), "--translator", command])
@@ -1008,29 +1040,39 @@ def test_bad_option_values_are_usage_errors(tmp_path, capsys, monkeypatch, argv)
 
 
 def test_encode_searches_spans_once_per_line(tmp_path, capsys, monkeypatch):
+    # each line's phrases are claimed once; the backtracking search runs
+    # only on the line where greedy claiming fails ("x" strands "x y")
     import ctmt.lexical as lexical_mod
 
-    calls = []
-    real = lexical_mod.find_disjoint_assignment
+    claims, searches = [], []
 
-    def counting(tokens, phrases, *args, **kwargs):
-        calls.append(len(phrases))
-        return real(tokens, phrases, *args, **kwargs)
+    def counting(calls, real):
+        def wrapper(tokens, phrases, *args, **kwargs):
+            calls.append(list(tokens))
+            return real(tokens, phrases, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(lexical_mod, "find_disjoint_assignment", counting)
-    src = write_lines(tmp_path / "c.src", ["a b c", "c d", "e"])
+    monkeypatch.setattr(lexical_mod, "claim_spans", counting(claims, lexical_mod.claim_spans))
+    monkeypatch.setattr(
+        lexical_mod,
+        "find_disjoint_assignment",
+        counting(searches, lexical_mod.find_disjoint_assignment),
+    )
+    src = write_lines(tmp_path / "c.src", ["a b c", "c d", "e", "x y x"])
     cons = write_lines(
         tmp_path / "c.cons.jsonl",
         [
             json.dumps({"constraints": [{"src": ["b"], "tgt": ["B"]}, {"src": ["a"], "tgt": ["A"]}]}),
             json.dumps({"constraints": [{"src": ["d"], "tgt": ["D"]}]}),
             json.dumps({"constraints": [{"src": ["e"], "tgt": ["E"]}]}),
+            json.dumps({"constraints": [{"src": ["x"], "tgt": ["X"]}, {"src": ["x", "y"], "tgt": ["Y"]}]}),
         ],
     )
     code, out = run(capsys, "encode", "--src", src, "--constraints", cons,
                     "--out-dir", str(tmp_path / "enc"))
-    assert code == 0 and last_json(out)["written"] == 3
-    assert calls == [2, 1, 1]
+    assert code == 0 and last_json(out)["written"] == 4
+    assert claims == [["a", "b", "c"], ["c", "d"], ["e"], ["x", "y", "x"]]
+    assert searches == [["x", "y", "x"]]
 
 
 def test_structural_prepare_segments_each_sentence_once(tmp_path, capsys, monkeypatch):

@@ -59,6 +59,15 @@ def test_read_alignments_malformed(tmp_path, line):
         corpus_io.read_alignments(path, [(["a", "b"], ["x", "y", "z"])])
 
 
+@pytest.mark.parametrize("item", ["\u00b2-0", "\u0661-\u0660", "0-\uff11", "+1-0", "1-0\u200b"])
+def test_read_alignments_accepts_only_ascii_digits(tmp_path, item):
+    # str.isdigit admits superscripts and other scripts' digits
+    path = _write(tmp_path / "a.align", "0-0 " + item + "\n")
+    with pytest.raises(CorpusFormatError) as info:
+        corpus_io.read_alignments(path, [(["a", "b"], ["x", "y", "z"])])
+    assert str(info.value) == f"line 1: malformed alignment item {item!r}"
+
+
 def test_read_alignments_out_of_bounds(tmp_path):
     path = _write(tmp_path / "a.align", "5-0\n")
     with pytest.raises(CorpusFormatError, match="out of bounds"):

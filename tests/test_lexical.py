@@ -200,6 +200,35 @@ def test_training_pair_with_given_spans(vocab):
     assert " ".join(yp1).endswith("<Y_0> z a z <Y_1>")
 
 
+@pytest.mark.parametrize(
+    "constraints, src_spans, tgt_spans, message",
+    [
+        ([cp("a", "A"), cp("b", "B")], [(0, 1)], None,
+         "one source span is required per constraint"),
+        ([cp("a", "A"), cp("b", "B")], [(0, 1), (1, 2), (0, 1)], None,
+         "one source span is required per constraint"),
+        ([cp("a", "A"), cp("b", "B")], [(1, 2), (0, 1)], None,
+         "source span (1,2) does not cover phrase 'a'"),
+        ([cp("a b", "A"), cp("b", "B")], [(0, 2), (1, 2)], None,
+         "source spans (0, 2) and (1, 2) overlap"),
+        ([cp("a", "A"), cp("b", "B")], None, [(0, 1)],
+         "one target span is required per constraint"),
+        ([cp("a", "A"), cp("b", "B")], None, [(0, 1), (1, 2), (0, 1)],
+         "one target span is required per constraint"),
+        ([cp("a", "A"), cp("b", "B")], None, [(1, 2), (0, 1)],
+         "target span (1,2) does not cover phrase 'A'"),
+        ([cp("a", "A B"), cp("b", "B")], None, [(0, 2), (1, 2)],
+         "target spans (0, 2) and (1, 2) overlap"),
+    ],
+)
+def test_training_pair_checks_given_spans(vocab, constraints, src_spans, tgt_spans, message):
+    with pytest.raises(SpanError) as info:
+        build_training_pair(
+            ["a", "b"], ["A", "B"], constraints, tgt_spans, vocab=vocab, src_spans=src_spans
+        )
+    assert str(info.value) == message
+
+
 def test_training_pair_rejects_reserved_tokens(vocab):
     from ctmt import ReservedTokenError
 

@@ -71,3 +71,26 @@ def test_colliding_surface_forms_rejected():
 def test_manifest_round_trip(tagged_vocab):
     data = tagged_vocab.to_dict()
     assert ReservedVocab.from_dict(data) == tagged_vocab
+
+
+def test_manifest_absent_fields_keep_defaults():
+    assert ReservedVocab.from_dict({}) == ReservedVocab()
+    assert ReservedVocab.from_dict({"max_index": 9, "other": 1}) == ReservedVocab(max_index=9)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (["<ph>"], "expected a JSON object"),
+        ({"registered_tags": "<ph>"}, "registered_tags must be a list of strings"),
+        ({"registered_tags": ["<ph>", 3]}, "registered_tags must be a list of strings"),
+        ({"max_index": True}, "max_index must be an integer"),
+        ({"max_index": 2.9}, "max_index must be an integer"),
+        ({"max_index": "8"}, "max_index must be an integer"),
+        ({"sep_token": 1}, "sep_token must be a string"),
+        ({"c_prefix": None}, "c_prefix must be a string"),
+    ],
+)
+def test_manifest_fields_must_have_their_json_types(data, message):
+    with pytest.raises(ValueError, match=message):
+        ReservedVocab.from_dict(data)
