@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import corpus_io, lexical, mining, structural
-from .errors import CorpusFormatError, CtmtError, OutputParseError
+from .errors import CtmtError, OutputParseError
 from .metrics import WINDOW, EvalRecord, evaluate_records, score, sentence_metrics
 from .types import ConstraintPair, SerializedExample, TemplateVerdict, TokenSeq
 from .vocab import DEFAULT_VOCAB, ReservedVocab
@@ -149,36 +149,11 @@ def _load_vocab(args) -> ReservedVocab:
     return DEFAULT_VOCAB
 
 
-def _load_constrained_corpus(args, need_target: bool):
-    """Read bitext plus optional constraint and span files, length-checked."""
-    src = corpus_io.read_token_lines(args.src)
-    tgt = corpus_io.read_token_lines(args.tgt) if need_target else [[] for _ in src]
-    if len(src) != len(tgt):
-        raise CorpusFormatError(f"line count mismatch {len(src)} vs {len(tgt)}")
-    n = len(src)
-    constraint_sets = _read_constraint_sets(args.constraints, n)
-    if getattr(args, "spans", None):
-        span_sets = corpus_io.read_spans(args.spans)
-        if len(span_sets) != n:
-            raise CorpusFormatError(f"line count mismatch {len(span_sets)} vs {n} (spans)")
-        for lineno, (cons, spans) in enumerate(zip(constraint_sets, span_sets), start=1):
-            if len(cons) != len(spans):
-                raise CorpusFormatError(
-                    f"line {lineno}: {len(spans)} spans for {len(cons)} constraints"
-                )
-    else:
-        span_sets = [None] * n
-    return src, tgt, constraint_sets, span_sets
-
-
-def _read_constraint_sets(path, n: int) -> list[list[ConstraintPair]]:
-    """One constraint set per corpus line; without a file, no constraints."""
-    if not path:
-        return [[] for _ in range(n)]
-    constraint_sets = corpus_io.read_constraints(path)
-    if len(constraint_sets) != n:
-        raise CorpusFormatError(f"line count mismatch {len(constraint_sets)} vs {n} (constraints)")
-    return constraint_sets
+def _read_corpus(args):
+    """The corpus a serializing command names; structural lines take no constraints or spans."""
+    if args.mode == "structural" and (args.constraints or args.spans):
+        raise UsageError("--mode structural takes no --constraints or --spans")
+    return corpus_io.read_corpus(args.src, getattr(args, "tgt", None), args.constraints, args.spans)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +167,8 @@ def _span_side(spans, side: int):
 def _serialize_line(
     mode: str, corpus, i: int, vocab: ReservedVocab
 ) -> tuple[SerializedExample, dict]:
-    """Line i of a training corpus (as _load_constrained_corpus returns
-    it) serialized, with its meta record."""
+    """Line i of a training corpus (as corpus_io.read_corpus returns it)
+    serialized, with its meta record."""
     src, tgt, constraint_sets, span_sets = corpus
     if mode == "structural":
         example = structural.build_structural_pair(src[i], tgt[i], vocab=vocab)
@@ -203,24 +178,7 @@ def _serialize_line(
             src[i], tgt[i], constraint_sets[i], _span_side(spans, 1),
             vocab=vocab, src_spans=_span_side(spans, 0),
         )
-    return example, _meta(mode, example, i)
-
-
-def _meta(mode: str, example: SerializedExample, index: int) -> dict:
-    """The metadata record of a serialized line, as corpus_io.read_meta
-    returns it: everything decode and evaluate need downstream."""
-    if mode == "structural":
-        meta = {"mode": mode, "source_tags": example.source_tags}
-        if example.target_tags is not None:
-            meta["target_tags"] = example.target_tags
-    else:
-        meta = {
-            "mode": mode,
-            "constraints": example.constraints,
-            "src_spans": [list(s) for s in example.src_spans],
-        }
-    meta["index"] = index
-    return meta
+    return example, corpus_io.meta_record(mode, example, i)
 
 
 def _write_serialized(out_dir, stem: str, second: str, results: list) -> int:
@@ -238,7 +196,7 @@ def _write_serialized(out_dir, stem: str, second: str, results: list) -> int:
 
 def cmd_prepare(args) -> int:
     vocab = _load_vocab(args)
-    corpus = _load_constrained_corpus(args, need_target=True)
+    corpus = _read_corpus(args)
 
     def line(i: int):
         example, meta = _serialize_line(args.mode, corpus, i, vocab)
@@ -250,7 +208,7 @@ def cmd_prepare(args) -> int:
 
 def cmd_encode(args) -> int:
     vocab = _load_vocab(args)
-    src, _, constraint_sets, span_sets = _load_constrained_corpus(args, need_target=False)
+    src, _, constraint_sets, span_sets = _read_corpus(args)
 
     def line(i: int):
         if args.mode == "structural":
@@ -259,7 +217,8 @@ def cmd_encode(args) -> int:
             example = lexical.build_inference_input(
                 src[i], constraint_sets[i], vocab=vocab, src_spans=_span_side(span_sets[i], 0)
             )
-        return example.encoder_input, example.decoder_prefix, _meta(args.mode, example, i)
+        meta = corpus_io.meta_record(args.mode, example, i)
+        return example.encoder_input, example.decoder_prefix, meta
 
     results = _run_lines(len(src), args.shards, line)
     return _write_serialized(args.out_dir, "encode", "prefix", results)
@@ -300,7 +259,8 @@ def decode_line(
     audit.update(valid=verdict.valid, reason=verdict.reason)
     d_table = lexical.constraint_derivation(constraints)
     if not verdict.valid:
-        d_table.rules += [(nt, []) for nt in parsed.template.nonterminals("C") if nt not in d_table]
+        for nt in parsed.template.nonterminals("C"):
+            d_table.setdefault(nt, [])
     return lexical.reconstruct(parsed.template, d_table, parsed.derivation), audit
 
 
@@ -310,16 +270,14 @@ def _template_accuracy(audits: list[dict]) -> float:
 
 
 def _read_model_outputs(args, metas: list[dict]) -> list[TokenSeq]:
-    if args.model_output:
-        tails = corpus_io.read_token_lines(args.model_output)
-        if len(tails) != len(metas):
-            raise CorpusFormatError(f"line count mismatch {len(tails)} vs {len(metas)}")
-        return tails
+    def aligned(path):
+        return corpus_io.check_line_count(len(metas), corpus_io.read_token_lines(path), path)
+
+    if args.model_output is not None:
+        return aligned(args.model_output)
     enc_dir = Path(args.encode_dir)
-    xprime = corpus_io.read_token_lines(enc_dir / "encode.xprime")
-    prefixes = corpus_io.read_token_lines(enc_dir / "encode.prefix")
-    if not (len(xprime) == len(prefixes) == len(metas)):
-        raise CorpusFormatError("encode manifest files disagree on line count")
+    xprime = aligned(enc_dir / "encode.xprime")
+    prefixes = aligned(enc_dir / "encode.prefix")
 
     def worker(start: int, end: int) -> list:
         with TranslatorBridge(args.translator) as bridge:
@@ -329,12 +287,13 @@ def _read_model_outputs(args, metas: list[dict]) -> list[TokenSeq]:
 
 
 def cmd_decode(args) -> int:
+    if (args.model_output is None) == (args.translator is None):
+        raise UsageError("decode takes exactly one of --model-output and --translator")
     try:
-        command = args.translator and shlex.split(args.translator)
+        if args.translator is not None and not shlex.split(args.translator):
+            raise UsageError("--translator: empty command")
     except ValueError as exc:
         raise UsageError(f"--translator: {exc}") from exc
-    if not args.model_output and not command:
-        raise UsageError("decode needs --model-output or a --translator command")
     vocab = _load_vocab(args)
     enc_dir = Path(args.encode_dir)
     metas = corpus_io.read_meta(enc_dir / "encode.meta.jsonl")
@@ -402,9 +361,8 @@ def cmd_sample(args) -> int:
 
 def cmd_evaluate(args) -> int:
     vocab = _load_vocab(args)
-    pairs = corpus_io.read_bitext(args.hyp, args.ref)
-    constraint_sets = _read_constraint_sets(args.constraints, len(pairs))
-    records = [EvalRecord(h, r, c) for (h, r), c in zip(pairs, constraint_sets)]
+    hyps, refs, constraint_sets, _ = corpus_io.read_corpus(args.hyp, args.ref, args.constraints)
+    records = [EvalRecord(h, r, c) for h, r, c in zip(hyps, refs, constraint_sets)]
     structural_mode = args.mode == "structural"
     stats = sentence_metrics(records, vocab=vocab, structural=structural_mode, window=args.window)
     report = score(stats, structural_mode)
@@ -440,7 +398,7 @@ def cmd_roundtrip(args) -> int:
     on every metric; any deviation is reported with its line number.
     """
     vocab = _load_vocab(args)
-    corpus = _load_constrained_corpus(args, need_target=True)
+    corpus = _read_corpus(args)
     tgt = corpus[1]
 
     def line(i: int):
@@ -493,7 +451,7 @@ def cmd_bench(args) -> int:
     such as a scheduler stall or a GC pause only ever adds time to a pass.
     """
     vocab = _load_vocab(args)
-    corpus = _load_constrained_corpus(args, need_target=True)
+    corpus = _read_corpus(args)
     t0 = time.perf_counter()
     results = _run_lines(len(corpus[0]), 1, lambda i: _serialize_line(args.mode, corpus, i, vocab))
     serialize_seconds = time.perf_counter() - t0
@@ -549,6 +507,14 @@ def _int_at_least(low: int):
     return integer
 
 
+def _add_corpus(sub, *, target=True):
+    sub.add_argument("--src", required=True)
+    if target:
+        sub.add_argument("--tgt", required=True)
+    sub.add_argument("--constraints")
+    sub.add_argument("--spans")
+
+
 def _add_common(sub, *, mode=True, vocab=True, shards=True):
     if mode:
         sub.add_argument("--mode", choices=corpus_io.MODES, default="lexical")
@@ -564,18 +530,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("prepare", help="serialize a training corpus")
     _add_common(p)
-    p.add_argument("--src", required=True)
-    p.add_argument("--tgt", required=True)
-    p.add_argument("--constraints")
-    p.add_argument("--spans")
+    _add_corpus(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_prepare)
 
     p = commands.add_parser("encode", help="serialize inference inputs")
     _add_common(p)
-    p.add_argument("--src", required=True)
-    p.add_argument("--constraints")
-    p.add_argument("--spans")
+    _add_corpus(p, target=False)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_encode)
 
@@ -612,18 +573,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("roundtrip", help="closed-loop check with a perfect model")
     _add_common(p)
-    p.add_argument("--src", required=True)
-    p.add_argument("--tgt", required=True)
-    p.add_argument("--constraints")
-    p.add_argument("--spans")
+    _add_corpus(p)
     p.set_defaults(func=cmd_roundtrip)
 
     p = commands.add_parser("bench", help="throughput of the template transforms")
     _add_common(p, shards=False)
-    p.add_argument("--src", required=True)
-    p.add_argument("--tgt", required=True)
-    p.add_argument("--constraints")
-    p.add_argument("--spans")
+    _add_corpus(p)
     p.add_argument("--baseline-tps", type=_positive_float, default=3390.0)
     p.add_argument("--budget-fraction", type=_positive_float, default=0.05)
     p.set_defaults(func=cmd_bench)

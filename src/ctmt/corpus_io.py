@@ -15,11 +15,12 @@ from pathlib import Path
 from typing import Any
 
 from .errors import CorpusFormatError
-from .types import ConstraintPair, TokenSeq
+from .types import ConstraintPair, SerializedExample, TokenSeq
 from .vocab import ReservedVocab
 
 _ASCII_WS = re.compile(r"[ \t\r\n\f\v]+")
 _ALIGN_ITEM = re.compile(r"([0-9]+)-([0-9]+)")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def split_tokens(line: str) -> TokenSeq:
@@ -31,8 +32,17 @@ def join_tokens(tokens: TokenSeq) -> str:
     return " ".join(tokens)
 
 
+def _read_text(path: str | Path) -> str:
+    """A file's text; bytes that are not UTF-8 fail with the 1-based line."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # read_text decodes the whole file at once
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise CorpusFormatError(f"line {lineno}: not valid UTF-8 ({path})") from exc
+
+
 def _read_lines(path: str | Path) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     if text == "":
         return []
     if text.endswith("\n"):
@@ -52,13 +62,17 @@ def write_token_lines(path: str | Path, sentences: list[TokenSeq]) -> None:
     _write_lines(path, [join_tokens(s) for s in sentences])
 
 
+def check_line_count(corpus_lines: int, records: list, path: str | Path) -> list:
+    """The records read from ``path``, which must hold one per corpus line."""
+    if len(records) != corpus_lines:
+        raise CorpusFormatError(f"line count mismatch {corpus_lines} vs {len(records)} ({path})")
+    return records
+
+
 def read_bitext(src_path: str | Path, tgt_path: str | Path) -> list[tuple[TokenSeq, TokenSeq]]:
     """Read a parallel corpus as aligned token-sequence pairs."""
     src = read_token_lines(src_path)
-    tgt = read_token_lines(tgt_path)
-    if len(src) != len(tgt):
-        raise CorpusFormatError(f"line count mismatch {len(src)} vs {len(tgt)}")
-    return list(zip(src, tgt))
+    return list(zip(src, check_line_count(len(src), read_token_lines(tgt_path), tgt_path)))
 
 
 def write_bitext(
@@ -72,9 +86,7 @@ def read_alignments(
     path: str | Path, pairs: list[tuple[TokenSeq, TokenSeq]]
 ) -> list[set[tuple[int, int]]]:
     """Read Pharaoh alignments, checking indices against the paired sentences."""
-    lines = _read_lines(path)
-    if len(lines) != len(pairs):
-        raise CorpusFormatError(f"line count mismatch {len(lines)} vs {len(pairs)}")
+    lines = check_line_count(len(pairs), _read_lines(path), path)
     out: list[set[tuple[int, int]]] = []
     for lineno, (line, (src, tgt)) in enumerate(zip(lines, pairs), start=1):
         links: set[tuple[int, int]] = set()
@@ -127,6 +139,8 @@ def write_jsonl(path: str | Path, records: list[dict]) -> None:
 def _token_list(value: Any, lineno: int, field: str) -> TokenSeq:
     if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
         raise CorpusFormatError(f"line {lineno}: {field} must be a list of strings")
+    if _SURROGATE.search("".join(value)):  # from an escape such as "\ud800"; no file can hold it
+        raise CorpusFormatError(f"line {lineno}: {field} holds a lone surrogate")
     return list(value)
 
 
@@ -160,6 +174,18 @@ def write_constraints(path: str | Path, constraint_sets: list[list[ConstraintPai
 
 
 MODES = ("lexical", "structural")
+
+
+def meta_record(mode: str, example: SerializedExample, index: int) -> dict:
+    """The metadata record of serialized line ``index``, as read_meta returns
+    it: everything decode and evaluate need downstream."""
+    if mode == "lexical":
+        spans = [list(s) for s in example.src_spans]
+        return dict(mode=mode, constraints=example.constraints, src_spans=spans, index=index)
+    meta = {"mode": mode, "source_tags": example.source_tags, "index": index}
+    if example.target_tags is not None:
+        meta["target_tags"] = example.target_tags
+    return meta
 
 
 def read_meta(path: str | Path) -> list[dict]:
@@ -205,9 +231,30 @@ def write_spans(path: str | Path, span_sets: list[list[tuple[Span, Span]]]) -> N
     write_jsonl(path, records)
 
 
+def read_corpus(src: str | Path, tgt=None, constraints=None, spans=None) -> tuple[list, ...]:
+    """Source sentences and the files aligned with them, each checked to hold
+    one record per source line: targets (empty without a file), constraint
+    sets (empty without a file) and span pairs (None per line without a
+    file), which must match the constraints item for item."""
+    sources = read_token_lines(src)
+
+    def aligned(read, path, missing):
+        if not path:
+            return [missing() for _ in sources]
+        return check_line_count(len(sources), read(path), path)
+
+    targets = aligned(read_token_lines, tgt, list)
+    constraint_sets = aligned(read_constraints, constraints, list)
+    span_sets = aligned(read_spans, spans, lambda: None)
+    for lineno, (cons, pairs) in enumerate(zip(constraint_sets, span_sets), start=1):
+        if pairs is not None and len(cons) != len(pairs):
+            raise CorpusFormatError(f"line {lineno}: {len(pairs)} spans for {len(cons)} constraints")
+    return sources, targets, constraint_sets, span_sets
+
+
 def load_vocab(path: str | Path) -> ReservedVocab:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(f"invalid vocabulary manifest: {exc}") from exc
     try:

@@ -209,8 +209,12 @@ def _render_source(
 
 
 def constraint_derivation(constraints: list[ConstraintPair]) -> DerivationTable:
-    """The C-rules supplied by the user: C_n rewrites to the n-th target phrase."""
-    return DerivationTable([(Nonterminal("C", c.index), list(c.tgt)) for c in constraints])
+    """The C-rules supplied by the user: C_n rewrites to the n-th target
+    phrase; a repeated index keeps its first phrase."""
+    table: DerivationTable = {}
+    for c in constraints:
+        table.setdefault(Nonterminal("C", c.index), list(c.tgt))
+    return table
 
 
 def build_training_pair(
@@ -331,7 +335,7 @@ def read_output(
         elif n_constraints is not None and nt.kind == "C" and nt.index > n_constraints:
             warnings.append(f"constraint index {nt.index} exceeds the {n_constraints} provided")
 
-    rules: dict[Nonterminal, TokenSeq] = {}
+    rules: DerivationTable = {}
     current: TokenSeq | None = None
     for tok in tail[cut + 1 :]:
         if tok == sep:
@@ -351,7 +355,7 @@ def read_output(
                 warnings.append(f"repeated derivation for {nt.kind}{nt.index}; kept the first rule")
             else:
                 rules[nt] = current
-    return ParsedOutput(Template(elements), DerivationTable(list(rules.items())), warnings), error
+    return ParsedOutput(Template(elements), rules, warnings), error
 
 
 def strict(parsed: ParsedOutput, error: str | None) -> ParsedOutput:

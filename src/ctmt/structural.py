@@ -146,4 +146,4 @@ def validate_structural_template(
 def reconstruct_structural(template: Template, free_rules: DerivationTable) -> TokenSeq:
     """Expand a structural template: tags pass through literally, free
     nonterminals take their fragments or the empty string."""
-    return reconstruct(template, DerivationTable([]), free_rules)
+    return reconstruct(template, {}, free_rules)

@@ -68,20 +68,8 @@ class Template:
         return [e for e in self.elements if isinstance(e, str)]
 
 
-@dataclass
-class DerivationTable:
-    """Ordered rules rewriting one nonterminal into a token fragment."""
-
-    rules: list[tuple[Nonterminal, TokenSeq]] = field(default_factory=list)
-
-    def get(self, nt: Nonterminal) -> TokenSeq | None:
-        for lhs, rhs in self.rules:
-            if lhs == nt:
-                return rhs
-        return None
-
-    def __contains__(self, nt: Nonterminal) -> bool:
-        return self.get(nt) is not None
+# Rules rewriting each nonterminal into a token fragment, in the order given.
+DerivationTable = dict[Nonterminal, TokenSeq]
 
 
 @dataclass

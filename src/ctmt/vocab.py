@@ -115,8 +115,9 @@ class ReservedVocab:
     def from_dict(cls, data: dict) -> "ReservedVocab":
         """The vocabulary of a manifest as to_dict writes it. Each field must
         have its JSON type (an integer that is not a boolean for max_index,
-        a list of strings for registered_tags, a string otherwise); an absent
-        field keeps its default and unknown keys are ignored."""
+        a list of strings for registered_tags, a string otherwise), and no
+        string may hold a lone surrogate; an absent field keeps its default
+        and unknown keys are ignored."""
         if not isinstance(data, dict):
             raise ValueError("expected a JSON object")
         given = {f.name: data[f.name] for f in fields(cls) if f.name in data}
@@ -124,11 +125,14 @@ class ReservedVocab:
             if name == "max_index":
                 if type(value) is not int:
                     raise ValueError(f"max_index must be an integer, not {value!r}")
-            elif name == "registered_tags":
+                continue
+            if name == "registered_tags":
                 if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
                     raise ValueError(f"registered_tags must be a list of strings, not {value!r}")
             elif not isinstance(value, str):
                 raise ValueError(f"{name} must be a string, not {value!r}")
+            if re.search("[\ud800-\udfff]", "".join(value)):  # a string joins to itself
+                raise ValueError(f"{name} holds a lone surrogate: {value!r}")
         return cls(**given)
 
 

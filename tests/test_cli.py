@@ -1030,6 +1030,12 @@ def test_decode_bad_translator_command_is_usage_error(golden_files, capsys, comm
         ["bench", "--src", "s", "--tgt", "t", "--baseline-tps", "inf"],
         ["prepare", "--src", "s", "--tgt", "t", "--out-dir", "o", "--shards", "0"],
         ["prepare", "--src", "s", "--tgt", "t", "--out-dir", "o", "--shards", "-1"],
+        ["prepare", "--mode", "structural", "--src", "s", "--tgt", "t", "--constraints", "c",
+         "--out-dir", "o"],
+        ["encode", "--mode", "structural", "--src", "s", "--spans", "p", "--out-dir", "o"],
+        ["roundtrip", "--mode", "structural", "--src", "s", "--tgt", "t", "--constraints", "c"],
+        ["bench", "--mode", "structural", "--src", "s", "--tgt", "t", "--spans", "p"],
+        ["decode", "--encode-dir", "e", "--model-output", "m", "--translator", "no-such-command"],
     ],
 )
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
@@ -1037,6 +1043,104 @@ def test_bad_option_values_are_usage_errors(tmp_path, capsys, monkeypatch, argv)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("ctmt: ") and err.count("\n") == 1
+
+
+def _encode_two_lines(tmp_path):
+    src = write_lines(tmp_path / "e.src", ["a b", "c"])
+    assert main(["encode", "--src", src, "--out-dir", str(tmp_path / "enc")]) == 0
+    return tmp_path / "enc"
+
+
+def _one_line_too_many(path):
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(path.read_text(encoding="utf-8").splitlines()[-1] + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "companion", ["target", "constraints", "spans", "alignments", "model-output", "encode.prefix"]
+)
+def test_every_line_aligned_input_is_count_checked(tmp_path, capsys, companion):
+    src = write_lines(tmp_path / "c.src", ["a b", "c"])
+    files = {
+        "target": tmp_path / "c.tgt",
+        "constraints": tmp_path / "c.cons.jsonl",
+        "spans": tmp_path / "c.spans.jsonl",
+        "alignments": tmp_path / "c.align",
+    }
+    write_lines(files["target"], ["x", "y"])
+    write_lines(files["constraints"], ['{"constraints": [{"src": ["a"], "tgt": ["x"]}]}',
+                                       '{"constraints": []}'])
+    write_lines(files["spans"], ['{"spans": [{"src": [0, 1], "tgt": [0, 1]}]}', '{"spans": []}'])
+    write_lines(files["alignments"], ["0-0", "0-0"])
+    out = str(tmp_path / "out")
+    if companion in ("model-output", "encode.prefix"):
+        enc_dir = _encode_two_lines(tmp_path)
+        capsys.readouterr()
+        if companion == "model-output":
+            bad = _one_line_too_many(enc_dir / "encode.xprime")  # any file of 3 lines
+            argv = ["decode", "--encode-dir", str(enc_dir), "--model-output", bad, "--out-dir", out]
+        else:
+            bad = _one_line_too_many(enc_dir / "encode.prefix")
+            argv = ["decode", "--encode-dir", str(enc_dir), "--translator", "no-such-command",
+                    "--out-dir", out]
+    else:
+        bad = _one_line_too_many(files[companion])
+        corpus = ["--src", src, "--tgt", str(files["target"])]
+        argv = {
+            "target": ["prepare", *corpus, "--out-dir", out],
+            "constraints": ["encode", "--src", src, "--constraints", bad, "--out-dir", out],
+            "spans": ["prepare", *corpus, "--constraints", str(files["constraints"]),
+                      "--spans", bad, "--out-dir", out],
+            "alignments": ["sample", *corpus, "--align", bad, "--out", out],
+        }[companion]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"ctmt: line count mismatch 2 vs 3 ({bad})\n"
+    assert not Path(out).exists() and not list(tmp_path.glob("out.*"))
+
+
+def _latin1(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"ok\ncaf\xe9\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make_argv, code, message",
+    [
+        (lambda d: ["prepare", "--src", _latin1(d), "--tgt", write_lines(d / "t", ["x", "y"]),
+                    "--out-dir", str(d / "out")],
+         2, "line 2: not valid UTF-8 ({d}/latin1.txt)"),
+        (lambda d: ["evaluate", "--hyp", write_lines(d / "h", ["x", "y"]), "--ref", _latin1(d),
+                    "--report", str(d / "out")],
+         2, "line 2: not valid UTF-8 ({d}/latin1.txt)"),
+        (lambda d: ["encode", "--src", write_lines(d / "s", ["a"]), "--out-dir", str(d / "out"),
+                    "--constraints",
+                    write_lines(d / "c", ['{"constraints": [{"src": ["a"], "tgt": ["\\ud800"]}]}'])],
+         2, "line 1: tgt holds a lone surrogate"),
+        (lambda d: ["prepare", "--src", write_lines(d / "s", ["a"]), "--tgt", write_lines(d / "t", ["x"]),
+                    "--out-dir", str(d / "out"),
+                    "--vocab", write_lines(d / "v", ['{"sep_token": "<\\ud800>"}'])],
+         2, "invalid vocabulary manifest: sep_token holds a lone surrogate"),
+        (lambda d: ["encode", "--mode", "structural", "--src", write_lines(d / "s", ["a"]),
+                    "--constraints", write_lines(d / "c", ['{"constraints": [{"src": ["zz"], "tgt": ["x"]}]}']),
+                    "--out-dir", str(d / "out")],
+         1, "--mode structural takes no --constraints or --spans"),
+        (lambda d: ["decode", "--encode-dir", str(_encode_two_lines(d)), "--out-dir", str(d / "out"),
+                    "--model-output", write_lines(d / "m", ["<Y_0> <sep>"] * 2),
+                    "--translator", "no-such-command"],
+         1, "decode takes exactly one of --model-output and --translator"),
+    ],
+    ids=["latin1-source", "latin1-ref", "surrogate-constraint", "surrogate-vocab",
+         "structural-constraints", "decode-two-sources"],
+)
+def test_rejected_inputs_write_no_output(tmp_path, capsys, make_argv, code, message):
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("ctmt: " + message.format(d=tmp_path)) and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_encode_searches_spans_once_per_line(tmp_path, capsys, monkeypatch):

@@ -167,6 +167,82 @@ def test_meta_round_trip(tmp_path):
     assert corpus_io.read_meta(path) == [lexical, structural]
 
 
+
+def test_meta_record_is_what_read_meta_returns(tmp_path):
+    from ctmt import DEFAULT_VOCAB, build_inference_input, build_structural_pair
+
+    lexical = build_inference_input(["a", "b"], [ConstraintPair(["b"], ["y"])], vocab=DEFAULT_VOCAB)
+    vocab = ReservedVocab(registered_tags=frozenset({"<b>", "</b>"}))
+    structural = build_structural_pair(["<b>", "a", "</b>"], ["<b>", "x", "</b>"], vocab=vocab)
+    records = [
+        corpus_io.meta_record("lexical", lexical, 0),
+        corpus_io.meta_record("structural", structural, 1),
+    ]
+    path = tmp_path / "m.meta.jsonl"
+    corpus_io.write_jsonl(path, records)
+    assert corpus_io.read_meta(path) == records == [
+        {"mode": "lexical", "index": 0, "src_spans": [[1, 2]],
+         "constraints": [ConstraintPair(["b"], ["y"], 1)]},
+        {"mode": "structural", "index": 1, "source_tags": ["<b>", "</b>"],
+         "target_tags": ["<b>", "</b>"]},
+    ]
+
+
+def test_read_corpus_without_companion_files(tmp_path):
+    src = _write(tmp_path / "a.src", "a b\n\nc\n")
+    assert corpus_io.read_corpus(src) == (
+        [["a", "b"], [], ["c"]], [[], [], []], [[], [], []], [None, None, None]
+    )
+
+
+def test_read_corpus_reads_every_companion_file(tmp_path):
+    src = _write(tmp_path / "a.src", "a b\nc\n")
+    tgt = _write(tmp_path / "a.tgt", "x\ny z\n")
+    cons = _write(tmp_path / "a.cons.jsonl",
+                  '{"constraints": [{"src": ["b"], "tgt": ["x"]}]}\n{"constraints": []}\n')
+    spans = _write(tmp_path / "a.spans.jsonl",
+                   '{"spans": [{"src": [1, 2], "tgt": [0, 1]}]}\n{"spans": []}\n')
+    assert corpus_io.read_corpus(src, tgt, cons, spans) == (
+        [["a", "b"], ["c"]],
+        [["x"], ["y", "z"]],
+        [[ConstraintPair(["b"], ["x"], 1)], []],
+        [[((1, 2), (0, 1))], []],
+    )
+
+
+def test_read_corpus_needs_one_span_per_constraint(tmp_path):
+    src = _write(tmp_path / "a.src", "a b\n")
+    cons = _write(tmp_path / "a.cons.jsonl", '{"constraints": [{"src": ["b"], "tgt": ["x"]}]}\n')
+    spans = _write(tmp_path / "a.spans.jsonl", '{"spans": []}\n')
+    with pytest.raises(CorpusFormatError, match="line 1: 0 spans for 1 constraints"):
+        corpus_io.read_corpus(src, constraints=cons, spans=spans)
+
+
+@pytest.mark.parametrize(
+    "reader", [corpus_io.read_token_lines, corpus_io.read_constraints, corpus_io.load_vocab]
+)
+def test_bytes_that_are_not_utf8_name_file_and_line(tmp_path, reader):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b'{"constraints": []}\n{"caf\xe9": 1}\n')
+    with pytest.raises(CorpusFormatError) as exc:
+        reader(path)
+    assert str(exc.value) == f"line 2: not valid UTF-8 ({path})"
+
+
+@pytest.mark.parametrize(
+    "reader, line, field",
+    [
+        (corpus_io.read_constraints, '{"constraints": [{"src": ["a"], "tgt": ["\\ud800"]}]}', "tgt"),
+        (corpus_io.read_constraints, '{"constraints": [{"src": ["\\udfff"], "tgt": ["x"]}]}', "src"),
+        (corpus_io.read_meta, '{"source_tags": ["<\\ud800>"]}', "source_tags"),
+    ],
+)
+def test_lone_surrogate_escapes_are_rejected(tmp_path, reader, line, field):
+    path = _write(tmp_path / "a.jsonl", '{"constraints": []}\n' + line + "\n")
+    with pytest.raises(CorpusFormatError, match=f"line 2: {field} holds a lone surrogate"):
+        reader(path)
+
+
 token_st = st.text(
     alphabet=st.characters(
         blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs"), min_codepoint=33

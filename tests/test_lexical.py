@@ -355,7 +355,7 @@ def test_parse_output_golden(vocab):
         Nonterminal("C", 1),
         Nonterminal("Y", 2),
     ]
-    assert len(parsed.derivation.rules) == 3
+    assert len(list(parsed.derivation.items())) == 3
     assert parsed.derivation.get(Nonterminal("Y", 1)) == ["会"]
     assert parsed.warnings == []
 
@@ -402,7 +402,7 @@ def test_parse_error_names_the_first_violation_and_carries_the_reading(vocab):
         parse_output(tail, vocab)
     parsed = info.value.parsed
     assert parsed.template.elements == [Nonterminal("Y", 0), "junk", Nonterminal("X", 1)]
-    assert parsed.derivation.rules == [(Nonterminal("X", 1), ["a"]), (Nonterminal("Y", 0), ["b", "c"])]
+    assert list(parsed.derivation.items()) == [(Nonterminal("X", 1), ["a"]), (Nonterminal("Y", 0), ["b", "c"])]
     with pytest.raises(OutputParseError, match="unexpected separator"):
         parse_output("<Y_0> <sep> <Y_0> a <sep> <X_1> b".split(), vocab)
 
@@ -617,4 +617,4 @@ def test_read_output_inverts_render_side(case):
     for slot, y in zip(slots, ys[1:]):
         template += [slot, y]
     assert parsed.template.elements == template
-    assert parsed.derivation.rules == list(zip(ys, fragments))
+    assert list(parsed.derivation.items()) == list(zip(ys, fragments))

@@ -125,7 +125,7 @@ def test_parse_structural_error_carries_the_reading(tagged_vocab):
         parse_structural_output(tail, tagged_vocab)
     parsed = info.value.parsed
     assert parsed.template.elements == [Y(0), "<ph>", "junk", Y(1), "</ph>"]
-    assert parsed.derivation.rules == [(Y(0), ["a", "b"]), (Y(1), ["c"])]
+    assert list(parsed.derivation.items()) == [(Y(0), ["a", "b"]), (Y(1), ["c"])]
 
 
 def test_parse_structural_rejects_bad_tokens(tagged_vocab):

@@ -94,3 +94,13 @@ def test_manifest_absent_fields_keep_defaults():
 def test_manifest_fields_must_have_their_json_types(data, message):
     with pytest.raises(ValueError, match=message):
         ReservedVocab.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [({"sep_token": "<\ud800>"}, "sep_token"), ({"registered_tags": ["<b>", "\udc80"]}, "registered_tags")],
+)
+def test_manifest_strings_must_be_text(data, field):
+    # json.loads turns the escape "\ud800" into a lone surrogate, which no file can hold
+    with pytest.raises(ValueError, match=f"{field} holds a lone surrogate"):
+        ReservedVocab.from_dict(data)
