@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import corpus_io, lexical, mining, structural
-from .errors import CtmtError, OutputParseError
+from .errors import CorpusFormatError, CtmtError, OutputParseError
 from .metrics import WINDOW, EvalRecord, evaluate_records, score, sentence_metrics
 from .types import ConstraintPair, SerializedExample, TemplateVerdict, TokenSeq
 from .vocab import DEFAULT_VOCAB, ReservedVocab
@@ -101,29 +101,28 @@ class TranslatorBridge:
     Each request line carries the encoder input, a tab, then the forced
     decoder prefix; the child answers with exactly one continuation line.
     Nothing is prepended or reordered, so any wrapped model that honors
-    forced prefixes can sit behind the bridge.
+    forced prefixes can sit behind the bridge. The pipes carry UTF-8 bytes,
+    and an answer is read as a --model-output line is: it ends at LF.
     """
 
     def __init__(self, command: str):
         self.command = command
         self.proc = subprocess.Popen(
-            shlex.split(command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            encoding="utf-8",
-            bufsize=1,
+            shlex.split(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
         )
 
     def translate(self, encoder_tokens: TokenSeq, prefix_tokens: TokenSeq) -> TokenSeq:
         assert self.proc.stdin is not None and self.proc.stdout is not None
         request = " ".join(encoder_tokens) + "\t" + " ".join(prefix_tokens) + "\n"
-        self.proc.stdin.write(request)
+        self.proc.stdin.write(request.encode("utf-8"))
         self.proc.stdin.flush()
         line = self.proc.stdout.readline()
-        if line == "":
+        if not line:
             raise CtmtError(f"translator {self.command!r} closed its output stream")
-        return corpus_io.split_tokens(line)
+        try:
+            return corpus_io.split_tokens(line.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"not valid UTF-8 (translator {self.command!r})") from exc
 
     def close(self) -> None:
         if self.proc.stdin is not None:
@@ -149,11 +148,22 @@ def _load_vocab(args) -> ReservedVocab:
     return DEFAULT_VOCAB
 
 
+def _tagged_vocab(args) -> ReservedVocab:
+    """The vocabulary of a command that reads markup in structural mode,
+    where only registered tags tell markup from text."""
+    vocab = _load_vocab(args)
+    if args.mode == "structural" and not vocab.registered_tags:
+        raise UsageError("--mode structural needs a --vocab with registered tags")
+    return vocab
+
+
 def _read_corpus(args):
-    """The corpus a serializing command names; structural lines take no constraints or spans."""
+    """The vocabulary and corpus a serializing command names; structural
+    lines take no constraints or spans."""
     if args.mode == "structural" and (args.constraints or args.spans):
         raise UsageError("--mode structural takes no --constraints or --spans")
-    return corpus_io.read_corpus(args.src, getattr(args, "tgt", None), args.constraints, args.spans)
+    tgt = getattr(args, "tgt", None)
+    return _tagged_vocab(args), corpus_io.read_corpus(args.src, tgt, args.constraints, args.spans)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +205,7 @@ def _write_serialized(out_dir, stem: str, second: str, results: list) -> int:
 
 
 def cmd_prepare(args) -> int:
-    vocab = _load_vocab(args)
-    corpus = _read_corpus(args)
+    vocab, corpus = _read_corpus(args)
 
     def line(i: int):
         example, meta = _serialize_line(args.mode, corpus, i, vocab)
@@ -207,8 +216,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    vocab = _load_vocab(args)
-    src, _, constraint_sets, span_sets = _read_corpus(args)
+    vocab, (src, _, constraint_sets, span_sets) = _read_corpus(args)
 
     def line(i: int):
         if args.mode == "structural":
@@ -360,7 +368,7 @@ def cmd_sample(args) -> int:
 # evaluate
 
 def cmd_evaluate(args) -> int:
-    vocab = _load_vocab(args)
+    vocab = _tagged_vocab(args)
     hyps, refs, constraint_sets, _ = corpus_io.read_corpus(args.hyp, args.ref, args.constraints)
     records = [EvalRecord(h, r, c) for h, r, c in zip(hyps, refs, constraint_sets)]
     structural_mode = args.mode == "structural"
@@ -397,8 +405,7 @@ def cmd_roundtrip(args) -> int:
     A perfect model must reproduce every reference exactly and score 100
     on every metric; any deviation is reported with its line number.
     """
-    vocab = _load_vocab(args)
-    corpus = _read_corpus(args)
+    vocab, corpus = _read_corpus(args)
     tgt = corpus[1]
 
     def line(i: int):
@@ -450,8 +457,7 @@ def cmd_bench(args) -> int:
     judged on the fastest of repeated decode passes, as timeit does: noise
     such as a scheduler stall or a GC pause only ever adds time to a pass.
     """
-    vocab = _load_vocab(args)
-    corpus = _read_corpus(args)
+    vocab, corpus = _read_corpus(args)
     t0 = time.perf_counter()
     results = _run_lines(len(corpus[0]), 1, lambda i: _serialize_line(args.mode, corpus, i, vocab))
     serialize_seconds = time.perf_counter() - t0

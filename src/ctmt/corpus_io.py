@@ -15,17 +15,17 @@ from pathlib import Path
 from typing import Any
 
 from .errors import CorpusFormatError
-from .types import ConstraintPair, SerializedExample, TokenSeq
+from .types import (
+    ASCII_WHITESPACE, LONE_SURROGATE, ConstraintPair, SerializedExample, Span, TokenSeq,
+)
 from .vocab import ReservedVocab
 
-_ASCII_WS = re.compile(r"[ \t\r\n\f\v]+")
 _ALIGN_ITEM = re.compile(r"([0-9]+)-([0-9]+)")
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def split_tokens(line: str) -> TokenSeq:
     """Split one line on ASCII whitespace runs; empty line gives no tokens."""
-    return [t for t in _ASCII_WS.split(line) if t]
+    return [t for t in ASCII_WHITESPACE.split(line) if t]
 
 
 def join_tokens(tokens: TokenSeq) -> str:
@@ -33,11 +33,13 @@ def join_tokens(tokens: TokenSeq) -> str:
 
 
 def _read_text(path: str | Path) -> str:
-    """A file's text; bytes that are not UTF-8 fail with the 1-based line."""
+    """A file's text as stored, with no newline translation (a CR stays a
+    CR); bytes that are not UTF-8 fail with the 1-based line."""
+    data = Path(path).read_bytes()
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:  # read_text decodes the whole file at once
-        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
         raise CorpusFormatError(f"line {lineno}: not valid UTF-8 ({path})") from exc
 
 
@@ -139,7 +141,7 @@ def write_jsonl(path: str | Path, records: list[dict]) -> None:
 def _token_list(value: Any, lineno: int, field: str) -> TokenSeq:
     if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
         raise CorpusFormatError(f"line {lineno}: {field} must be a list of strings")
-    if _SURROGATE.search("".join(value)):  # from an escape such as "\ud800"; no file can hold it
+    if LONE_SURROGATE.search("".join(value)):
         raise CorpusFormatError(f"line {lineno}: {field} holds a lone surrogate")
     return list(value)
 
@@ -199,9 +201,6 @@ def read_meta(path: str | Path) -> list[dict]:
         if record.get("mode", "lexical") not in MODES:
             raise CorpusFormatError(f"line {lineno}: mode must be one of {', '.join(MODES)}")
     return records
-
-
-Span = tuple[int, int]
 
 
 def read_spans(path: str | Path) -> list[list[tuple[Span, Span]]]:

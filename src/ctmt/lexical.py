@@ -30,13 +30,13 @@ from .types import (
     Nonterminal,
     ParsedOutput,
     SerializedExample,
+    Span,
     Template,
     TemplateVerdict,
     TokenSeq,
+    disjoint,
 )
 from .vocab import ReservedVocab
-
-Span = tuple[int, int]
 
 
 def occurrences(tokens: TokenSeq, phrase: TokenSeq) -> list[Span]:
@@ -76,7 +76,7 @@ def find_disjoint_assignment(
             nodes -= 1
             if nodes <= 0:
                 return False
-            if all(e <= span[0] or span[1] <= b for b, e in chosen):
+            if all(disjoint(span, c) for c in chosen):
                 chosen.append(span)
                 if place(k + 1):
                     return True
@@ -99,9 +99,9 @@ def claim_spans(tokens: TokenSeq, phrases: list[TokenSeq]) -> list[Span | None]:
     out: list[Span | None] = []
     for phrase in phrases:
         found = None
-        for start, end in occurrences(tokens, phrase):
-            if all(e <= start or end <= b for b, e in claimed):
-                found = (start, end)
+        for span in occurrences(tokens, phrase):
+            if all(disjoint(span, c) for c in claimed):
+                found = span
                 claimed.append(found)
                 break
         out.append(found)
@@ -133,7 +133,7 @@ def _place_phrases(
             )
     ordered = sorted(spans)
     for a, b in zip(ordered, ordered[1:]):
-        if b[0] < a[1]:
+        if not disjoint(a, b):
             raise SpanError(f"{side} spans {a} and {b} overlap")
     return spans
 

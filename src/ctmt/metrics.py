@@ -18,12 +18,10 @@ from itertools import accumulate
 
 from .lexical import claim_spans, occurrences
 from .structural import tag_sequence, tags_well_formed
-from .types import ConstraintPair, TokenSeq
+from .types import ConstraintPair, Span, TokenSeq
 from .vocab import ReservedVocab
 
 log = logging.getLogger(__name__)
-
-Span = tuple[int, int]
 
 # Shifted substrings are capped at this many tokens, as in standard TER.
 MAX_SHIFT_LEN = 10
@@ -322,8 +320,6 @@ def _bleu_score(counts: list[tuple[list[int], list[int], int, int]]) -> float:
             precision = correct / total
         log_sum += math.log(precision)
         orders += 1
-    if orders == 0:
-        return 0.0
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * brevity * math.exp(log_sum / orders)
 

@@ -13,11 +13,9 @@ import logging
 import random
 from dataclasses import dataclass
 
-from .types import ConstraintPair, TokenSeq
+from .types import ConstraintPair, Span, TokenSeq, disjoint
 
 log = logging.getLogger(__name__)
-
-Span = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -68,8 +66,6 @@ def extract_phrase_pairs(
             if (i2 - 1) not in src_links:
                 continue
             projected = [j for i in range(i1, i2) for j in src_links.get(i, ())]
-            if not projected:
-                continue
             j1, j2 = min(projected), max(projected) + 1
             if j2 - j1 > max_len:
                 continue
@@ -82,10 +78,6 @@ def extract_phrase_pairs(
                 PhrasePair((i1, i2), (j1, j2), tuple(x[i1:i2]), tuple(y[j1:j2]))
             )
     return pairs
-
-
-def _disjoint(a: Span, b: Span) -> bool:
-    return a[1] <= b[0] or b[1] <= a[0]
 
 
 def sample_phrase_pairs(
@@ -109,7 +101,7 @@ def sample_phrase_pairs(
     while pool and len(chosen) < k:
         cand = pool.pop(rng.randrange(len(pool)))
         ok = all(
-            _disjoint(cand.src_span, c.src_span) and _disjoint(cand.tgt_span, c.tgt_span)
+            disjoint(cand.src_span, c.src_span) and disjoint(cand.tgt_span, c.tgt_span)
             for c in chosen
         )
         if ok:

@@ -1,6 +1,8 @@
 """Core value types: token sequences, constraints, templates, derivations.
 
-A sentence is a list of whitespace-free tokens (``TokenSeq``). Templates
+A sentence is a list of tokens (``TokenSeq``): maximal runs of characters
+other than ASCII whitespace, so upstream tokenization survives bit for
+bit. A ``Span`` is a half-open range of token positions. Templates
 abstract free-token fragments into indexed nonterminals while constraint
 phrases and markup tags keep their own slots; derivation tables map each
 nonterminal back to its fragment.
@@ -8,9 +10,23 @@ nonterminal back to its fragment.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 TokenSeq = list[str]
+
+# What separates tokens: a run of ASCII whitespace, and nothing else.
+ASCII_WHITESPACE = re.compile(r"[ \t\r\n\f\v]+")
+# Decoded UTF-8 never holds a lone surrogate; only a JSON escape such as "\ud800" can.
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+# Token positions start..end-1 of a sentence.
+Span = tuple[int, int]
+
+
+def disjoint(a: Span, b: Span) -> bool:
+    """Whether two spans share no token position."""
+    return a[1] <= b[0] or b[1] <= a[0]
 
 NT_KINDS = ("X", "Y", "C")
 
@@ -41,12 +57,8 @@ class ConstraintPair:
         if not self.src or not self.tgt:
             raise ValueError("constraint phrases must be non-empty")
         for tok in (*self.src, *self.tgt):
-            if not tok or _has_ascii_space(tok):
+            if not tok or ASCII_WHITESPACE.search(tok):
                 raise ValueError(f"constraint token {tok!r} is empty or contains whitespace")
-
-
-def _has_ascii_space(token: str) -> bool:
-    return any(ch in token for ch in " \t\n\r\f\v")
 
 
 @dataclass
@@ -55,11 +67,8 @@ class Template:
 
     elements: list[Nonterminal | str]
 
-    def nonterminals(self, kind: str | None = None) -> list[Nonterminal]:
-        nts = [e for e in self.elements if isinstance(e, Nonterminal)]
-        if kind is None:
-            return nts
-        return [nt for nt in nts if nt.kind == kind]
+    def nonterminals(self, kind: str) -> list[Nonterminal]:
+        return [e for e in self.elements if isinstance(e, Nonterminal) and e.kind == kind]
 
     def constraint_indices(self) -> list[int]:
         return [nt.index for nt in self.nonterminals("C")]
@@ -91,7 +100,7 @@ class SerializedExample:
     decoder_prefix: TokenSeq
     target_output: TokenSeq = field(default_factory=list)
     constraints: list[ConstraintPair] = field(default_factory=list)
-    src_spans: list[tuple[int, int]] = field(default_factory=list)
+    src_spans: list[Span] = field(default_factory=list)
     source_tags: list[str] = field(default_factory=list)
     target_tags: list[str] | None = None
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from .errors import CapacityError, ReservedTokenError
-from .types import Nonterminal, TokenSeq
+from .types import LONE_SURROGATE, Nonterminal, TokenSeq
 
 _OPEN_RE = re.compile(r"^<([^<>/\s]+)>$")
 _CLOSE_RE = re.compile(r"^</([^<>/\s]+)>$")
@@ -102,14 +102,9 @@ class ReservedVocab:
                 raise ReservedTokenError(f"reserved token {tok!r} appears in {where}")
 
     def to_dict(self) -> dict:
-        return {
-            "sep_token": self.sep_token,
-            "x_prefix": self.x_prefix,
-            "y_prefix": self.y_prefix,
-            "c_prefix": self.c_prefix,
-            "max_index": self.max_index,
-            "registered_tags": sorted(self.registered_tags),
-        }
+        """Every field, as from_dict reads it back; the tags sorted."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**data, "registered_tags": sorted(self.registered_tags)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReservedVocab":
@@ -131,7 +126,7 @@ class ReservedVocab:
                     raise ValueError(f"registered_tags must be a list of strings, not {value!r}")
             elif not isinstance(value, str):
                 raise ValueError(f"{name} must be a string, not {value!r}")
-            if re.search("[\ud800-\udfff]", "".join(value)):  # a string joins to itself
+            if LONE_SURROGATE.search("".join(value)):  # a string joins to itself
                 raise ValueError(f"{name} holds a lone surrogate: {value!r}")
         return cls(**given)
 

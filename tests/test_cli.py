@@ -1,8 +1,10 @@
 import json
 import random
+import shlex
 import stat
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 from pathlib import Path
@@ -639,6 +641,132 @@ def test_decode_via_translator(golden_files, capsys):
     assert (enc_dir / "decode.out").read_text(encoding="utf-8").rstrip("\n") == GOLD_RESULT
 
 
+RAW_TRANSLATOR = textwrap.dedent(
+    """\
+    #!/usr/bin/env python3
+    import sys
+
+    # test translator: answers each request with the next canned line, as raw bytes
+    with open(sys.argv[1], "rb") as f:
+        canned = f.read().split(b"\\n")[:-1]
+    for answer, _ in zip(canned, sys.stdin.buffer):
+        sys.stdout.buffer.write(answer + b"\\n")
+        sys.stdout.buffer.flush()
+    """
+)
+
+
+def _encode_three_lines(tmp_path):
+    """An encode directory of three lines; the first has constraint b -> B."""
+    src = write_lines(tmp_path / "r.src", ["a b c", "d", "e"])
+    cons = write_lines(
+        tmp_path / "r.cons.jsonl",
+        ['{"constraints": [{"src": ["b"], "tgt": ["B"]}]}', '{"constraints": []}',
+         '{"constraints": []}'],
+    )
+    enc_dir = tmp_path / "enc"
+    assert main(["encode", "--src", src, "--constraints", cons, "--out-dir", str(enc_dir)]) == 0
+    return enc_dir
+
+
+def _decode_both_ways(enc_dir, work, answers: bytes):
+    """Decode the same answer bytes through --translator and --model-output;
+    returns each run's exit code and output directory."""
+    canned = work / "answers.txt"
+    canned.write_bytes(answers)
+    script = work / "raw_translator.py"
+    script.write_text(RAW_TRANSLATOR, encoding="utf-8")
+    runs = {}
+    for name, source in [
+        ("translator", ["--translator", f"{sys.executable} {script} {canned}"]),
+        ("model-output", ["--model-output", str(canned)]),
+    ]:
+        out_dir = work / name
+        argv = ["decode", "--encode-dir", str(enc_dir), *source, "--out-dir", str(out_dir)]
+        runs[name] = main(argv), out_dir
+    return runs
+
+
+def test_translator_answer_ends_at_lf_like_a_model_output_line(tmp_path, capsys):
+    # a CR inside an answer is whitespace, not a line end that shifts later answers
+    enc_dir = _encode_three_lines(tmp_path)
+    answers = [b"<Y_0> <C_1> <Y_1> <sep> <Y_0> x\ry <Y_1> z", b"<Y_0> <sep> <Y_0> second",
+               b"<Y_0> <sep> <Y_0> third"]
+    runs = _decode_both_ways(enc_dir, tmp_path, b"".join(a + b"\n" for a in answers))
+    (t_code, t_dir), (f_code, f_dir) = runs["translator"], runs["model-output"]
+    assert t_code == f_code == 0
+    assert (t_dir / "decode.out").read_bytes() == b"x y B z\nsecond\nthird\n"
+    for name in ("decode.out", "decode.audit.jsonl"):
+        assert (t_dir / name).read_bytes() == (f_dir / name).read_bytes()
+
+
+def test_translator_answer_not_utf8_is_data_error(tmp_path, capsys):
+    enc_dir = _encode_three_lines(tmp_path)
+    capsys.readouterr()
+    runs = _decode_both_ways(enc_dir, tmp_path, b"caf\xe9\n<Y_0> <sep>\n<Y_0> <sep>\n")
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("ctmt: not valid UTF-8 (translator ")
+    assert err[1] == f"ctmt: line 1: not valid UTF-8 ({tmp_path / 'answers.txt'})"
+    for code, out_dir in runs.values():
+        assert code == 2 and not (out_dir / "decode.out").exists()
+
+
+@pytest.mark.parametrize("child", ["pass", "import sys; sys.stdin.buffer.readline()"])
+def test_translator_that_exits_early_is_data_error(tmp_path, capsys, child):
+    # the message depends on whether the request write or the answer read
+    # notices first, so only its shape is pinned
+    enc_dir = _encode_three_lines(tmp_path)
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    code = main(["decode", "--encode-dir", str(enc_dir), "--out-dir", str(out_dir),
+                 "--translator", f"{sys.executable} -c {shlex.quote(child)}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ctmt: ") and err.count("\n") == 1
+    assert not (out_dir / "decode.out").exists()
+
+
+ANSWER_TOKENS = ["<Y_0>", "<Y_1>", "<C_1>", "<sep>", "x", "y", "B", "é", "語", "<ph>"]
+
+
+@st.composite
+def answer_lines(draw):
+    """The bytes of one answer line: tokens joined by spaces, tabs or CRs,
+    with or without a CRLF ending, sometimes holding a byte that is not UTF-8."""
+    tokens = draw(st.lists(st.sampled_from(ANSWER_TOKENS), max_size=8))
+    line = b""
+    for tok in tokens:
+        line += draw(st.sampled_from([b" ", b"\t", b"\r", b" \r "])) + tok.encode("utf-8")
+    line += draw(st.sampled_from([b"", b"\r", b"\t"]))
+    if draw(st.integers(0, 9)) == 0:
+        cut = draw(st.integers(0, len(line)))
+        line = line[:cut] + draw(st.sampled_from([b"\xe9", b"\xff", b"\xed\xa0\x80"])) + line[cut:]
+    return line + b"\n"
+
+
+def test_translator_and_model_output_read_the_same_answers(tmp_path):
+    enc_dir = _encode_three_lines(tmp_path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(answer_lines(), min_size=3, max_size=3))
+    def check(lines):
+        answers = b"".join(lines)
+        with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+            runs = _decode_both_ways(enc_dir, Path(work), answers)
+            (t_code, t_dir), (f_code, f_dir) = runs["translator"], runs["model-output"]
+            try:
+                answers.decode("utf-8")
+            except UnicodeDecodeError:
+                assert t_code == f_code == 2
+                assert not (t_dir / "decode.out").exists() and not (f_dir / "decode.out").exists()
+                return
+            assert t_code == f_code == 0
+            for name in ("decode.out", "decode.audit.jsonl"):
+                assert (t_dir / name).read_bytes() == (f_dir / name).read_bytes()
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # decode robustness
 
@@ -981,6 +1109,7 @@ def test_decode_malformed_meta_record_is_data_error(tmp_path, capsys, record, me
         ('{"registered_tags": "<ph>"}', "registered_tags must be a list of strings"),
         ('{"max_index": true}', "max_index must be an integer"),
         ('{"max_index": 2.9}', "max_index must be an integer"),
+        ('{"sep_token": "<sep>",}', "Expecting property name enclosed in double quotes"),
     ],
 )
 def test_prepare_malformed_vocab_manifest_is_data_error(tmp_path, capsys, manifest, message):
@@ -1036,6 +1165,11 @@ def test_decode_bad_translator_command_is_usage_error(golden_files, capsys, comm
         ["roundtrip", "--mode", "structural", "--src", "s", "--tgt", "t", "--constraints", "c"],
         ["bench", "--mode", "structural", "--src", "s", "--tgt", "t", "--spans", "p"],
         ["decode", "--encode-dir", "e", "--model-output", "m", "--translator", "no-such-command"],
+        ["prepare", "--mode", "structural", "--src", "s", "--tgt", "t", "--out-dir", "o"],
+        ["encode", "--mode", "structural", "--src", "s", "--out-dir", "o"],
+        ["roundtrip", "--mode", "structural", "--src", "s", "--tgt", "t"],
+        ["bench", "--mode", "structural", "--src", "s", "--tgt", "t"],
+        ["evaluate", "--mode", "structural", "--hyp", "h", "--ref", "r"],
     ],
 )
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
@@ -1130,9 +1264,19 @@ def _latin1(tmp_path):
                     "--model-output", write_lines(d / "m", ["<Y_0> <sep>"] * 2),
                     "--translator", "no-such-command"],
          1, "decode takes exactly one of --model-output and --translator"),
+        (lambda d: ["prepare", "--mode", "structural", "--out-dir", str(d / "out"),
+                    "--src", write_lines(d / "s", ["a <b> c </b>"]),
+                    "--tgt", write_lines(d / "t", ["x <b> y </b>"])],
+         1, "--mode structural needs a --vocab with registered tags"),
+        (lambda d: ["evaluate", "--mode", "structural", "--report", str(d / "out"),
+                    "--hyp", write_lines(d / "h", ["a <b> c </b>"]),
+                    "--ref", write_lines(d / "r", ["a <b> c </b>"]),
+                    "--vocab", write_lines(d / "v", ['{"registered_tags": []}'])],
+         1, "--mode structural needs a --vocab with registered tags"),
     ],
     ids=["latin1-source", "latin1-ref", "surrogate-constraint", "surrogate-vocab",
-         "structural-constraints", "decode-two-sources"],
+         "structural-constraints", "decode-two-sources", "structural-no-vocab",
+         "structural-tagless-vocab"],
 )
 def test_rejected_inputs_write_no_output(tmp_path, capsys, make_argv, code, message):
     argv = make_argv(tmp_path)

@@ -115,6 +115,20 @@ def test_span_bounds_must_be_json_integers(tmp_path, bounds):
         corpus_io.read_spans(path)
 
 
+@pytest.mark.parametrize("record", ['{"spans": 3}', '{"spans": {"src": [0, 1]}}', "{}"])
+def test_read_spans_needs_a_spans_array(tmp_path, record):
+    path = _write(tmp_path / "a.spans.jsonl", '{"spans": []}\n' + record + "\n")
+    with pytest.raises(CorpusFormatError, match="line 2: missing 'spans' array"):
+        corpus_io.read_spans(path)
+
+
+def test_a_line_ends_at_lf_only(tmp_path):
+    # a CR, alone or before LF, is whitespace inside the line, as in a translator answer
+    path = tmp_path / "cr.txt"
+    path.write_bytes(b"a\rb\nc\r\n\r\nd\te\n")
+    assert corpus_io.read_token_lines(path) == [["a", "b"], ["c"], [], ["d", "e"]]
+
+
 def test_constraints_round_trip(tmp_path):
     sets = [
         [ConstraintPair(["a", "b"], ["x"], 1), ConstraintPair(["c"], ["y", "z"], 2)],

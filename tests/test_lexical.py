@@ -14,6 +14,7 @@ from ctmt import (
     OutputParseError,
     SpanError,
     Template,
+    TemplateVerdict,
     DerivationTable,
     build_inference_input,
     build_training_pair,
@@ -307,6 +308,26 @@ def test_span_search_fails_fast_on_too_few_copies():
     assert claim_spans(x, phrases) == [(k, k + 1) for k in range(8)] + [None]
 
 
+def test_span_search_gives_up_when_its_budget_runs_out():
+    # "x" first claims (0, 1), which strands "x y"; the search must back up
+    x, phrases = ["x", "y", "x"], [["x"], ["x", "y"]]
+    assert find_disjoint_assignment(x, phrases, node_budget=2) is None
+    assert find_disjoint_assignment(x, phrases) == [(2, 3), (0, 2)]
+
+
+@pytest.mark.parametrize("token", ["a b", "a\tb", "a\rb", "a\nb", "a\fb", "a\vb", " ", ""])
+def test_constraint_tokens_hold_no_ascii_whitespace(token):
+    with pytest.raises(ValueError, match="is empty or contains whitespace"):
+        ConstraintPair(["ok"], [token])
+    with pytest.raises(ValueError, match="is empty or contains whitespace"):
+        ConstraintPair([token], ["ok"])
+
+
+def test_constraint_tokens_may_hold_other_whitespace():
+    # only ASCII whitespace separates tokens, so a no-break space is part of one
+    assert ConstraintPair(["a\u00a0b"], ["x\u3000y"]).src == ["a\u00a0b"]
+
+
 def test_builders_return_what_they_settled(vocab):
     shuffled = [cp("price hike", "价格上涨"), cp("slowing down", "减弱")]
     pair = build_training_pair(GOLD_SRC.split(), GOLD_REF.split(), shuffled, vocab=vocab)
@@ -456,6 +477,18 @@ def test_validate_missing_index():
 )
 def test_validate_rejects_bad_shapes(elements, n):
     assert not validate_template(Template(elements), n).valid
+
+
+@pytest.mark.parametrize(
+    "elements, n, reason",
+    [
+        ([Y(0), "<ph>", Y(1)], 0, "literal token '<ph>' in a lexical template"),
+        ([Y(0), C(1), Y(1), C(2), Y(2), C(3), Y(3)], 2, "unknown constraint index 3"),
+        ([Y(0), C(2), Y(1), C(1), Y(2), C(2), Y(3)], 2, "duplicated constraint index 2"),
+    ],
+)
+def test_validate_names_the_violation(elements, n, reason):
+    assert validate_template(Template(elements), n) == TemplateVerdict(False, reason)
 
 
 def test_validate_all_permutations_up_to_4():

@@ -10,6 +10,7 @@ from ctmt import (
     Nonterminal,
     OutputParseError,
     Template,
+    TemplateVerdict,
     build_structural_pair,
     build_training_pair,
     parse_structural_output,
@@ -152,6 +153,19 @@ def test_validate_structural_missing_tag(tagged_vocab):
     t = Template([Y(0), "<ph>", Y(1), "</ph>", Y(2)])
     verdict = validate_structural_template(t, ["<ph>", "<ph>", "</ph>", "</ph>"], tagged_vocab)
     assert not verdict.valid and "recall" in verdict.reason
+
+
+@pytest.mark.parametrize(
+    "source_tags, reason",
+    [
+        ([], "tag recall failed: extra ['</ph>', '<ph>']"),
+        (["&amp;"], "tag recall failed: missing ['&amp;'], extra ['</ph>', '<ph>']"),
+    ],
+)
+def test_validate_structural_names_extra_tags(tagged_vocab, source_tags, reason):
+    t = Template([Y(0), "<ph>", Y(1), "</ph>", Y(2)])
+    verdict = validate_structural_template(t, source_tags, tagged_vocab)
+    assert verdict == TemplateVerdict(False, reason)
 
 
 def test_validate_structural_unclosed(tagged_vocab):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -71,6 +73,12 @@ def test_colliding_surface_forms_rejected():
 def test_manifest_round_trip(tagged_vocab):
     data = tagged_vocab.to_dict()
     assert ReservedVocab.from_dict(data) == tagged_vocab
+
+
+def test_manifest_holds_every_field(tagged_vocab):
+    data = tagged_vocab.to_dict()
+    assert list(data) == [f.name for f in fields(ReservedVocab)]
+    assert data["registered_tags"] == sorted(tagged_vocab.registered_tags)
 
 
 def test_manifest_absent_fields_keep_defaults():
