@@ -192,13 +192,13 @@ def meta_record(mode: str, example: SerializedExample, index: int) -> dict:
 
 def read_meta(path: str | Path) -> list[dict]:
     """Read metadata records, checking ``constraints`` (read as in
-    read_constraints), ``source_tags`` and ``mode`` where present."""
+    read_constraints), ``source_tags`` where present, and ``mode``, lexical if absent."""
     records = read_jsonl(path)
     for lineno, record in enumerate(records, start=1):
         if "constraints" in record:
             record["constraints"] = _constraint_list(record["constraints"], lineno)
         _token_list(record.get("source_tags", []), lineno, "source_tags")
-        if record.get("mode", "lexical") not in MODES:
+        if record.setdefault("mode", "lexical") not in MODES:
             raise CorpusFormatError(f"line {lineno}: mode must be one of {', '.join(MODES)}")
     return records
 

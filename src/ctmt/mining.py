@@ -116,7 +116,11 @@ def sample_constraints(
     pairs: list[PhrasePair], cfg: SamplerConfig, rng: random.Random
 ) -> list[ConstraintPair]:
     """Sample a constraint set, indexed 1..k by source position."""
-    chosen = sample_phrase_pairs(pairs, cfg, rng)
+    return as_constraints(sample_phrase_pairs(pairs, cfg, rng))
+
+
+def as_constraints(chosen: list[PhrasePair]) -> list[ConstraintPair]:
+    """Sampled phrase pairs as constraints, indexed 1..k in their order."""
     return [
         ConstraintPair(src=list(p.src_tokens), tgt=list(p.tgt_tokens), index=n + 1)
         for n, p in enumerate(chosen)

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from .errors import CapacityError, ReservedTokenError
-from .types import LONE_SURROGATE, Nonterminal, TokenSeq
+from .types import ASCII_WHITESPACE, LONE_SURROGATE, Nonterminal, TokenSeq
 
-_OPEN_RE = re.compile(r"^<([^<>/\s]+)>$")
-_CLOSE_RE = re.compile(r"^</([^<>/\s]+)>$")
+# A registered tag holds no ASCII whitespace (__post_init__ checks it).
+_OPEN_RE = re.compile(r"^<([^<>/]+)>$")
+_CLOSE_RE = re.compile(r"^</([^<>/]+)>$")
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class ReservedVocab:
         if len(set(prefixes)) != 3:
             raise ValueError("nonterminal prefixes must be pairwise distinct")
         for surface in (self.sep_token, *prefixes, *self.registered_tags):
-            if not surface or re.search(r"\s", surface):
+            if not surface or ASCII_WHITESPACE.search(surface):
                 raise ValueError(f"reserved surface form {surface!r} must be a single token")
         if self._nt_pattern.match(self.sep_token):
             raise ValueError("separator token collides with a nonterminal spelling")

@@ -26,7 +26,7 @@ from ctmt import (
 )
 from ctmt.cli import TranslatorBridge, decode_line, main, shard_ranges
 from ctmt.lexical import decoder_prefix_of
-from ctmt.vocab import DEFAULT_VOCAB
+from ctmt.vocab import DEFAULT_VOCAB, ReservedVocab
 
 from conftest import (
     GOLD_ENC,
@@ -240,8 +240,9 @@ def test_structural_encode_decode(tmp_path, capsys):
         ["<Y_0> <ph> <Y_1> <ph> <Y_2> </ph> <Y_3> </ph> <Y_4> <sep> "
          "<Y_1> Chaque tableau <Y_2> 3 <Y_3> filtres ."],
     )
+    # decode has no --mode: the meta record names the line's mode
     code, out = run(
-        capsys, "decode", "--mode", "structural", "--vocab", str(vocab_path),
+        capsys, "decode", "--vocab", str(vocab_path),
         "--encode-dir", str(enc_dir), "--model-output", model_out,
     )
     assert code == 0
@@ -250,6 +251,23 @@ def test_structural_encode_decode(tmp_path, capsys):
     assert summary["omitted_nonterminals"] == 2  # Y0 and Y4
     decoded = (enc_dir / "decode.out").read_text(encoding="utf-8").rstrip("\n")
     assert decoded == "<ph> Chaque tableau <ph> 3 </ph> filtres . </ph>"
+
+
+def test_structural_roundtrip_with_non_ascii_space_in_tags(tmp_path, capsys):
+    # only ASCII whitespace separates tokens, so a tag may hold U+00A0
+    vocab_path = tmp_path / "vocab.json"
+    tags = frozenset({"<a\xa0b>", "</a\xa0b>"})
+    corpus_io.save_vocab(vocab_path, ReservedVocab(registered_tags=tags))
+    line = write_lines(tmp_path / "s.txt", ["<a\xa0b> x </a\xa0b> y"])
+    code, out = run(
+        capsys, "roundtrip", "--mode", "structural", "--vocab", str(vocab_path),
+        "--src", line, "--tgt", line,
+    )
+    assert code == 0
+    summary = last_json(out)
+    assert summary["violations"] == []
+    assert summary["metrics"]["structure_correct"] == 100.0
+    assert summary["metrics"]["structure_match"] == 100.0
 
 
 def test_structural_evaluate(tmp_path, capsys):
@@ -1013,21 +1031,23 @@ def test_missing_file_is_data_error(tmp_path, capsys):
 
 
 def test_roundtrip_violation_exit_code(tmp_path, capsys, monkeypatch):
-    # corrupting the reconstruction comparison must surface as exit 3
+    # a wrong reconstruction or an invalid template must surface as exit 3
     src = write_lines(tmp_path / "v.src", ["a b"])
     tgt = write_lines(tmp_path / "v.tgt", ["x y"])
     import ctmt.cli as cli_mod
 
     real = cli_mod.decode_line
-
-    def broken(mode, tail, meta, vocab):
-        sentence, audit = real(mode, tail, meta, vocab)
-        return sentence + ["!!"], audit
-
-    monkeypatch.setattr(cli_mod, "decode_line", broken)
-    code, out = run(capsys, "roundtrip", "--src", src, "--tgt", tgt)
-    assert code == 3
-    assert any("line 1" in v for v in last_json(out)["violations"])
+    corruptions = [
+        (lambda sentence, audit: (sentence + ["!!"], audit),
+         "line 1: reconstruction differs from reference"),
+        (lambda sentence, audit: (sentence, {**audit, "valid": False, "reason": "broken"}),
+         "line 1: invalid template (broken)"),
+    ]
+    for corrupt, violation in corruptions:
+        monkeypatch.setattr(cli_mod, "decode_line", lambda *a: corrupt(*real(*a)))
+        code, out = run(capsys, "roundtrip", "--src", src, "--tgt", tgt)
+        assert code == 3
+        assert violation in last_json(out)["violations"]
 
 
 def test_console_script_entry_point(tmp_path):
@@ -1170,6 +1190,8 @@ def test_decode_bad_translator_command_is_usage_error(golden_files, capsys, comm
         ["roundtrip", "--mode", "structural", "--src", "s", "--tgt", "t"],
         ["bench", "--mode", "structural", "--src", "s", "--tgt", "t"],
         ["evaluate", "--mode", "structural", "--hyp", "h", "--ref", "r"],
+        ["decode", "--mode", "structural", "--encode-dir", "e", "--model-output", "m"],
+        ["decode", "--encode-dir", "e", "--model", "m"],
     ],
 )
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, monkeypatch, argv):

@@ -200,6 +200,9 @@ def test_meta_record_is_what_read_meta_returns(tmp_path):
         {"mode": "structural", "index": 1, "source_tags": ["<b>", "</b>"],
          "target_tags": ["<b>", "</b>"]},
     ]
+    # a record without a mode reads as lexical
+    corpus_io.write_jsonl(path, [{"index": 0}])
+    assert corpus_io.read_meta(path) == [{"index": 0, "mode": "lexical"}]
 
 
 def test_read_corpus_without_companion_files(tmp_path):

@@ -52,6 +52,17 @@ def test_tag_roles(tagged_vocab):
         tagged_vocab.tag_role("<nope>")
 
 
+def test_tags_may_hold_non_ascii_whitespace():
+    # a token ends only at ASCII whitespace, as corpus_io.split_tokens splits
+    vocab = ReservedVocab(registered_tags=frozenset({"<a\xa0b>", "</a\xa0b>", "<c\u2003d/>"}))
+    assert vocab.tag_role("<a\xa0b>") == ("open", "a\xa0b")
+    assert vocab.tag_role("</a\xa0b>") == ("close", "a\xa0b")
+    assert vocab.tag_role("<c\u2003d/>") == ("void", "<c\u2003d/>")
+    for tag in ("<a\tb>", "<a\rb>", "<a\x0bb>", "<a\x0cb>"):
+        with pytest.raises(ValueError, match="single token"):
+            ReservedVocab(registered_tags=frozenset({tag}))
+
+
 def test_unpaired_open_is_void():
     vocab = ReservedVocab(registered_tags=frozenset({"<ph>"}))
     assert vocab.tag_role("<ph>") == ("void", "<ph>")
