@@ -1,15 +1,12 @@
 """Command-line surface: prepare, encode, decode, sample, evaluate,
-roundtrip, and bench.
-
-Corpora are processed in contiguous shards merged back in order, so the
-shard count never changes the bytes written. Exit codes: 0 success, 1
-usage, 2 data error, 3 invariant breach. Set CTMT_LOG to control log
-verbosity.
+roundtrip, and bench. Exit codes: 0 success, 1 usage, 2 data error,
+3 invariant breach. Set CTMT_LOG to control log verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -43,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# sharding
+# translator bridge
 
 def shard_ranges(n: int, shards: int) -> list[tuple[int, int]]:
     """Contiguous index ranges covering 0..n, at most ``shards`` of them."""
@@ -55,44 +52,11 @@ def shard_ranges(n: int, shards: int) -> list[tuple[int, int]]:
     return list(zip(ends, ends[1:]))
 
 
-def run_sharded(n_items: int, shards: int, worker) -> list:
-    """Run worker(start, end) per shard and concatenate results in order."""
-    ranges = shard_ranges(n_items, shards)
-    if len(ranges) <= 1:
-        return worker(*ranges[0]) if ranges else []
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        return [item for part in pool.map(lambda r: worker(*r), ranges) for item in part]
-
-
-def _run_lines(n_lines: int, shards: int, line_fn) -> tuple[list, int]:
-    """Run line_fn(i) for every line, sharded; return the results of the
-    kept lines in line order and the number of skipped lines.
-
-    A line whose function raises CtmtError is logged and skipped.
-    """
-    skipped: list[int] = []
-
-    def worker(start: int, end: int) -> list:
-        kept = []
-        for i in range(start, end):
-            try:
-                kept.append(line_fn(i))
-            except CtmtError as exc:
-                log.warning("line %d skipped: %s", i + 1, exc)
-                skipped.append(i)
-        return kept
-
-    return run_sharded(n_lines, shards, worker), len(skipped)
-
-
-# ---------------------------------------------------------------------------
-# translator bridge
-
 class TranslatorBridge:
     """Child translator speaking a line protocol on its standard streams.
 
     Each request line carries the encoder input, a tab, then the forced
-    decoder prefix; the child answers with exactly one continuation line.
+    decoder prefix; the child answers with one continuation line and nothing else.
     Nothing is prepended or reordered, so any wrapped model that honors
     forced prefixes can sit behind the bridge. The pipes carry UTF-8 bytes,
     and an answer is read as a --model-output line is: it ends at LF.
@@ -117,13 +81,20 @@ class TranslatorBridge:
         except UnicodeDecodeError as exc:
             raise CorpusFormatError(f"not valid UTF-8 (translator {self.command!r})") from exc
 
-    def close(self) -> None:
-        if self.proc.stdin is not None:
+    def close(self) -> bytes:
+        """End the requests and reap the child; return what it wrote after the
+        last answer read, buffered or not, or b"" once closed."""
+        if self.proc.stdout.closed:
+            return b""
+        with contextlib.suppress(BrokenPipeError):  # a child that is gone is reaped below
             self.proc.stdin.close()
         try:
             self.proc.wait(timeout=10)
         except subprocess.TimeoutExpired:
             self.proc.kill()
+            self.proc.wait()
+        with self.proc.stdout as rest:
+            return rest.read()
 
     def __enter__(self) -> "TranslatorBridge":
         return self
@@ -133,7 +104,7 @@ class TranslatorBridge:
 
 
 # ---------------------------------------------------------------------------
-# shared input handling
+# shared input handling and the line loop
 
 def _load_vocab(args) -> ReservedVocab:
     if getattr(args, "vocab", None):
@@ -157,6 +128,19 @@ def _read_corpus(args):
         raise UsageError("--mode structural takes no --constraints or --spans")
     tgt = getattr(args, "tgt", None)
     return _tagged_vocab(args), corpus_io.read_corpus(args.src, tgt, args.constraints, args.spans)
+
+
+def _run_lines(n_lines: int, line_fn) -> tuple[list, int]:
+    """The results of line_fn(i) for the kept lines, in line order, and the
+    number of lines skipped (and logged) because line_fn raised CtmtError."""
+    kept, skipped = [], 0
+    for i in range(n_lines):
+        try:
+            kept.append(line_fn(i))
+        except CtmtError as exc:
+            log.warning("line %d skipped: %s", i + 1, exc)
+            skipped += 1
+    return kept, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +187,7 @@ def cmd_prepare(args) -> int:
         example, meta = _serialize_line(args.mode, corpus, i, vocab)
         return example.encoder_input, example.target_output, meta
 
-    kept, skipped = _run_lines(len(corpus[0]), args.shards, line)
+    kept, skipped = _run_lines(len(corpus[0]), line)
     return _write_serialized(args.out_dir, "train", "yprime", kept, skipped)
 
 
@@ -220,7 +204,7 @@ def cmd_encode(args) -> int:
         meta = corpus_io.meta_record(args.mode, example, i)
         return example.encoder_input, example.decoder_prefix, meta
 
-    kept, skipped = _run_lines(len(src), args.shards, line)
+    kept, skipped = _run_lines(len(src), line)
     return _write_serialized(args.out_dir, "encode", "prefix", kept, skipped)
 
 
@@ -282,16 +266,29 @@ def _read_model_outputs(args, metas: list[dict]) -> list[TokenSeq]:
     xprime = aligned(enc_dir / "encode.xprime")
     prefixes = aligned(enc_dir / "encode.prefix")
 
-    def worker(start: int, end: int) -> list:
+    def translate_range(start: int, end: int) -> list[TokenSeq]:
         with TranslatorBridge(args.translator) as bridge:
-            return [bridge.translate(xprime[i], prefixes[i]) for i in range(start, end)]
+            answers = [bridge.translate(xprime[i], prefixes[i]) for i in range(start, end)]
+            if surplus := bridge.close():
+                lines = surplus.count(b"\n") + (not surplus.endswith(b"\n"))
+                raise CorpusFormatError(
+                    f"translator {args.translator!r} sent {lines} lines no request asked for"
+                )
+        return answers
 
-    return run_sharded(len(metas), args.shards, worker)
+    # one child per contiguous range; threads only overlap the children's latency
+    ranges = shard_ranges(len(metas), args.shards)
+    if len(ranges) <= 1:
+        return translate_range(*ranges[0]) if ranges else []
+    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+        return [a for part in pool.map(lambda r: translate_range(*r), ranges) for a in part]
 
 
 def cmd_decode(args) -> int:
     if (args.model_output is None) == (args.translator is None):
         raise UsageError("decode takes exactly one of --model-output and --translator")
+    if args.model_output is not None and args.shards != 1:
+        raise UsageError("--shards counts translator children; --model-output takes none")
     try:
         if args.translator is not None and not shlex.split(args.translator):
             raise UsageError("--translator: empty command")
@@ -304,13 +301,7 @@ def cmd_decode(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else enc_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def worker(start: int, end: int) -> list:
-        return [
-            decode_line(metas[i]["mode"], tails[i], metas[i], vocab)
-            for i in range(start, end)
-        ]
-
-    results = run_sharded(len(metas), args.shards, worker)
+    results = [decode_line(meta["mode"], tail, meta, vocab) for meta, tail in zip(metas, tails)]
     sentences = [s for s, _ in results]
     audits = [a for _, a in results]
     corpus_io.write_token_lines(out_dir / "decode.out", sentences)
@@ -346,7 +337,7 @@ def cmd_sample(args) -> int:
         extracted = mining.extract_phrase_pairs(x, y, alignments[i], cfg.max_len)
         return mining.sample_phrase_pairs(extracted, cfg, mining.sentence_rng(cfg.rng_seed, i))
 
-    chosen_sets, _ = _run_lines(len(pairs), args.shards, line)  # line raises no CtmtError
+    chosen_sets, _ = _run_lines(len(pairs), line)  # line raises no CtmtError
     constraint_sets = [mining.as_constraints(chosen) for chosen in chosen_sets]
     span_sets = [[(p.src_span, p.tgt_span) for p in chosen] for chosen in chosen_sets]
     corpus_io.write_constraints(f"{args.out}.cons.jsonl", constraint_sets)
@@ -405,7 +396,7 @@ def cmd_roundtrip(args) -> int:
         sentence, audit = _gold_decode(args.mode, example, meta, vocab)
         return i, example.constraints, sentence, audit
 
-    kept, skipped = _run_lines(len(tgt), args.shards, line)
+    kept, skipped = _run_lines(len(tgt), line)
 
     violations: list[str] = []
     records: list[EvalRecord] = []
@@ -451,7 +442,7 @@ def cmd_bench(args) -> int:
     vocab, corpus = _read_corpus(args)
     t0 = time.perf_counter()
     kept, skipped = _run_lines(
-        len(corpus[0]), 1, lambda i: _serialize_line(args.mode, corpus, i, vocab)
+        len(corpus[0]), lambda i: _serialize_line(args.mode, corpus, i, vocab)
     )
     serialize_seconds = time.perf_counter() - t0
     report = {"sentences": len(kept), "skipped": skipped}
@@ -513,13 +504,9 @@ def _add_corpus(sub, *, target=True):
     sub.add_argument("--spans")
 
 
-def _add_common(sub, *, mode=True, vocab=True, shards=True):
-    if mode:
-        sub.add_argument("--mode", choices=corpus_io.MODES, default="lexical")
-    if vocab:
-        sub.add_argument("--vocab", help="vocabulary manifest (vocab.json)")
-    if shards:
-        sub.add_argument("--shards", type=_int_at_least(1), default=1, help="contiguous corpus shards")
+def _add_common(sub):
+    sub.add_argument("--mode", choices=corpus_io.MODES, default="lexical")
+    sub.add_argument("--vocab", help="vocabulary manifest (vocab.json)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -539,15 +526,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encode)
 
     p = commands.add_parser("decode", help="reconstruct sentences from model outputs")
-    _add_common(p, mode=False)
+    p.add_argument("--vocab", help="vocabulary manifest (vocab.json)")
     p.add_argument("--encode-dir", required=True)
     p.add_argument("--model-output", help="file of continuation lines")
     p.add_argument("--translator", help="command run through the line-protocol bridge")
+    p.add_argument("--shards", type=_int_at_least(1), default=1, help="translator children")
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_decode)
 
     p = commands.add_parser("sample", help="mine and sample constraints from aligned bitext")
-    _add_common(p, mode=False, vocab=False)
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
     p.add_argument("--align", required=True)
@@ -560,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = commands.add_parser("evaluate", help="score hypotheses against references")
-    _add_common(p, shards=False)
+    _add_common(p)
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--constraints")
@@ -575,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_roundtrip)
 
     p = commands.add_parser("bench", help="throughput of the template transforms")
-    _add_common(p, shards=False)
+    _add_common(p)
     _add_corpus(p)
     p.add_argument("--baseline-tps", type=_positive_float, default=3390.0)
     p.add_argument("--budget-fraction", type=_positive_float, default=0.05)

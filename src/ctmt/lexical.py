@@ -443,10 +443,3 @@ def reconstruct(
             if fragment is not None:
                 out.extend(fragment)
     return out
-
-
-def decoder_prefix_of(target_output: TokenSeq, vocab: ReservedVocab) -> TokenSeq:
-    """The forced prefix of a serialized target: everything through the first separator."""
-    if vocab.sep_token not in target_output:
-        raise SpanError("serialized target contains no separator")
-    return target_output[: target_output.index(vocab.sep_token) + 1]

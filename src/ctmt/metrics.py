@@ -134,10 +134,6 @@ def _all_occurrence_weights(tokens: TokenSeq, phrases: list[TokenSeq]) -> list[i
     return _span_weights(len(tokens), [s for p in phrases for s in occurrences(tokens, p)])
 
 
-def _matched_occurrence_weights(tokens: TokenSeq, phrases: list[TokenSeq]) -> list[int]:
-    return _span_weights(len(tokens), claim_spans(tokens, phrases))
-
-
 def _extend_rows(
     row: list[int], tokens: TokenSeq, weights: list[int],
     ref: TokenSeq, ref_weights: list[int], limit: int | None = None,

@@ -128,5 +128,5 @@ def as_constraints(chosen: list[PhrasePair]) -> list[ConstraintPair]:
 
 
 def sentence_rng(seed: int, index: int) -> random.Random:
-    """Generator for one sentence, reproducible independently of sharding."""
+    """Generator for one sentence, reproducible per sentence index."""
     return random.Random(f"{seed}:{index}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import textwrap
 
 import pytest
 
@@ -86,6 +87,25 @@ TAGGED_VOCAB = ReservedVocab(
 @pytest.fixture
 def tagged_vocab() -> ReservedVocab:
     return TAGGED_VOCAB
+
+
+# ---------------------------------------------------------------------------
+# translator children
+
+KEYED_TRANSLATOR = textwrap.dedent(
+    """\
+    #!/usr/bin/env python3
+    import json
+    import sys
+
+    # test translator: answers by exact request line, safe under sharding
+    with open(sys.argv[1], encoding="utf-8") as f:
+        table = json.load(f)
+    for line in sys.stdin:
+        sys.stdout.write(table[line.rstrip("\\n")] + "\\n")
+        sys.stdout.flush()
+    """
+)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -29,8 +30,8 @@ from ctmt import (
 )
 from ctmt import corpus_io
 from ctmt.cli import main
-from ctmt.lexical import canonical_constraints
-from ctmt.metrics import _matched_occurrence_weights, _all_occurrence_weights, shifted_edit_cost
+from ctmt.lexical import canonical_constraints, claim_spans
+from ctmt.metrics import _all_occurrence_weights, _span_weights, shifted_edit_cost
 from ctmt.mining import SamplerConfig, sample_phrase_pairs, sentence_rng
 from ctmt.structural import segment_tagged, tag_sequence
 from ctmt.vocab import DEFAULT_VOCAB
@@ -41,6 +42,7 @@ from conftest import (
     GOLD_PREFIX,
     GOLD_RESULT,
     GOLD_SRC,
+    KEYED_TRANSLATOR,
     MARKUP_FRAGMENTS,
     MARKUP_SRC,
     MARKUP_TAGS,
@@ -222,7 +224,7 @@ def test_criterion_5_weighted_ter_oracle():
                 b = min(len(ref), a + rng.randint(1, 2))
                 constraints = [ConstraintPair(["_"], ref[a:b])]
             phrases = [c.tgt for c in constraints]
-            hw = _matched_occurrence_weights(hyp, phrases)
+            hw = _span_weights(len(hyp), claim_spans(hyp, phrases))
             rw = _all_occurrence_weights(ref, phrases)
             greedy = shifted_edit_cost(hyp, ref, hw, rw)
             exact = exhaustive_min_shift_cost(hyp, ref, hw, rw)
@@ -360,60 +362,67 @@ def test_criterion_9_determinism_and_sharding(tmp_path, capsys):
         corpus_io.write_alignments(align, alignments)
 
         blobs = {}
-        for name, shards in (("one", 1), ("one_again", 1), ("four", 4)):
+        for name in ("one", "again"):
             stem = tmp_path / f"mined_{name}"
-            code = main([
+            cons, spans = f"{stem}.cons.jsonl", f"{stem}.spans.jsonl"
+            assert main([
                 "sample", "--src", src, "--tgt", tgt, "--align", str(align),
-                "--out", str(stem), "--seed", "31", "--shards", str(shards),
-            ])
-            assert code == 0
-            blobs[name] = (
-                Path(f"{stem}.cons.jsonl").read_bytes(),
-                Path(f"{stem}.spans.jsonl").read_bytes(),
-            )
-        assert blobs["one"] == blobs["one_again"] == blobs["four"]
-
-        prep = {}
-        for shards in (1, 4):
-            out_dir = tmp_path / f"prep{shards}"
-            code = main([
-                "prepare", "--src", src, "--tgt", tgt,
-                "--constraints", str(tmp_path / "mined_one.cons.jsonl"),
-                "--spans", str(tmp_path / "mined_one.spans.jsonl"),
-                "--out-dir", str(out_dir), "--shards", str(shards),
-            ])
-            assert code == 0
-            prep[shards] = tuple(
-                (out_dir / f).read_bytes()
-                for f in ("train.xprime", "train.yprime", "train.meta.jsonl")
-            )
-        assert prep[1] == prep[4]
-
-        enc = {}
-        for shards in (1, 4):
-            enc_dir = tmp_path / f"enc{shards}"
-            code = main([
-                "encode", "--src", src,
-                "--constraints", str(tmp_path / "mined_one.cons.jsonl"),
-                "--out-dir", str(enc_dir), "--shards", str(shards),
-            ])
-            assert code == 0
+                "--out", str(stem), "--seed", "31",
+            ]) == 0
+            prep_dir = tmp_path / f"prep_{name}"
+            assert main([
+                "prepare", "--src", src, "--tgt", tgt, "--constraints", cons,
+                "--spans", spans, "--out-dir", str(prep_dir),
+            ]) == 0
+            enc_dir = tmp_path / f"enc_{name}"
+            assert main([
+                "encode", "--src", src, "--constraints", cons, "--out-dir", str(enc_dir),
+            ]) == 0
             tails = [
                 line.split()[line.split().index("<sep>") + 1 :]
-                for line in Path(tmp_path / "prep1" / "train.yprime")
-                .read_text(encoding="utf-8")
-                .splitlines()
+                for line in (prep_dir / "train.yprime").read_text(encoding="utf-8").splitlines()
             ]
-            model_out = write_lines(tmp_path / f"tails{shards}.txt", [" ".join(s) for s in tails])
-            code = main([
-                "decode", "--encode-dir", str(enc_dir), "--model-output", model_out,
-                "--shards", str(shards),
-            ])
-            assert code == 0
-            enc[shards] = (
-                (enc_dir / "encode.xprime").read_bytes(),
-                (enc_dir / "decode.out").read_bytes(),
+            model_out = write_lines(tmp_path / f"tails_{name}.txt", [" ".join(s) for s in tails])
+            assert main(["decode", "--encode-dir", str(enc_dir), "--model-output", model_out]) == 0
+            blobs[name] = tuple(
+                path.read_bytes()
+                for path in [Path(cons), Path(spans)]
+                + [prep_dir / f for f in ("train.xprime", "train.yprime", "train.meta.jsonl")]
+                + [enc_dir / f for f in ("encode.xprime", "encode.prefix", "encode.meta.jsonl",
+                                         "decode.out", "decode.audit.jsonl")]
             )
-        assert enc[1] == enc[4]
+        assert blobs["one"] == blobs["again"]
+
+        # shards exist only as translator children: one child or four, each
+        # answering by request line, give the bytes that the same answers
+        # give from a file (a repeated request gets one answer throughout)
+        enc_dir = tmp_path / "enc_one"
+        requests = [
+            xp + "\t" + pre
+            for xp, pre in zip(
+                (enc_dir / "encode.xprime").read_text(encoding="utf-8").splitlines(),
+                (enc_dir / "encode.prefix").read_text(encoding="utf-8").splitlines(),
+            )
+        ]
+        tails = (tmp_path / "tails_one.txt").read_text(encoding="utf-8").splitlines()
+        table = dict(zip(requests, tails))
+        table_path = tmp_path / "table.json"
+        table_path.write_text(json.dumps(table), encoding="utf-8")
+        script = tmp_path / "keyed_translator.py"
+        script.write_text(KEYED_TRANSLATOR, encoding="utf-8")
+        translator = f"{sys.executable} {script} {table_path}"
+        keyed = write_lines(tmp_path / "keyed.txt", [table[r] for r in requests])
+        decoded = set()
+        for name, source in [
+            ("file", ["--model-output", keyed]),
+            ("one", ["--translator", translator, "--shards", "1"]),
+            ("four", ["--translator", translator, "--shards", "4"]),
+        ]:
+            out_dir = tmp_path / f"decode_{name}"
+            assert main(["decode", "--encode-dir", str(enc_dir), "--out-dir", str(out_dir),
+                         *source]) == 0
+            decoded.add(tuple((out_dir / f).read_bytes()
+                              for f in ("decode.out", "decode.audit.jsonl")))
+        assert len(decoded) == 1
         capsys.readouterr()
-    report(9, "same-seed byte-identical outputs, shards 1 vs 4 identical", t.seconds)
+    report(9, "same-seed byte-identical outputs, translator shards 1 vs 4 identical", t.seconds)

@@ -24,8 +24,7 @@ from ctmt import (
     validate_structural_template,
     validate_template,
 )
-from ctmt.cli import TranslatorBridge, decode_line, main, shard_ranges
-from ctmt.lexical import decoder_prefix_of
+from ctmt.cli import TranslatorBridge, build_parser, decode_line, main, shard_ranges
 from ctmt.vocab import DEFAULT_VOCAB, ReservedVocab
 
 from conftest import (
@@ -34,6 +33,7 @@ from conftest import (
     GOLD_PREFIX,
     GOLD_RESULT,
     GOLD_SRC,
+    KEYED_TRANSLATOR,
     MARKUP_REF,
     MARKUP_SRC,
     MARKUP_XPRIME,
@@ -110,7 +110,7 @@ def test_prepare_golden(golden_files, capsys):
     xprime = (out_dir / "train.xprime").read_text(encoding="utf-8").rstrip("\n")
     assert xprime == GOLD_ENC
     yprime = corpus_io.read_token_lines(out_dir / "train.yprime")[0]
-    assert " ".join(decoder_prefix_of(yprime, DEFAULT_VOCAB)) == GOLD_PREFIX
+    assert " ".join(yprime[: len(GOLD_PREFIX.split())]) == GOLD_PREFIX
     meta = corpus_io.read_jsonl(out_dir / "train.meta.jsonl")[0]
     assert meta["mode"] == "lexical" and len(meta["constraints"]) == 2
 
@@ -316,14 +316,14 @@ def test_sample_outputs_are_usable(tmp_path, capsys):
             assert y[t_span[0] : t_span[1]] == c.tgt
 
 
-def test_sample_deterministic_across_runs_and_shards(tmp_path, capsys):
+def test_sample_deterministic_across_runs(tmp_path, capsys):
     src, tgt, align = _write_sample_inputs(tmp_path)
     outputs = []
-    for name, shards in (("a", "1"), ("b", "1"), ("c", "4")):
+    for name in ("a", "b"):
         stem = str(tmp_path / name)
         code, _ = run(
             capsys, "sample", "--src", src, "--tgt", tgt, "--align", align,
-            "--out", stem, "--seed", "11", "--shards", shards,
+            "--out", stem, "--seed", "11",
         )
         assert code == 0
         outputs.append(
@@ -332,7 +332,7 @@ def test_sample_deterministic_across_runs_and_shards(tmp_path, capsys):
                 Path(stem + ".spans.jsonl").read_bytes(),
             )
         )
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
 
 
 def test_sample_different_seeds_differ(tmp_path, capsys):
@@ -514,27 +514,6 @@ def test_roundtrip_reports_skips_for_unmatched(tmp_path, capsys):
     assert summary["skipped"] == 1 and summary["sentences"] == 1
 
 
-def test_prepare_shard_invariance(tmp_path, capsys):
-    src, tgt, align = _write_roundtrip_corpus(tmp_path, n=37, seed=5)
-    stem = str(tmp_path / "m")
-    run(capsys, "sample", "--src", src, "--tgt", tgt, "--align", align,
-        "--out", stem, "--seed", "3")
-    blobs = []
-    for shards in ("1", "4"):
-        out_dir = tmp_path / f"prep{shards}"
-        code, _ = run(
-            capsys, "prepare", "--src", src, "--tgt", tgt,
-            "--constraints", stem + ".cons.jsonl", "--spans", stem + ".spans.jsonl",
-            "--out-dir", str(out_dir), "--shards", shards,
-        )
-        assert code == 0
-        blobs.append(
-            tuple((out_dir / name).read_bytes() for name in
-                  ("train.xprime", "train.yprime", "train.meta.jsonl"))
-        )
-    assert blobs[0] == blobs[1]
-
-
 # ---------------------------------------------------------------------------
 # translator bridge
 
@@ -568,22 +547,6 @@ def test_bridge_protocol(tmp_path):
         second = bridge.translate(["x"], [])
         assert first == ["<Y_0>", "<sep>", "<Y_0>", "ok"]
         assert second == ["second", "line"]
-
-
-KEYED_TRANSLATOR = textwrap.dedent(
-    """\
-    #!/usr/bin/env python3
-    import json
-    import sys
-
-    # test translator: answers by exact request line, safe under sharding
-    with open(sys.argv[1], encoding="utf-8") as f:
-        table = json.load(f)
-    for line in sys.stdin:
-        sys.stdout.write(table[line.rstrip("\\n")] + "\\n")
-        sys.stdout.flush()
-    """
-)
 
 
 def test_decode_via_translator_sharded(tmp_path, capsys):
@@ -742,6 +705,38 @@ def test_translator_that_exits_early_is_data_error(tmp_path, capsys, child):
     err = capsys.readouterr().err
     assert err.startswith("ctmt: ") and err.count("\n") == 1
     assert not (out_dir / "decode.out").exists()
+
+
+JUNK_TRANSLATOR = textwrap.dedent(
+    """\
+    #!/usr/bin/env python3
+    import sys
+
+    # test translator: writes a line no request asked for before each answer
+    for i, _ in enumerate(sys.stdin):
+        sys.stdout.write(f"junk\\n<Y_0> <sep> <Y_0> ans{i}\\n")
+        sys.stdout.flush()
+    """
+)
+
+
+@pytest.mark.parametrize("shards", [1, 2, 4])
+def test_translator_surplus_lines_are_data_error(tmp_path, capsys, shards):
+    # unchecked, the surplus would shift every later answer by one line; at 4
+    # shards a child's one answer and its surplus line arrive in one write
+    src = write_lines(tmp_path / "j.src", ["a", "b", "c", "d"])
+    enc_dir = tmp_path / "enc"
+    assert main(["encode", "--src", src, "--out-dir", str(enc_dir)]) == 0
+    script = tmp_path / "junk_translator.py"
+    script.write_text(JUNK_TRANSLATOR, encoding="utf-8")
+    capsys.readouterr()
+    code = main(["decode", "--encode-dir", str(enc_dir), "--shards", str(shards),
+                 "--translator", f"{sys.executable} {script}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f" sent {4 // shards} lines no request asked for\n")
+    assert err.startswith("ctmt: translator ") and err.count("\n") == 1
+    assert not (enc_dir / "decode.out").exists()
 
 
 ANSWER_TOKENS = ["<Y_0>", "<Y_1>", "<C_1>", "<sep>", "x", "y", "B", "é", "語", "<ph>"]
@@ -1177,8 +1172,8 @@ def test_decode_bad_translator_command_is_usage_error(golden_files, capsys, comm
         ["bench", "--src", "s", "--tgt", "t", "--budget-fraction", "-1"],
         ["bench", "--src", "s", "--tgt", "t", "--budget-fraction", "nan"],
         ["bench", "--src", "s", "--tgt", "t", "--baseline-tps", "inf"],
-        ["prepare", "--src", "s", "--tgt", "t", "--out-dir", "o", "--shards", "0"],
-        ["prepare", "--src", "s", "--tgt", "t", "--out-dir", "o", "--shards", "-1"],
+        ["decode", "--encode-dir", "e", "--translator", "t", "--shards", "0"],
+        ["decode", "--encode-dir", "e", "--translator", "t", "--shards", "-1"],
         ["prepare", "--mode", "structural", "--src", "s", "--tgt", "t", "--constraints", "c",
          "--out-dir", "o"],
         ["encode", "--mode", "structural", "--src", "s", "--spans", "p", "--out-dir", "o"],
@@ -1192,6 +1187,8 @@ def test_decode_bad_translator_command_is_usage_error(golden_files, capsys, comm
         ["evaluate", "--mode", "structural", "--hyp", "h", "--ref", "r"],
         ["decode", "--mode", "structural", "--encode-dir", "e", "--model-output", "m"],
         ["decode", "--encode-dir", "e", "--model", "m"],
+        ["decode", "--encode-dir", "e", "--model-output", "m", "--shards", "2"],
+        ["prepare", "--src", "s", "--tgt", "t", "--out-dir", "o", "--shards", "1"],
     ],
 )
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
@@ -1199,6 +1196,28 @@ def test_bad_option_values_are_usage_errors(tmp_path, capsys, monkeypatch, argv)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("ctmt: ") and err.count("\n") == 1
+
+
+def test_each_command_has_a_pinned_option_set():
+    # a new option is a deliberate edit here; --shards counts translator children
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    options = {
+        name: {o for a in sub._actions if a.dest != "help" for o in a.option_strings}
+        for name, sub in commands.choices.items()
+    }
+    corpus = {"--mode", "--vocab", "--src", "--tgt", "--constraints", "--spans"}
+    assert options == {
+        "prepare": corpus | {"--out-dir"},
+        "encode": corpus - {"--tgt"} | {"--out-dir"},
+        "decode": {"--vocab", "--encode-dir", "--model-output", "--translator", "--shards",
+                   "--out-dir"},
+        "sample": {"--src", "--tgt", "--align", "--out", "--seed", "--max-constraints",
+                   "--min-len", "--max-len"},
+        "evaluate": {"--mode", "--vocab", "--hyp", "--ref", "--constraints", "--window",
+                     "--report", "--per-sentence"},
+        "roundtrip": corpus,
+        "bench": corpus | {"--baseline-tps", "--budget-fraction"},
+    }
 
 
 def _encode_two_lines(tmp_path):
