@@ -7,20 +7,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import logging
 import math
 import os
-import shlex
-import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import corpus_io, lexical, mining, structural
 from .errors import CorpusFormatError, CtmtError, OutputParseError
-from .metrics import WINDOW, EvalRecord, evaluate_records, score, sentence_metrics
+from .metrics import WINDOW, EvalRecord, SentenceStats, score, sentence_metrics
 from .types import SerializedExample, TemplateVerdict, TokenSeq
 from .vocab import DEFAULT_VOCAB, ReservedVocab
 
@@ -63,6 +61,9 @@ class TranslatorBridge:
     """
 
     def __init__(self, command: str):
+        import shlex
+        import subprocess
+
         self.command = command
         self.proc = subprocess.Popen(
             shlex.split(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
@@ -84,6 +85,8 @@ class TranslatorBridge:
     def close(self) -> bytes:
         """End the requests and reap the child; return what it wrote after the
         last answer read, buffered or not, or b"" once closed."""
+        import subprocess
+
         if self.proc.stdout.closed:
             return b""
         with contextlib.suppress(BrokenPipeError):  # a child that is gone is reaped below
@@ -122,24 +125,29 @@ def _tagged_vocab(args) -> ReservedVocab:
 
 
 def _read_corpus(args):
-    """The vocabulary and corpus a serializing command names; structural
-    lines take no constraints or spans."""
+    """The vocabulary a serializing command names, and its corpus as
+    corpus_io.iter_corpus rows; structural lines take no constraints or spans."""
     if args.mode == "structural" and (args.constraints or args.spans):
         raise UsageError("--mode structural takes no --constraints or --spans")
+    vocab = _tagged_vocab(args)
     tgt = getattr(args, "tgt", None)
-    return _tagged_vocab(args), corpus_io.read_corpus(args.src, tgt, args.constraints, args.spans)
+    return vocab, corpus_io.iter_corpus(args.src, tgt, args.constraints, args.spans)
 
 
-def _run_lines(n_lines: int, line_fn) -> tuple[list, int]:
-    """The results of line_fn(i) for the kept lines, in line order, and the
-    number of lines skipped (and logged) because line_fn raised CtmtError."""
-    kept, skipped = [], 0
-    for i in range(n_lines):
+def _run_lines(rows, line_fn, emit) -> tuple[int, int]:
+    """Call emit(line_fn(i, row)) for each row in line order, as it is read.
+    Return the number of lines kept and the number skipped (and logged)
+    because line_fn raised CtmtError."""
+    kept = skipped = 0
+    for i, row in enumerate(rows):
         try:
-            kept.append(line_fn(i))
+            result = line_fn(i, row)
         except CtmtError as exc:
             log.warning("line %d skipped: %s", i + 1, exc)
             skipped += 1
+            continue
+        emit(result)
+        kept += 1
     return kept, skipped
 
 
@@ -152,60 +160,66 @@ def _span_side(spans, side: int):
 
 
 def _serialize_line(
-    mode: str, corpus, i: int, vocab: ReservedVocab
+    mode: str, row, i: int, vocab: ReservedVocab
 ) -> tuple[SerializedExample, dict]:
-    """Line i of a training corpus (as corpus_io.read_corpus returns it)
-    serialized, with its meta record."""
-    src, tgt, constraint_sets, span_sets = corpus
+    """Line i of a training corpus (a corpus_io.iter_corpus row) serialized,
+    with its meta record."""
+    src, tgt, constraints, spans = row
     if mode == "structural":
-        example = structural.build_structural_pair(src[i], tgt[i], vocab=vocab)
+        example = structural.build_structural_pair(src, tgt, vocab=vocab)
     else:
-        spans = span_sets[i]
         example = lexical.build_training_pair(
-            src[i], tgt[i], constraint_sets[i], _span_side(spans, 1),
+            src, tgt, constraints, _span_side(spans, 1),
             vocab=vocab, src_spans=_span_side(spans, 0),
         )
     return example, corpus_io.meta_record(mode, example, i)
 
 
-def _write_serialized(out_dir, stem: str, second: str, kept: list, skipped: int) -> int:
-    """Write the kept lines' (encoder stream, second stream, meta) triples
-    as ``stem.xprime``, ``stem.<second>`` and ``stem.meta.jsonl``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    corpus_io.write_token_lines(out / f"{stem}.xprime", [xp for xp, _, _ in kept])
-    corpus_io.write_token_lines(out / f"{stem}.{second}", [s for _, s, _ in kept])
-    corpus_io.write_jsonl(out / f"{stem}.meta.jsonl", [meta for _, _, meta in kept])
-    print(json.dumps({"written": len(kept), "skipped": skipped}, sort_keys=True))
+def _write_serialized(out_dir, stem: str, second: str, rows, line_fn) -> int:
+    """Write the (encoder stream, second stream, meta) triple that
+    line_fn(i, row) makes of each kept line, as it is made, to
+    ``stem.xprime``, ``stem.<second>`` and ``stem.meta.jsonl``."""
+    with corpus_io.StagedOutput() as staged:
+        out = staged.directory(out_dir)
+        xprime, stream, metas = (
+            staged.open(out / f"{stem}.{ext}") for ext in ("xprime", second, "meta.jsonl")
+        )
+
+        def write(triple) -> None:
+            xprime.write(corpus_io.token_line(triple[0]))
+            stream.write(corpus_io.token_line(triple[1]))
+            metas.write(corpus_io.json_line(triple[2]))
+
+        written, skipped = _run_lines(rows, line_fn, write)
+    print(json.dumps({"written": written, "skipped": skipped}, sort_keys=True))
     return 0
 
 
 def cmd_prepare(args) -> int:
-    vocab, corpus = _read_corpus(args)
+    vocab, rows = _read_corpus(args)
 
-    def line(i: int):
-        example, meta = _serialize_line(args.mode, corpus, i, vocab)
+    def line(i: int, row):
+        example, meta = _serialize_line(args.mode, row, i, vocab)
         return example.encoder_input, example.target_output, meta
 
-    kept, skipped = _run_lines(len(corpus[0]), line)
-    return _write_serialized(args.out_dir, "train", "yprime", kept, skipped)
+    return _write_serialized(args.out_dir, "train", "yprime", rows, line)
 
 
 def cmd_encode(args) -> int:
-    vocab, (src, _, constraint_sets, span_sets) = _read_corpus(args)
+    vocab, rows = _read_corpus(args)
 
-    def line(i: int):
+    def line(i: int, row):
+        src, _, constraints, spans = row
         if args.mode == "structural":
-            example = structural.build_structural_input(src[i], vocab=vocab)
+            example = structural.build_structural_input(src, vocab=vocab)
         else:
             example = lexical.build_inference_input(
-                src[i], constraint_sets[i], vocab=vocab, src_spans=_span_side(span_sets[i], 0)
+                src, constraints, vocab=vocab, src_spans=_span_side(spans, 0)
             )
         meta = corpus_io.meta_record(args.mode, example, i)
         return example.encoder_input, example.decoder_prefix, meta
 
-    kept, skipped = _run_lines(len(src), line)
-    return _write_serialized(args.out_dir, "encode", "prefix", kept, skipped)
+    return _write_serialized(args.out_dir, "encode", "prefix", rows, line)
 
 
 # ---------------------------------------------------------------------------
@@ -248,43 +262,85 @@ def decode_line(
     return lexical.reconstruct(parsed.template, d_table, parsed.derivation), audit
 
 
-def _template_accuracy(audits: list[dict]) -> float:
-    """Percentage of decode audits whose template is valid; 100 for none."""
-    return 100.0 * sum(1 for a in audits if a.get("valid")) / len(audits) if audits else 100.0
+def _template_accuracy(valid: int, lines: int) -> float:
+    """Percentage of decoded lines whose template is valid; 100 for none."""
+    return 100.0 * valid / lines if lines else 100.0
 
 
-def _read_model_outputs(args, metas: list[dict]) -> list[TokenSeq]:
-    # Every answer is read or translated before any line is decoded, so the
-    # encoder inputs and prefixes are freed first: one translate-then-decode
-    # loop per shard raised the infer benchmark's peak RSS by 0.9-1.8 MiB.
-    def aligned(path):
-        return corpus_io.check_line_count(len(metas), corpus_io.read_token_lines(path), path)
+# Lines decode reads, translates and decodes before it writes them and
+# reads more: its memory is set by this many lines, not by the corpus.
+# Through a translator on 2,000 lines of up to 40 tokens, decode peaked at
+# 18.1 MiB with 1-line chunks, 19.3 with 256, 23.0 with 1,024, and 29.9
+# with the whole corpus in one pass.
+CHUNK_LINES = 256
 
-    if args.model_output is not None:
-        return aligned(args.model_output)
-    enc_dir = Path(args.encode_dir)
-    xprime = aligned(enc_dir / "encode.xprime")
-    prefixes = aligned(enc_dir / "encode.prefix")
 
-    def translate_range(start: int, end: int) -> list[TokenSeq]:
-        with TranslatorBridge(args.translator) as bridge:
-            answers = [bridge.translate(xprime[i], prefixes[i]) for i in range(start, end)]
-            if surplus := bridge.close():
-                lines = surplus.count(b"\n") + (not surplus.endswith(b"\n"))
-                raise CorpusFormatError(
-                    f"translator {args.translator!r} sent {lines} lines no request asked for"
-                )
-        return answers
+def _chunks(items, size: int):
+    items = iter(items)
+    while chunk := list(itertools.islice(items, size)):
+        yield chunk
 
-    # one child per contiguous range; threads only overlap the children's latency
-    ranges = shard_ranges(len(metas), args.shards)
-    if len(ranges) <= 1:
-        return translate_range(*ranges[0]) if ranges else []
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        return [a for part in pool.map(lambda r: translate_range(*r), ranges) for a in part]
+
+class _TranslatorPool:
+    """Translator children for a whole decode run, each chunk of requests
+    split over them in contiguous ranges. The children start on the first
+    chunk, at most one per line of it; with more than one, threads overlap
+    their latency."""
+
+    def __init__(self, command: str, shards: int):
+        self.command, self.shards = command, shards
+        self._stack = contextlib.ExitStack()
+        self._bridges: list[TranslatorBridge] = []
+        self._pool = None
+
+    def translate(self, requests: list[list[TokenSeq]]) -> list[TokenSeq]:
+        """The answers to a chunk's [encoder input, prefix] requests, in order."""
+        if not self._bridges:
+            for _ in shard_ranges(len(requests), self.shards):
+                self._bridges.append(self._stack.enter_context(TranslatorBridge(self.command)))
+        ranges = shard_ranges(len(requests), len(self._bridges))
+
+        def translate_range(k: int) -> list[TokenSeq]:
+            start, end = ranges[k]
+            return [self._bridges[k].translate(x, prefix) for x, prefix in requests[start:end]]
+
+        if len(ranges) <= 1:
+            return translate_range(0) if ranges else []
+        if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = self._stack.enter_context(ThreadPoolExecutor(len(self._bridges)))
+        return [a for answers in self._pool.map(translate_range, range(len(ranges))) for a in answers]
+
+    def __enter__(self):
+        """The translate method; leaving checks the children for surplus lines."""
+        return self.translate
+
+    def __exit__(self, exc_type, *exc) -> None:
+        with self._stack:
+            if exc_type is not None:
+                return
+            for bridge in self._bridges:
+                if surplus := bridge.close():
+                    lines = surplus.count(b"\n") + (not surplus.endswith(b"\n"))
+                    raise CorpusFormatError(
+                        f"translator {self.command!r} sent {lines} lines no request asked for"
+                    )
+
+
+def _decode_chunk(chunk, answer, vocab: ReservedVocab):
+    """decode_line's (sentence, audit) for each line of ``chunk``, a list of
+    (line number, (meta text, *answer fields)); ``answer`` turns the lines'
+    split fields into their model outputs."""
+    tails = answer([[corpus_io.split_tokens(t) for t in texts[1:]] for _, texts in chunk])
+    for (lineno, texts), tail in zip(chunk, tails):
+        meta = corpus_io.parse_meta(texts[0], lineno)
+        yield decode_line(meta["mode"], tail, meta, vocab)
 
 
 def cmd_decode(args) -> int:
+    import shlex
+
     if (args.model_output is None) == (args.translator is None):
         raise UsageError("decode takes exactly one of --model-output and --translator")
     if args.model_output is not None and args.shards != 1:
@@ -296,21 +352,32 @@ def cmd_decode(args) -> int:
         raise UsageError(f"--translator: {exc}") from exc
     vocab = _load_vocab(args)
     enc_dir = Path(args.encode_dir)
-    metas = corpus_io.read_meta(enc_dir / "encode.meta.jsonl")
-    tails = _read_model_outputs(args, metas)
+    if args.translator is None:
+        answers = [args.model_output]
+        translator = contextlib.nullcontext(lambda fields: [tail for tail, in fields])
+    else:
+        answers = [enc_dir / "encode.xprime", enc_dir / "encode.prefix"]
+        translator = _TranslatorPool(args.translator, args.shards)
+    rows = corpus_io.iter_lines(enc_dir / "encode.meta.jsonl", *answers)
     out_dir = Path(args.out_dir) if args.out_dir else enc_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    results = [decode_line(meta["mode"], tail, meta, vocab) for meta, tail in zip(metas, tails)]
-    sentences = [s for s, _ in results]
-    audits = [a for _, a in results]
-    corpus_io.write_token_lines(out_dir / "decode.out", sentences)
-    corpus_io.write_jsonl(out_dir / "decode.audit.jsonl", audits)
+    lines = valid = omitted = fallback = 0
+    with corpus_io.StagedOutput() as staged, translator as answer:
+        out = staged.directory(out_dir)
+        sentences, audits = staged.open(out / "decode.out"), staged.open(out / "decode.audit.jsonl")
+        for chunk in _chunks(enumerate(rows, start=1), CHUNK_LINES):
+            for sentence, audit in _decode_chunk(chunk, answer, vocab):
+                sentences.write(corpus_io.token_line(sentence))
+                audits.write(corpus_io.json_line(audit))
+                lines += 1
+                valid += bool(audit.get("valid"))
+                omitted += audit.get("omitted_y", 0)
+                fallback += bool(audit.get("fallback"))
     summary = {
-        "sentences": len(audits),
-        "template_accuracy": _template_accuracy(audits),
-        "omitted_nonterminals": sum(a.get("omitted_y", 0) for a in audits),
-        "fallback_lines": sum(1 for a in audits if a.get("fallback")),
+        "sentences": lines,
+        "template_accuracy": _template_accuracy(valid, lines),
+        "omitted_nonterminals": omitted,
+        "fallback_lines": fallback,
     }
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -329,21 +396,27 @@ def cmd_sample(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    pairs = corpus_io.read_bitext(args.src, args.tgt)
-    alignments = corpus_io.read_alignments(args.align, pairs)
+    rows = corpus_io.iter_bitext(args.src, args.tgt, args.align)
 
-    def line(i: int):
-        x, y = pairs[i]
-        extracted = mining.extract_phrase_pairs(x, y, alignments[i], cfg.max_len)
+    def line(i: int, row):
+        x, y, links = row
+        extracted = mining.extract_phrase_pairs(x, y, links, cfg.max_len)
         return mining.sample_phrase_pairs(extracted, cfg, mining.sentence_rng(cfg.rng_seed, i))
 
-    chosen_sets, _ = _run_lines(len(pairs), line)  # line raises no CtmtError
-    constraint_sets = [mining.as_constraints(chosen) for chosen in chosen_sets]
-    span_sets = [[(p.src_span, p.tgt_span) for p in chosen] for chosen in chosen_sets]
-    corpus_io.write_constraints(f"{args.out}.cons.jsonl", constraint_sets)
-    corpus_io.write_spans(f"{args.out}.spans.jsonl", span_sets)
-    total = sum(len(cs) for cs in constraint_sets)
-    print(json.dumps({"sentences": len(pairs), "constraints": total}, sort_keys=True))
+    total = 0
+    with corpus_io.StagedOutput() as staged:
+        cons = staged.open(f"{args.out}.cons.jsonl")
+        spans = staged.open(f"{args.out}.spans.jsonl")
+
+        def write(chosen) -> None:
+            nonlocal total
+            cons.write(corpus_io.json_line(corpus_io.constraints_record(mining.as_constraints(chosen))))
+            pairs = [(p.src_span, p.tgt_span) for p in chosen]
+            spans.write(corpus_io.json_line(corpus_io.spans_record(pairs)))
+            total += len(chosen)
+
+        sentences, _ = _run_lines(rows, line, write)  # line raises no CtmtError
+    print(json.dumps({"sentences": sentences, "constraints": total}, sort_keys=True))
     return 0
 
 
@@ -352,22 +425,23 @@ def cmd_sample(args) -> int:
 
 def cmd_evaluate(args) -> int:
     vocab = _tagged_vocab(args)
-    hyps, refs, constraint_sets, _ = corpus_io.read_corpus(args.hyp, args.ref, args.constraints)
-    records = [EvalRecord(h, r, c) for h, r, c in zip(hyps, refs, constraint_sets)]
+    rows = corpus_io.iter_corpus(args.hyp, args.ref, args.constraints)
+    records = (EvalRecord(h, r, c) for h, r, c, _ in rows)
     structural_mode = args.mode == "structural"
     stats = sentence_metrics(records, vocab=vocab, structural=structural_mode, window=args.window)
     report = score(stats, structural_mode)
     payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
-    if args.report:
-        Path(args.report).write_text(payload + "\n", encoding="utf-8")
+    with corpus_io.StagedOutput() as staged:
+        if args.report:
+            staged.open(args.report).write(payload + "\n")
+        if args.per_sentence:
+            # each row is its line scored as a one-line corpus, from the report's own statistics
+            rows_out = staged.open(args.per_sentence)
+            rows_out.write("\t".join(["index", *report.values()]) + "\n")
+            for i, line_stats in enumerate(stats):
+                values = score([line_stats], structural_mode).values().values()
+                rows_out.write("\t".join([str(i), *(f"{v:.4f}" for v in values)]) + "\n")
     print(payload)
-    if args.per_sentence:
-        # each row is its line scored as a one-line corpus, from the report's own statistics
-        lines = ["\t".join(["index", *report.values()])]
-        for i, line_stats in enumerate(stats):
-            values = score([line_stats], structural_mode).values().values()
-            lines.append("\t".join([str(i), *(f"{v:.4f}" for v in values)]))
-        Path(args.per_sentence).write_text("".join(l + "\n" for l in lines), encoding="utf-8")
     return 0
 
 
@@ -388,34 +462,39 @@ def cmd_roundtrip(args) -> int:
     A perfect model must reproduce every reference exactly and score 100
     on every metric; any deviation is reported with its line number.
     """
-    vocab, corpus = _read_corpus(args)
-    tgt = corpus[1]
+    vocab, rows = _read_corpus(args)
+    structural_mode = args.mode == "structural"
 
-    def line(i: int):
-        example, meta = _serialize_line(args.mode, corpus, i, vocab)
+    def line(i: int, row):
+        example, meta = _serialize_line(args.mode, row, i, vocab)
         sentence, audit = _gold_decode(args.mode, example, meta, vocab)
-        return i, example.constraints, sentence, audit
-
-    kept, skipped = _run_lines(len(tgt), line)
+        return i, row[1], example.constraints, sentence, audit
 
     violations: list[str] = []
-    records: list[EvalRecord] = []
-    for i, constraints, sentence, audit in kept:
-        if sentence != tgt[i]:
+    stats: list[SentenceStats] = []  # per line, in line order, so that score sums as one pass would
+    valid = 0
+
+    def check(result) -> None:
+        nonlocal valid
+        i, target, constraints, sentence, audit = result
+        if sentence != target:
             violations.append(f"line {i + 1}: reconstruction differs from reference")
         if not audit.get("valid"):
             violations.append(f"line {i + 1}: invalid template ({audit.get('reason')})")
-        records.append(EvalRecord(hypothesis=sentence, reference=tgt[i], constraints=constraints))
-    structural_mode = args.mode == "structural"
-    report = evaluate_records(records, vocab=vocab, structural=structural_mode)
+        valid += bool(audit.get("valid"))
+        record = EvalRecord(hypothesis=sentence, reference=target, constraints=constraints)
+        stats.extend(sentence_metrics([record], vocab=vocab, structural=structural_mode, start=i + 1))
+
+    kept, skipped = _run_lines(rows, line, check)
+    report = score(stats, structural_mode)
     for name, value in report.values().items():
-        if records and value != 100.0:
+        if kept and value != 100.0:
             violations.append(f"metric {name} is {value:.4f}, expected 100")
 
     summary = {
-        "sentences": len(kept),
+        "sentences": kept,
         "skipped": skipped,
-        "template_accuracy": _template_accuracy([audit for *_, audit in kept]),
+        "template_accuracy": _template_accuracy(valid, kept),
         "metrics": report.as_dict(),
         "violations": violations,
     }
@@ -439,11 +518,11 @@ def cmd_bench(args) -> int:
     judged on the fastest of repeated decode passes, as timeit does: noise
     such as a scheduler stall or a GC pause only ever adds time to a pass.
     """
-    vocab, corpus = _read_corpus(args)
+    vocab, rows = _read_corpus(args)
+    rows = list(rows)  # bench holds its corpus, read before serialization is timed
+    kept: list[tuple[SerializedExample, dict]] = []
     t0 = time.perf_counter()
-    kept, skipped = _run_lines(
-        len(corpus[0]), lambda i: _serialize_line(args.mode, corpus, i, vocab)
-    )
+    _, skipped = _run_lines(rows, lambda i, row: _serialize_line(args.mode, row, i, vocab), kept.append)
     serialize_seconds = time.perf_counter() - t0
     report = {"sentences": len(kept), "skipped": skipped}
     if not kept:

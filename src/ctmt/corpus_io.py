@@ -5,14 +5,21 @@ Sentence files hold one whitespace-tokenized sentence per line and are
 split on ASCII whitespace runs only, so upstream tokenization is preserved
 bit for bit. Alignments use the Pharaoh ``i-j`` format with 0-based
 indices. Constraints and spans are JSON lines.
+
+Line-aligned files are read together, one line of each at a time
+(``iter_lines``), and the ``read_*`` functions are that reader run to the
+end. Commands write through ``StagedOutput``, so a failed run leaves no
+output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import re
 from pathlib import Path
-from typing import Any
+from typing import IO, Any, Iterable, Iterator
 
 from .errors import CorpusFormatError
 from .types import (
@@ -33,48 +40,100 @@ def join_tokens(tokens: TokenSeq) -> str:
 
 
 def _read_text(path: str | Path) -> str:
-    """A file's text as stored, with no newline translation (a CR stays a
-    CR); bytes that are not UTF-8 fail with the 1-based line."""
-    data = Path(path).read_bytes()
+    """A whole small file's text (the vocabulary manifest); bytes that are
+    not UTF-8 fail as iter_lines fails on them."""
+    return "\n".join(line for line, in iter_lines(path))
+
+
+def count_lines(path: str | Path) -> int:
+    """The number of lines iter_lines yields from a file, from a pass over its bytes."""
+    count, last = 0, b"\n"
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 16):
+            count += chunk.count(b"\n")
+            last = chunk[-1:]
+    return count + (last != b"\n")
+
+
+def check_line_count(corpus_lines: int, lines: int, path: str | Path) -> None:
+    """Fail unless the file at ``path``, which has ``lines`` lines, holds one per corpus line."""
+    if lines != corpus_lines:
+        raise CorpusFormatError(f"line count mismatch {corpus_lines} vs {lines} ({path})")
+
+
+def iter_lines(*paths: str | Path) -> Iterator[tuple[str, ...]]:
+    """The line-aligned files read together, one tuple of line texts at a time.
+
+    Each file is read as stored: a line ends at LF (a CR stays a CR), and a
+    line whose bytes are not UTF-8 fails with the file and its 1-based line.
+    Every file after the first is count-checked against it before this
+    returns, so a mismatch fails before any line is read or any work done.
+    """
+    first, *companions = paths
+    if companions:
+        corpus_lines = count_lines(first)
+        for path in companions:
+            check_line_count(corpus_lines, count_lines(path), path)
+    return _zip_lines(paths)
+
+
+def _zip_lines(paths) -> Iterator[tuple[str, ...]]:
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "rb")) for path in paths]
+        for lineno, raws in enumerate(zip(*files), start=1):
+            yield tuple(_decode(raw, lineno, path) for raw, path in zip(raws, paths))
+
+
+def _decode(raw: bytes, lineno: int, path) -> str:
     try:
-        return data.decode("utf-8")
+        return raw.decode("utf-8").removesuffix("\n")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
         raise CorpusFormatError(f"line {lineno}: not valid UTF-8 ({path})") from exc
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    text = _read_text(path)
-    if text == "":
-        return []
-    if text.endswith("\n"):
-        text = text[:-1]
-    return text.split("\n")
+def token_line(tokens: TokenSeq) -> str:
+    """One token sequence as a file line, LF included."""
+    return join_tokens(tokens) + "\n"
 
 
-def _write_lines(path: str | Path, lines: list[str]) -> None:
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+def json_line(record: dict) -> str:
+    """One JSON object as a file line, LF included; a ConstraintPair becomes ``{"src", "tgt"}``."""
+    return json.dumps(record, ensure_ascii=False, sort_keys=True, default=_json_value) + "\n"
+
+
+def _json_value(value: Any) -> dict:
+    if isinstance(value, ConstraintPair):
+        return {"src": value.src, "tgt": value.tgt}
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.writelines(lines)
 
 
 def read_token_lines(path: str | Path) -> list[TokenSeq]:
-    return [split_tokens(line) for line in _read_lines(path)]
+    return [split_tokens(line) for line, in iter_lines(path)]
 
 
 def write_token_lines(path: str | Path, sentences: list[TokenSeq]) -> None:
-    _write_lines(path, [join_tokens(s) for s in sentences])
+    _write_lines(path, map(token_line, sentences))
 
 
-def check_line_count(corpus_lines: int, records: list, path: str | Path) -> list:
-    """The records read from ``path``, which must hold one per corpus line."""
-    if len(records) != corpus_lines:
-        raise CorpusFormatError(f"line count mismatch {corpus_lines} vs {len(records)} ({path})")
-    return records
+def iter_bitext(
+    src_path: str | Path, tgt_path: str | Path, align_path: str | Path | None = None
+) -> Iterator[tuple[TokenSeq, TokenSeq, set[tuple[int, int]] | None]]:
+    """A parallel corpus as aligned token-sequence pairs, each with its
+    Pharaoh links checked against the pair (None without an alignment file)."""
+    rows = iter_lines(src_path, tgt_path, *([align_path] if align_path else []))
+    for lineno, (x, y, *align) in enumerate(rows, start=1):
+        src, tgt = split_tokens(x), split_tokens(y)
+        yield src, tgt, (_links(align[0], lineno, src, tgt) if align else None)
 
 
 def read_bitext(src_path: str | Path, tgt_path: str | Path) -> list[tuple[TokenSeq, TokenSeq]]:
     """Read a parallel corpus as aligned token-sequence pairs."""
-    src = read_token_lines(src_path)
-    return list(zip(src, check_line_count(len(src), read_token_lines(tgt_path), tgt_path)))
+    return [(src, tgt) for src, tgt, _ in iter_bitext(src_path, tgt_path)]
 
 
 def write_bitext(
@@ -84,58 +143,56 @@ def write_bitext(
     write_token_lines(tgt_path, [y for _, y in pairs])
 
 
+def _links(line: str, lineno: int, src: TokenSeq, tgt: TokenSeq) -> set[tuple[int, int]]:
+    links: set[tuple[int, int]] = set()
+    for item in split_tokens(line):
+        m = _ALIGN_ITEM.fullmatch(item)
+        if m is None:
+            raise CorpusFormatError(f"line {lineno}: malformed alignment item {item!r}")
+        i, j = int(m.group(1)), int(m.group(2))
+        if i >= len(src) or j >= len(tgt):
+            raise CorpusFormatError(
+                f"line {lineno}: link {i}-{j} out of bounds for "
+                f"{len(src)}x{len(tgt)} sentence pair"
+            )
+        links.add((i, j))
+    return links
+
+
 def read_alignments(
     path: str | Path, pairs: list[tuple[TokenSeq, TokenSeq]]
 ) -> list[set[tuple[int, int]]]:
     """Read Pharaoh alignments, checking indices against the paired sentences."""
-    lines = check_line_count(len(pairs), _read_lines(path), path)
-    out: list[set[tuple[int, int]]] = []
-    for lineno, (line, (src, tgt)) in enumerate(zip(lines, pairs), start=1):
-        links: set[tuple[int, int]] = set()
-        for item in split_tokens(line):
-            m = _ALIGN_ITEM.fullmatch(item)
-            if m is None:
-                raise CorpusFormatError(f"line {lineno}: malformed alignment item {item!r}")
-            i, j = int(m.group(1)), int(m.group(2))
-            if i >= len(src) or j >= len(tgt):
-                raise CorpusFormatError(
-                    f"line {lineno}: link {i}-{j} out of bounds for "
-                    f"{len(src)}x{len(tgt)} sentence pair"
-                )
-            links.add((i, j))
-        out.append(links)
-    return out
+    check_line_count(len(pairs), count_lines(path), path)
+    return [
+        _links(line, lineno, src, tgt)
+        for lineno, ((line,), (src, tgt)) in enumerate(zip(iter_lines(path), pairs), start=1)
+    ]
 
 
 def write_alignments(path: str | Path, alignments: list[set[tuple[int, int]]]) -> None:
-    lines = [" ".join(f"{i}-{j}" for i, j in sorted(links)) for links in alignments]
+    lines = [" ".join(f"{i}-{j}" for i, j in sorted(links)) + "\n" for links in alignments]
     _write_lines(path, lines)
+
+
+def _json_object(line: str, lineno: int) -> dict:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise CorpusFormatError(f"line {lineno}: expected a JSON object")
+    return record
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
     """Read one JSON object per line."""
-    records = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise CorpusFormatError(f"line {lineno}: expected a JSON object")
-        records.append(record)
-    return records
-
-
-def _json_value(value: Any) -> dict:
-    if isinstance(value, ConstraintPair):
-        return {"src": value.src, "tgt": value.tgt}
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return [_json_object(line, lineno) for lineno, (line,) in enumerate(iter_lines(path), start=1)]
 
 
 def write_jsonl(path: str | Path, records: list[dict]) -> None:
-    """Write one JSON object per line; a ConstraintPair becomes ``{"src", "tgt"}``."""
-    lines = [json.dumps(r, ensure_ascii=False, sort_keys=True, default=_json_value) for r in records]
-    _write_lines(path, lines)
+    """Write one JSON object per line, as json_line does."""
+    _write_lines(path, map(json_line, records))
 
 
 def _token_list(value: Any, lineno: int, field: str) -> TokenSeq:
@@ -163,16 +220,22 @@ def _constraint_list(items: Any, lineno: int) -> list[ConstraintPair]:
     return pairs
 
 
+def _constraints(line: str, lineno: int) -> list[ConstraintPair]:
+    return _constraint_list(_json_object(line, lineno).get("constraints"), lineno)
+
+
 def read_constraints(path: str | Path) -> list[list[ConstraintPair]]:
     """Read one constraint set per line; empty sets are allowed."""
-    return [
-        _constraint_list(record.get("constraints"), lineno)
-        for lineno, record in enumerate(read_jsonl(path), start=1)
-    ]
+    return [_constraints(line, lineno) for lineno, (line,) in enumerate(iter_lines(path), start=1)]
+
+
+def constraints_record(constraints: list[ConstraintPair]) -> dict:
+    """One line's record of a constraint file."""
+    return {"constraints": constraints}
 
 
 def write_constraints(path: str | Path, constraint_sets: list[list[ConstraintPair]]) -> None:
-    write_jsonl(path, [{"constraints": cs} for cs in constraint_sets])
+    write_jsonl(path, [constraints_record(cs) for cs in constraint_sets])
 
 
 MODES = ("lexical", "structural")
@@ -190,65 +253,78 @@ def meta_record(mode: str, example: SerializedExample, index: int) -> dict:
     return meta
 
 
-def read_meta(path: str | Path) -> list[dict]:
-    """Read metadata records, checking ``constraints`` (read as in
+def parse_meta(line: str, lineno: int) -> dict:
+    """One metadata record, checking ``constraints`` (read as in
     read_constraints), ``source_tags`` where present, and ``mode``, lexical if absent."""
-    records = read_jsonl(path)
-    for lineno, record in enumerate(records, start=1):
-        if "constraints" in record:
-            record["constraints"] = _constraint_list(record["constraints"], lineno)
-        _token_list(record.get("source_tags", []), lineno, "source_tags")
-        if record.setdefault("mode", "lexical") not in MODES:
-            raise CorpusFormatError(f"line {lineno}: mode must be one of {', '.join(MODES)}")
-    return records
+    record = _json_object(line, lineno)
+    if "constraints" in record:
+        record["constraints"] = _constraint_list(record["constraints"], lineno)
+    _token_list(record.get("source_tags", []), lineno, "source_tags")
+    if record.setdefault("mode", "lexical") not in MODES:
+        raise CorpusFormatError(f"line {lineno}: mode must be one of {', '.join(MODES)}")
+    return record
+
+
+def read_meta(path: str | Path) -> list[dict]:
+    """Read metadata records, each checked as parse_meta checks it."""
+    return [parse_meta(line, lineno) for lineno, (line,) in enumerate(iter_lines(path), start=1)]
+
+
+def _spans(line: str, lineno: int) -> list[tuple[Span, Span]]:
+    items = _json_object(line, lineno).get("spans")
+    if not isinstance(items, list):
+        raise CorpusFormatError(f"line {lineno}: missing 'spans' array")
+    spans: list[tuple[Span, Span]] = []
+    for item in items:
+        try:
+            (s1, s2), (t1, t2) = item["src"], item["tgt"]
+            if any(type(v) is not int for v in (s1, s2, t1, t2)):  # JSON integers, not bools
+                raise TypeError("span bounds must be integers")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusFormatError(f"line {lineno}: malformed span item {item!r}") from exc
+        spans.append(((s1, s2), (t1, t2)))
+    return spans
 
 
 def read_spans(path: str | Path) -> list[list[tuple[Span, Span]]]:
     """Read chosen constraint spans, aligned item-for-item with a constraint file."""
-    out: list[list[tuple[Span, Span]]] = []
-    for lineno, record in enumerate(read_jsonl(path), start=1):
-        items = record.get("spans")
-        if not isinstance(items, list):
-            raise CorpusFormatError(f"line {lineno}: missing 'spans' array")
-        spans: list[tuple[Span, Span]] = []
-        for item in items:
-            try:
-                (s1, s2), (t1, t2) = item["src"], item["tgt"]
-                if any(type(v) is not int for v in (s1, s2, t1, t2)):  # JSON integers, not bools
-                    raise TypeError("span bounds must be integers")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(f"line {lineno}: malformed span item {item!r}") from exc
-            spans.append(((s1, s2), (t1, t2)))
-        out.append(spans)
-    return out
+    return [_spans(line, lineno) for lineno, (line,) in enumerate(iter_lines(path), start=1)]
+
+
+def spans_record(spans: list[tuple[Span, Span]]) -> dict:
+    """One line's record of a span file."""
+    return {"spans": [{"src": list(s), "tgt": list(t)} for s, t in spans]}
 
 
 def write_spans(path: str | Path, span_sets: list[list[tuple[Span, Span]]]) -> None:
-    records = [
-        {"spans": [{"src": list(s), "tgt": list(t)} for s, t in spans]} for spans in span_sets
-    ]
-    write_jsonl(path, records)
+    write_jsonl(path, [spans_record(spans) for spans in span_sets])
+
+
+def iter_corpus(src: str | Path, tgt=None, constraints=None, spans=None) -> Iterator[tuple]:
+    """Each source sentence with the lines aligned with it, after every
+    given file is count-checked against the source: its target (empty
+    without a file), constraint set (empty without a file) and span pairs
+    (None without a file), which must match the constraints item for item."""
+    rows = iter_lines(src, *filter(None, (tgt, constraints, spans)))
+    return _corpus_rows(rows, bool(tgt), bool(constraints), bool(spans))
+
+
+def _corpus_rows(rows, has_tgt: bool, has_constraints: bool, has_spans: bool) -> Iterator[tuple]:
+    for lineno, (source, *rest) in enumerate(rows, start=1):
+        lines = iter(rest)
+        target = split_tokens(next(lines)) if has_tgt else []
+        cons = _constraints(next(lines), lineno) if has_constraints else []
+        pairs = _spans(next(lines), lineno) if has_spans else None
+        if pairs is not None and len(cons) != len(pairs):
+            raise CorpusFormatError(f"line {lineno}: {len(pairs)} spans for {len(cons)} constraints")
+        yield split_tokens(source), target, cons, pairs
 
 
 def read_corpus(src: str | Path, tgt=None, constraints=None, spans=None) -> tuple[list, ...]:
-    """Source sentences and the files aligned with them, each checked to hold
-    one record per source line: targets (empty without a file), constraint
-    sets (empty without a file) and span pairs (None per line without a
-    file), which must match the constraints item for item."""
-    sources = read_token_lines(src)
-
-    def aligned(read, path, missing):
-        if not path:
-            return [missing() for _ in sources]
-        return check_line_count(len(sources), read(path), path)
-
-    targets = aligned(read_token_lines, tgt, list)
-    constraint_sets = aligned(read_constraints, constraints, list)
-    span_sets = aligned(read_spans, spans, lambda: None)
-    for lineno, (cons, pairs) in enumerate(zip(constraint_sets, span_sets), start=1):
-        if pairs is not None and len(cons) != len(pairs):
-            raise CorpusFormatError(f"line {lineno}: {len(pairs)} spans for {len(cons)} constraints")
-    return sources, targets, constraint_sets, span_sets
+    """The columns of iter_corpus read whole: sources, targets, constraint
+    sets and span pairs."""
+    rows = list(iter_corpus(src, tgt, constraints, spans))
+    return tuple([row[k] for row in rows] for k in range(4))
 
 
 def load_vocab(path: str | Path) -> ReservedVocab:
@@ -267,3 +343,62 @@ def save_vocab(path: str | Path, vocab: ReservedVocab) -> None:
         json.dumps(vocab.to_dict(), ensure_ascii=False, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
+
+
+class StagedOutput:
+    """Output files written under staging names beside their targets and
+    moved into place together when the ``with`` block ends without an
+    exception.
+
+    On an exception every staging file is removed, and so is every
+    directory ``directory`` created, so a failed run leaves no output and
+    an earlier output at the same place untouched. A run killed outright
+    may leave a staging file, ``NAME.PID.tmp``, behind.
+    """
+
+    def __init__(self) -> None:
+        self._files: list[tuple[IO[str], Path, Path]] = []  # (file, staging path, target)
+        self._made: list[Path] = []  # directories created, outermost first
+
+    def directory(self, path: str | Path) -> Path:
+        """The directory ``path``, made with its missing parents."""
+        path = Path(path)
+        for d in reversed([path, *path.parents]):
+            if not d.exists():
+                d.mkdir()
+                self._made.append(d)
+        return path
+
+    def open(self, path: str | Path) -> IO[str]:
+        """A text file to write what will become ``path``."""
+        target = Path(path)
+        staging = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+        fd = os.open(staging, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        self._files.append((open(fd, "w", encoding="utf-8", newline=""), staging, target))
+        return self._files[-1][0]
+
+    def __enter__(self) -> "StagedOutput":
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        committed = False
+        try:
+            for f, _, _ in self._files:
+                f.close()
+            if exc_type is None:
+                for _, staging, target in self._files:
+                    os.replace(staging, target)
+                committed = True
+        finally:
+            if not committed:
+                self._discard()
+
+    def _discard(self) -> None:
+        for f, staging, _ in self._files:
+            with contextlib.suppress(OSError):
+                f.close()
+            with contextlib.suppress(FileNotFoundError):
+                staging.unlink()
+        for d in reversed(self._made):
+            with contextlib.suppress(OSError):
+                d.rmdir()

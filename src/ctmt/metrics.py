@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -347,15 +348,16 @@ def structure_metrics(records: list[EvalRecord], vocab: ReservedVocab) -> tuple[
 
 
 def sentence_metrics(
-    records: list[EvalRecord], *, vocab: ReservedVocab | None = None,
-    structural: bool = False, window: int = WINDOW,
+    records: Iterable[EvalRecord], *, vocab: ReservedVocab | None = None,
+    structural: bool = False, window: int = WINDOW, start: int = 1,
 ) -> list[SentenceStats]:
-    """Each record's statistics. Its phrases are claimed once per side, and
-    those spans serve Exact Match, Window Overlap and the 1-TERm weights."""
+    """Each record's statistics, read from ``records`` one at a time; logged
+    line numbers count from ``start``. A record's phrases are claimed once per
+    side, and those spans serve Exact Match, Window Overlap and the 1-TERm weights."""
     if structural and vocab is None:
         raise ValueError("structural evaluation requires a vocabulary")
     out: list[SentenceStats] = []
-    for lineno, r in enumerate(records, start=1):
+    for lineno, r in enumerate(records, start=start):
         phrases = _phrases(r)
         hyp_spans = claim_spans(r.hypothesis, phrases)
         ref_spans = claim_spans(r.reference, phrases)
