@@ -4,102 +4,52 @@ Serializes sentence/constraint pairs into template and derivation token
 streams for sequence-to-sequence models, parses and validates model
 outputs, reconstructs final translations, mines lexical constraints from
 word-aligned bitext, and scores outputs with constraint-aware metrics.
+
+The public names below are imported from their modules on first use
+(PEP 562), so a program that needs one module, such as a ``ctmt`` command,
+does not load the others.
 """
 
-from .errors import (
-    CapacityError,
-    ConstraintMatchError,
-    CorpusFormatError,
-    CtmtError,
-    InternalError,
-    OutputParseError,
-    ReservedTokenError,
-    SpanError,
-)
-from .lexical import (
-    build_inference_input,
-    build_training_pair,
-    constraint_derivation,
-    match_constraint_spans,
-    parse_output,
-    reconstruct,
-    segment,
-    validate_template,
-)
-from .metrics import (
-    EvalRecord,
-    MetricReport,
-    bleu,
-    evaluate_records,
-    exact_match,
-    structure_metrics,
-    term_score,
-    window_overlap,
-)
-from .mining import PhrasePair, SamplerConfig, extract_phrase_pairs, sample_constraints
-from .structural import (
-    build_structural_pair,
-    parse_structural_output,
-    reconstruct_structural,
-    segment_tagged,
-    validate_structural_template,
-)
-from .types import (
-    ConstraintPair,
-    DerivationTable,
-    Nonterminal,
-    ParsedOutput,
-    SerializedExample,
-    Template,
-    TemplateVerdict,
-    TokenSeq,
-)
-from .vocab import DEFAULT_VOCAB, ReservedVocab
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityError",
-    "ConstraintMatchError",
-    "ConstraintPair",
-    "CorpusFormatError",
-    "CtmtError",
-    "DEFAULT_VOCAB",
-    "DerivationTable",
-    "EvalRecord",
-    "InternalError",
-    "MetricReport",
-    "Nonterminal",
-    "OutputParseError",
-    "ParsedOutput",
-    "PhrasePair",
-    "ReservedTokenError",
-    "ReservedVocab",
-    "SamplerConfig",
-    "SerializedExample",
-    "SpanError",
-    "Template",
-    "TemplateVerdict",
-    "TokenSeq",
-    "bleu",
-    "build_inference_input",
-    "build_structural_pair",
-    "build_training_pair",
-    "constraint_derivation",
-    "evaluate_records",
-    "exact_match",
-    "extract_phrase_pairs",
-    "match_constraint_spans",
-    "parse_output",
-    "parse_structural_output",
-    "reconstruct",
-    "reconstruct_structural",
-    "sample_constraints",
-    "segment",
-    "segment_tagged",
-    "structure_metrics",
-    "term_score",
-    "validate_structural_template",
-    "validate_template",
-    "window_overlap",
-]
+_EXPORTS = {
+    "errors": (
+        "CapacityError", "ConstraintMatchError", "CorpusFormatError", "CtmtError",
+        "InternalError", "OutputParseError", "ReservedTokenError", "SpanError",
+    ),
+    "lexical": (
+        "build_inference_input", "build_training_pair", "constraint_derivation",
+        "match_constraint_spans", "parse_output", "reconstruct", "segment", "validate_template",
+    ),
+    "metrics": (
+        "EvalRecord", "MetricReport", "bleu", "evaluate_records", "exact_match",
+        "structure_metrics", "term_score", "window_overlap",
+    ),
+    "mining": ("PhrasePair", "SamplerConfig", "extract_phrase_pairs", "sample_constraints"),
+    "structural": (
+        "build_structural_pair", "parse_structural_output", "reconstruct_structural",
+        "segment_tagged", "validate_structural_template",
+    ),
+    "types": (
+        "ConstraintPair", "DerivationTable", "Nonterminal", "ParsedOutput",
+        "SerializedExample", "Template", "TemplateVerdict", "TokenSeq",
+    ),
+    "vocab": ("DEFAULT_VOCAB", "ReservedVocab"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -16,13 +16,15 @@ import sys
 import time
 from pathlib import Path
 
-from . import corpus_io, lexical, mining, structural
+from . import corpus_io, lexical
 from .errors import CorpusFormatError, CtmtError, OutputParseError
-from .metrics import WINDOW, EvalRecord, SentenceStats, score, sentence_metrics
 from .types import SerializedExample, TemplateVerdict, TokenSeq
 from .vocab import DEFAULT_VOCAB, ReservedVocab
 
-log = logging.getLogger(__name__)
+# mining, metrics and structural are imported by the commands and modes that
+# use them, so that a command loads only what it runs
+
+log = logging.getLogger("ctmt.cli")  # not __name__, which is "__main__" under python -m
 
 
 class UsageError(Exception):
@@ -134,21 +136,25 @@ def _read_corpus(args):
     return vocab, corpus_io.iter_corpus(args.src, tgt, args.constraints, args.spans)
 
 
-def _run_lines(rows, line_fn, emit) -> tuple[int, int]:
-    """Call emit(line_fn(i, row)) for each row in line order, as it is read.
-    Return the number of lines kept and the number skipped (and logged)
-    because line_fn raised CtmtError."""
-    kept = skipped = 0
-    for i, row in enumerate(rows):
-        try:
-            result = line_fn(i, row)
-        except CtmtError as exc:
-            log.warning("line %d skipped: %s", i + 1, exc)
-            skipped += 1
-            continue
-        emit(result)
-        kept += 1
-    return kept, skipped
+class _LineRun:
+    """line_fn(i, row) of each row, in line order as it is read. A line for
+    which line_fn raises CtmtError is logged and skipped; ``kept`` and
+    ``skipped`` count the lines read so far."""
+
+    def __init__(self, rows, line_fn):
+        self.rows, self.line_fn = rows, line_fn
+        self.kept = self.skipped = 0
+
+    def __iter__(self):
+        for i, row in enumerate(self.rows):
+            try:
+                result = self.line_fn(i, row)
+            except CtmtError as exc:
+                log.warning("line %d skipped: %s", i + 1, exc)
+                self.skipped += 1
+                continue
+            self.kept += 1
+            yield result
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +172,8 @@ def _serialize_line(
     with its meta record."""
     src, tgt, constraints, spans = row
     if mode == "structural":
+        from . import structural
+
         example = structural.build_structural_pair(src, tgt, vocab=vocab)
     else:
         example = lexical.build_training_pair(
@@ -184,14 +192,12 @@ def _write_serialized(out_dir, stem: str, second: str, rows, line_fn) -> int:
         xprime, stream, metas = (
             staged.open(out / f"{stem}.{ext}") for ext in ("xprime", second, "meta.jsonl")
         )
-
-        def write(triple) -> None:
-            xprime.write(corpus_io.token_line(triple[0]))
-            stream.write(corpus_io.token_line(triple[1]))
-            metas.write(corpus_io.json_line(triple[2]))
-
-        written, skipped = _run_lines(rows, line_fn, write)
-    print(json.dumps({"written": written, "skipped": skipped}, sort_keys=True))
+        lines = _LineRun(rows, line_fn)
+        for encoder_input, tokens, meta in lines:
+            xprime.write(corpus_io.token_line(encoder_input))
+            stream.write(corpus_io.token_line(tokens))
+            metas.write(corpus_io.json_line(meta))
+    print(json.dumps({"written": lines.kept, "skipped": lines.skipped}, sort_keys=True))
     return 0
 
 
@@ -211,6 +217,8 @@ def cmd_encode(args) -> int:
     def line(i: int, row):
         src, _, constraints, spans = row
         if args.mode == "structural":
+            from . import structural
+
             example = structural.build_structural_input(src, vocab=vocab)
         else:
             example = lexical.build_inference_input(
@@ -238,6 +246,8 @@ def decode_line(
     audit: dict = {"index": meta.get("index"), "fallback": False, "warnings": []}
     try:
         if mode == "structural":
+            from . import structural
+
             parsed = structural.parse_structural_output(tail, vocab)
             verdict = structural.validate_structural_template(
                 parsed.template, meta.get("source_tags", []), vocab
@@ -276,8 +286,14 @@ CHUNK_LINES = 256
 
 
 def _chunks(items, size: int):
-    items = iter(items)
-    while chunk := list(itertools.islice(items, size)):
+    """Up to ``size`` items at a time, in one list refilled for each chunk, so
+    that a chunk is freed as the next is read: it is valid until then."""
+    items, chunk = iter(items), []
+    while True:
+        chunk.clear()
+        chunk.extend(itertools.islice(items, size))
+        if not chunk:
+            return
         yield chunk
 
 
@@ -387,6 +403,8 @@ def cmd_decode(args) -> int:
 # sample
 
 def cmd_sample(args) -> int:
+    from . import mining
+
     try:
         cfg = mining.SamplerConfig(
             max_constraints=args.max_constraints,
@@ -407,16 +425,13 @@ def cmd_sample(args) -> int:
     with corpus_io.StagedOutput() as staged:
         cons = staged.open(f"{args.out}.cons.jsonl")
         spans = staged.open(f"{args.out}.spans.jsonl")
-
-        def write(chosen) -> None:
-            nonlocal total
+        lines = _LineRun(rows, line)  # line raises no CtmtError
+        for chosen in lines:
             cons.write(corpus_io.json_line(corpus_io.constraints_record(mining.as_constraints(chosen))))
             pairs = [(p.src_span, p.tgt_span) for p in chosen]
             spans.write(corpus_io.json_line(corpus_io.spans_record(pairs)))
             total += len(chosen)
-
-        sentences, _ = _run_lines(rows, line, write)  # line raises no CtmtError
-    print(json.dumps({"sentences": sentences, "constraints": total}, sort_keys=True))
+    print(json.dumps({"sentences": lines.kept, "constraints": total}, sort_keys=True))
     return 0
 
 
@@ -424,23 +439,32 @@ def cmd_sample(args) -> int:
 # evaluate
 
 def cmd_evaluate(args) -> int:
+    from .metrics import EvalRecord, score, sentence_metrics
+
     vocab = _tagged_vocab(args)
     rows = corpus_io.iter_corpus(args.hyp, args.ref, args.constraints)
-    records = (EvalRecord(h, r, c) for h, r, c, _ in rows)
     structural_mode = args.mode == "structural"
-    stats = sentence_metrics(records, vocab=vocab, structural=structural_mode, window=args.window)
-    report = score(stats, structural_mode)
-    payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
     with corpus_io.StagedOutput() as staged:
+        rows_out = staged.open(args.per_sentence) if args.per_sentence else None
+        if rows_out is not None:
+            rows_out.write("\t".join(["index", *score((), structural_mode).values()]) + "\n")
+
+        def line(i: int, row):
+            hyp, ref, constraints, _ = row
+            (stats,) = sentence_metrics(
+                [EvalRecord(hyp, ref, constraints)],
+                vocab=vocab, structural=structural_mode, window=args.window, start=i + 1,
+            )
+            if rows_out is not None:
+                # each row is its line scored as a one-line corpus, from the report's own statistics
+                values = score([stats], structural_mode).values().values()
+                rows_out.write("\t".join([str(i), *(f"{v:.4f}" for v in values)]) + "\n")
+            return stats
+
+        report = score(itertools.starmap(line, enumerate(rows)), structural_mode)
+        payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
         if args.report:
             staged.open(args.report).write(payload + "\n")
-        if args.per_sentence:
-            # each row is its line scored as a one-line corpus, from the report's own statistics
-            rows_out = staged.open(args.per_sentence)
-            rows_out.write("\t".join(["index", *report.values()]) + "\n")
-            for i, line_stats in enumerate(stats):
-                values = score([line_stats], structural_mode).values().values()
-                rows_out.write("\t".join([str(i), *(f"{v:.4f}" for v in values)]) + "\n")
     print(payload)
     return 0
 
@@ -448,12 +472,9 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 # roundtrip
 
-def _gold_decode(
-    mode: str, example: SerializedExample, meta: dict, vocab: ReservedVocab
-) -> tuple[TokenSeq, dict]:
-    """decode_line on the continuation a perfect model would produce after
-    the forced prefix."""
-    return decode_line(mode, example.target_output[len(example.decoder_prefix) :], meta, vocab)
+def _gold_tail(example: SerializedExample) -> TokenSeq:
+    """The continuation a perfect model would produce after the forced prefix."""
+    return example.target_output[len(example.decoder_prefix) :]
 
 
 def cmd_roundtrip(args) -> int:
@@ -462,19 +483,21 @@ def cmd_roundtrip(args) -> int:
     A perfect model must reproduce every reference exactly and score 100
     on every metric; any deviation is reported with its line number.
     """
+    from .metrics import EvalRecord, score, sentence_metrics
+
     vocab, rows = _read_corpus(args)
     structural_mode = args.mode == "structural"
 
     def line(i: int, row):
         example, meta = _serialize_line(args.mode, row, i, vocab)
-        sentence, audit = _gold_decode(args.mode, example, meta, vocab)
+        sentence, audit = decode_line(args.mode, _gold_tail(example), meta, vocab)
         return i, row[1], example.constraints, sentence, audit
 
     violations: list[str] = []
-    stats: list[SentenceStats] = []  # per line, in line order, so that score sums as one pass would
     valid = 0
 
-    def check(result) -> None:
+    def check(result):
+        """The metric statistics of a kept line, after its checks."""
         nonlocal valid
         i, target, constraints, sentence, audit = result
         if sentence != target:
@@ -483,18 +506,19 @@ def cmd_roundtrip(args) -> int:
             violations.append(f"line {i + 1}: invalid template ({audit.get('reason')})")
         valid += bool(audit.get("valid"))
         record = EvalRecord(hypothesis=sentence, reference=target, constraints=constraints)
-        stats.extend(sentence_metrics([record], vocab=vocab, structural=structural_mode, start=i + 1))
+        (stats,) = sentence_metrics([record], vocab=vocab, structural=structural_mode, start=i + 1)
+        return stats
 
-    kept, skipped = _run_lines(rows, line, check)
-    report = score(stats, structural_mode)
+    lines = _LineRun(rows, line)
+    report = score(map(check, lines), structural_mode)
     for name, value in report.values().items():
-        if kept and value != 100.0:
+        if lines.kept and value != 100.0:
             violations.append(f"metric {name} is {value:.4f}, expected 100")
 
     summary = {
-        "sentences": kept,
-        "skipped": skipped,
-        "template_accuracy": _template_accuracy(valid, kept),
+        "sentences": lines.kept,
+        "skipped": lines.skipped,
+        "template_accuracy": _template_accuracy(valid, lines.kept),
         "metrics": report.as_dict(),
         "violations": violations,
     }
@@ -505,7 +529,8 @@ def cmd_roundtrip(args) -> int:
 # ---------------------------------------------------------------------------
 # bench
 
-# Decode passes repeat until together they take this long; the fastest counts.
+# A chunk's decode pass repeats while the run's decode passes total less
+# than this; the fastest pass of each chunk counts.
 BENCH_MIN_SECONDS = 0.01
 
 
@@ -514,34 +539,47 @@ def cmd_bench(args) -> int:
 
     Lines that fail to serialize are skipped as in roundtrip. Reconstruction
     must stay below the configured fraction of a baseline translation
-    budget per token, i.e. be negligible next to model inference. It is
-    judged on the fastest of repeated decode passes, as timeit does: noise
-    such as a scheduler stall or a GC pause only ever adds time to a pass.
+    budget per token, i.e. be negligible next to model inference. The kept
+    lines are decoded CHUNK_LINES at a time, and each chunk counts with its
+    fastest decode pass, as timeit does: noise such as a scheduler stall or
+    a GC pause only ever adds time to a pass. A chunk's pass repeats only
+    while the run has spent less than BENCH_MIN_SECONDS decoding, so a large
+    corpus is decoded once.
     """
     vocab, rows = _read_corpus(args)
-    rows = list(rows)  # bench holds its corpus, read before serialization is timed
-    kept: list[tuple[SerializedExample, dict]] = []
-    t0 = time.perf_counter()
-    _, skipped = _run_lines(rows, lambda i, row: _serialize_line(args.mode, row, i, vocab), kept.append)
-    serialize_seconds = time.perf_counter() - t0
-    report = {"sentences": len(kept), "skipped": skipped}
-    if not kept:
-        print(json.dumps({**report, "serialize_tps": None, "reconstruct_tps": None}))
+    serialize_seconds = decode_seconds = reconstruct_seconds = 0.0
+    serialize_tokens = reconstruct_tokens = 0
+
+    def serialize(i: int, row):
+        """The line's gold continuation and meta record, all a decode pass needs."""
+        nonlocal serialize_seconds, serialize_tokens
+        t0 = time.perf_counter()  # reading and parsing the row is not timed
+        try:
+            example, meta = _serialize_line(args.mode, row, i, vocab)
+        finally:
+            serialize_seconds += time.perf_counter() - t0
+        serialize_tokens += len(example.encoder_input) + len(example.target_output)
+        return _gold_tail(example), meta
+
+    lines = _LineRun(rows, serialize)
+    for chunk in _chunks(lines, CHUNK_LINES):
+        fastest = math.inf
+        while True:
+            t1 = time.perf_counter()
+            tokens = sum(len(decode_line(args.mode, tail, meta, vocab)[0]) for tail, meta in chunk)
+            seconds = time.perf_counter() - t1
+            fastest = min(fastest, seconds)
+            decode_seconds += seconds
+            if decode_seconds >= BENCH_MIN_SECONDS:
+                break
+        reconstruct_seconds += fastest
+        reconstruct_tokens += tokens
+
+    report = {"sentences": lines.kept, "skipped": lines.skipped}
+    if not lines.kept:
+        report.update(serialize_tps=None, reconstruct_tps=None)
+        print(json.dumps(report, indent=2, sort_keys=True))
         return 0
-    serialize_tokens = sum(len(ex.encoder_input) + len(ex.target_output) for ex, _ in kept)
-
-    reconstruct_seconds = math.inf
-    start = time.perf_counter()
-    while True:
-        t1 = time.perf_counter()
-        reconstruct_tokens = sum(
-            len(_gold_decode(args.mode, ex, meta, vocab)[0]) for ex, meta in kept
-        )
-        t2 = time.perf_counter()
-        reconstruct_seconds = min(reconstruct_seconds, t2 - t1)
-        if t2 - start >= BENCH_MIN_SECONDS:
-            break
-
     per_token = reconstruct_seconds / reconstruct_tokens if reconstruct_tokens else 0.0
     budget = args.budget_fraction / args.baseline_tps
     report.update(
@@ -618,11 +656,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt", required=True)
     p.add_argument("--align", required=True)
     p.add_argument("--out", required=True, help="output stem for .cons.jsonl and .spans.jsonl")
-    defaults = mining.SamplerConfig()
-    p.add_argument("--seed", type=int, default=defaults.rng_seed)
-    p.add_argument("--max-constraints", type=int, default=defaults.max_constraints)
-    p.add_argument("--min-len", type=int, default=defaults.min_len)
-    p.add_argument("--max-len", type=int, default=defaults.max_len)
+    # the defaults of mining.SamplerConfig, which the parser does not import
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-constraints", type=int, default=3)
+    p.add_argument("--min-len", type=int, default=1)
+    p.add_argument("--max-len", type=int, default=3)
     p.set_defaults(func=cmd_sample)
 
     p = commands.add_parser("evaluate", help="score hypotheses against references")
@@ -630,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--constraints")
-    p.add_argument("--window", type=_int_at_least(0), default=WINDOW)
+    p.add_argument("--window", type=_int_at_least(0), default=2)  # metrics.WINDOW
     p.add_argument("--report", help="write the JSON report here as well")
     p.add_argument("--per-sentence", help="write a per-sentence TSV here")
     p.set_defaults(func=cmd_evaluate)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -372,20 +373,41 @@ def sentence_metrics(
     return out
 
 
-def score(stats: list[SentenceStats], structural: bool = False) -> MetricReport:
-    """The metrics of the records whose statistics are given."""
-    window_scores = [w for s in stats for w in s.window_scores]
-    report = MetricReport(
-        bleu=_bleu_score([(s.ngram_matches, s.ngram_totals, s.hyp_len, s.ref_len) for s in stats]),
-        exact_match=_percent(
-            sum(s.phrases_found for s in stats), sum(s.phrases_required for s in stats)
-        ),
+def score(stats: Iterable[SentenceStats], structural: bool = False) -> MetricReport:
+    """The metrics of the records whose statistics are given, read in one pass.
+
+    The counts are kept as running sums. The window scores are kept, 8 bytes
+    each, and added up by one sum() as a list of them would be: a running
+    ``+=`` would differ in the last bits, since sum() of floats is
+    compensated from Python 3.12 on.
+    """
+    matches, totals = [0] * MAX_NGRAM, [0] * MAX_NGRAM
+    hyp_len = ref_len = found = required = edits = ref_weight = 0
+    lines = well_formed = tags_match = 0
+    window_scores = array("d")
+    for s in stats:
+        matches = [a + b for a, b in zip(matches, s.ngram_matches)]
+        totals = [a + b for a, b in zip(totals, s.ngram_totals)]
+        hyp_len += s.hyp_len
+        ref_len += s.ref_len
+        found += s.phrases_found
+        required += s.phrases_required
+        window_scores.extend(s.window_scores)
+        edits += s.term_edits
+        ref_weight += s.term_ref_weight
+        lines += 1
+        if structural:
+            well_formed += s.well_formed
+            tags_match += s.tags_match
+    report = MetricReport(  # the sums score as the counts of one record would
+        bleu=_bleu_score([(matches, totals, hyp_len, ref_len)]),
+        exact_match=_percent(found, required),
         window_overlap=_percent(sum(window_scores), len(window_scores)),
-        one_minus_term=_one_minus_term([(s.term_edits, s.term_ref_weight) for s in stats]),
+        one_minus_term=_one_minus_term([(edits, ref_weight)]),
     )
     if structural:
-        report.structure_correct = _percent(sum(s.well_formed for s in stats), len(stats))
-        report.structure_match = _percent(sum(s.tags_match for s in stats), len(stats))
+        report.structure_correct = _percent(well_formed, lines)
+        report.structure_match = _percent(tags_match, lines)
     return report
 
 

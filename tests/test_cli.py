@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import shlex
 import stat
@@ -994,6 +995,58 @@ def test_bench_empty_corpus(tmp_path, capsys):
     assert last_json(out)["sentences"] == 0
 
 
+def test_bench_report_without_kept_lines_is_formatted_as_every_report(tmp_path, capsys):
+    src = write_lines(tmp_path / "b.src", ["p r"])
+    tgt = write_lines(tmp_path / "b.tgt", ["x y"])
+    cons = write_lines(tmp_path / "b.cons.jsonl", [json.dumps({"constraints": [{"src": ["q"], "tgt": ["x"]}]})])
+    code, out = run(capsys, "bench", "--src", src, "--tgt", tgt, "--constraints", cons)
+    assert code == 0
+    report = {"sentences": 0, "skipped": 1, "serialize_tps": None, "reconstruct_tps": None}
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _multi_chunk_corpus(tmp_path):
+    """2 * CHUNK_LINES + 3 lines, one of whose constraints cannot be placed."""
+    from ctmt.cli import CHUNK_LINES
+
+    n = 2 * CHUNK_LINES + 3
+    words = " ".join("abcdefghij")  # so that a line's tokens, not the line, dominate its cost
+    src = write_lines(tmp_path / "m.src", [f"w{i} {words} k" for i in range(n)])
+    tgt = write_lines(tmp_path / "m.tgt", [f"v{i} {words.upper()} K" for i in range(n)])
+    ok, bad = (json.dumps({"constraints": [{"src": [s], "tgt": ["K"]}]}) for s in ("k", "q"))
+    cons = write_lines(tmp_path / "m.cons.jsonl", [bad if i == CHUNK_LINES + 1 else ok for i in range(n)])
+    return n, ["--src", src, "--tgt", tgt, "--constraints", cons]
+
+
+def test_bench_counts_lines_like_roundtrip_over_many_chunks(tmp_path, capsys):
+    n, corpus = _multi_chunk_corpus(tmp_path)
+    counts = []
+    for command in ("roundtrip", "bench"):
+        code, out = run(capsys, command, *corpus)
+        assert code == 0, out
+        report = last_json(out)
+        counts.append((report["sentences"], report["skipped"]))
+    assert counts == [(n - 1, 1), (n - 1, 1)]
+
+
+def test_bench_gate_fails_a_slow_transform_over_many_chunks(tmp_path, capsys, monkeypatch):
+    # a chunk's pass repeats only within the run's first BENCH_MIN_SECONDS, so a
+    # transform that is slow on every line must still fail on a large corpus
+    import ctmt.cli as cli_mod
+
+    real = cli_mod.decode_line
+
+    def slow(mode, tail, meta, vocab):
+        time.sleep(0.001)
+        return real(mode, tail, meta, vocab)
+
+    monkeypatch.setattr(cli_mod, "decode_line", slow)
+    _, corpus = _multi_chunk_corpus(tmp_path)
+    code, out = run(capsys, "bench", *corpus)
+    assert code == 3
+    assert last_json(out)["within_budget"] is False
+
+
 def test_bench_deterministic_outputs(golden_files, capsys):
     # the transforms themselves are deterministic: two prepare runs agree
     blobs = []
@@ -1052,6 +1105,22 @@ def test_console_script_entry_point(tmp_path):
         text=True,
     )
     assert result.returncode == 1
+
+
+def test_cli_logs_under_its_module_name_when_run_as_main(tmp_path):
+    import ctmt
+
+    src = write_lines(tmp_path / "l.src", ["p r"])
+    tgt = write_lines(tmp_path / "l.tgt", ["x y"])
+    cons = write_lines(tmp_path / "l.cons.jsonl", [json.dumps({"constraints": [{"src": ["q"], "tgt": ["x"]}]})])
+    package_root = str(Path(ctmt.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "ctmt.cli", "roundtrip", "--src", src, "--tgt", tgt, "--constraints", cons],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": package_root, "CTMT_LOG": "WARNING"},
+    )
+    assert result.returncode == 0
+    assert result.stderr.startswith("WARNING ctmt.cli: line 1 skipped: ")
 
 
 def test_log_level_from_environment(tmp_path, capsys, monkeypatch):
@@ -1218,6 +1287,20 @@ def test_each_command_has_a_pinned_option_set():
         "roundtrip": corpus,
         "bench": corpus | {"--baseline-tps", "--budget-fraction"},
     }
+
+
+def test_parser_defaults_are_the_library_defaults():
+    # the parser spells these defaults itself, so that it imports neither module
+    from ctmt.metrics import WINDOW
+    from ctmt.mining import SamplerConfig
+
+    parse = build_parser().parse_args
+    sample = parse(["sample", "--src", "s", "--tgt", "t", "--align", "a", "--out", "o"])
+    defaults = SamplerConfig()
+    assert (sample.seed, sample.max_constraints, sample.min_len, sample.max_len) == (
+        defaults.rng_seed, defaults.max_constraints, defaults.min_len, defaults.max_len
+    )
+    assert parse(["evaluate", "--hyp", "h", "--ref", "r"]).window == WINDOW
 
 
 def _encode_two_lines(tmp_path):

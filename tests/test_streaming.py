@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import ctmt
+import ctmt.metrics  # imported before any peak is traced, so that no peak counts it
 from ctmt import corpus_io, lexical
 from ctmt.cli import CHUNK_LINES, decode_line, main
 from ctmt.vocab import DEFAULT_VOCAB
@@ -25,22 +26,42 @@ def write_lines(path, rows):
     return str(path)
 
 
+def _fresh_interpreter(code: str):
+    """What ``code`` prints as JSON, run in a new interpreter that imports ctmt from here."""
+    src = str(Path(ctmt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, capture_output=True, check=True)
+    return json.loads(run.stdout)
+
+
 def test_importing_the_cli_loads_no_process_machinery():
-    # subprocess, shlex and concurrent.futures are imported on the decode path only
-    code = textwrap.dedent(
+    # subprocess, shlex and concurrent.futures are imported on the decode path
+    # only, the metrics by evaluate and roundtrip only, and mining by sample only
+    added = set(_fresh_interpreter(
         """\
         import json, sys
         before = set(sys.modules)
         import ctmt.cli
         print(json.dumps(sorted(set(sys.modules) - before)))
         """
-    )
-    src = str(Path(ctmt.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
-    added = set(json.loads(run.stdout))
+    ))
     assert "ctmt.cli" in added
-    assert not added & {"subprocess", "concurrent.futures", "tempfile"}
+    assert not added & {"subprocess", "concurrent.futures", "tempfile", "ctmt.metrics", "ctmt.mining"}
+
+
+def test_every_public_name_imports_from_the_package():
+    names = _fresh_interpreter(
+        """\
+        import json, ctmt
+        from ctmt import *
+        print(json.dumps([name for name in ctmt.__all__ if name not in globals()]))
+        """
+    )
+    assert names == []
+    assert all(getattr(ctmt, name) is not None for name in ctmt.__all__)
+    assert "reconstruct" in dir(ctmt)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ctmt.no_such_name
 
 
 @pytest.mark.parametrize("data", [b"", b"\n", b"a", b"a\n", b"a\nb", b"a\r\nb\n", b"\n\n", b"x" * 70000])
@@ -98,6 +119,19 @@ def _stages(f):
     ]
 
 
+def _checking_stages(f):
+    """(name, argv) of bench, roundtrip and evaluate --per-sentence on corpus f,
+    which keep no output per line; evaluate scores the decode output of _stages."""
+    d = f["dir"]
+    corpus = ["--src", f["src"], "--tgt", f["tgt"], "--constraints", f["cons"], "--spans", f["spans"]]
+    return [
+        ("bench", ["bench", *corpus, "--budget-fraction", "1"]),  # tracing slows every pass
+        ("roundtrip", ["roundtrip", *corpus]),
+        ("evaluate", ["evaluate", "--hyp", str(d / "dec" / "decode.out"), "--ref", f["tgt"],
+                      "--constraints", f["cons"], "--per-sentence", str(d / "sentences.tsv")]),
+    ]
+
+
 def _whole_file_outputs(f) -> dict[str, list[str]]:
     """Every output of _stages, made from whole-file reads by the library functions."""
     src, tgt, cons, spans = corpus_io.read_corpus(f["src"], f["tgt"], f["cons"], f["spans"])
@@ -132,15 +166,16 @@ def test_peak_memory_does_not_grow_with_the_corpus(tmp_path, capsys):
         with open(f["dir"] / "answers", "w", encoding="utf-8") as answers:
             for yprime in corpus_io.read_token_lines(prep / "train.yprime"):
                 answers.write(corpus_io.token_line(yprime[yprime.index("<sep>") + 1 :]))
-    peaks = {name: [] for name, _, _ in _stages(corpora[0])}
+    peaks = {name: [] for name, *_ in _stages(corpora[0]) + _checking_stages(corpora[0])}
     for f in corpora:
-        for name, argv, _ in _stages(f):
+        for name, argv, *_ in _stages(f) + _checking_stages(f):
             peaks[name].append(_traced_peak(argv))
-    for f in corpora:
+    for f, lines in zip(corpora, (n, 10 * n)):
         expected = _whole_file_outputs(f)
         for name, _, outputs in _stages(f):
             written = [line for path in outputs for line in path.open(encoding="utf-8", newline="")]
             assert written == expected[name], name
+        assert (f["dir"] / "sentences.tsv").read_bytes().count(b"\n") == 1 + lines
     assert all('"skipped": 0' in line for line in capsys.readouterr().out.splitlines() if "skipped" in line)
     for name, (small, large) in peaks.items():
         assert large < 2 * small, (name, small, large)
