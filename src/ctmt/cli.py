@@ -112,7 +112,7 @@ class TranslatorBridge:
 # shared input handling and the line loop
 
 def _load_vocab(args) -> ReservedVocab:
-    if getattr(args, "vocab", None):
+    if args.vocab:
         return corpus_io.load_vocab(args.vocab)
     return DEFAULT_VOCAB
 
@@ -233,16 +233,15 @@ def cmd_encode(args) -> int:
 # ---------------------------------------------------------------------------
 # decode
 
-def decode_line(
-    mode: str, tail: TokenSeq, meta: dict, vocab: ReservedVocab
-) -> tuple[TokenSeq, dict]:
+def decode_line(tail: TokenSeq, meta: dict, vocab: ReservedVocab) -> tuple[TokenSeq, dict]:
     """Reconstruct one model output line, never raising on bad content.
 
-    ``meta`` is the line's record as corpus_io.read_meta returns it. A line
-    that fails to parse or validate is expanded from its best-effort
-    reading, where C-nonterminals with no constraint expand to nothing.
+    ``meta`` is the line's record as corpus_io.read_meta returns it; its
+    ``mode`` alone names how the line decodes. A line that fails to parse
+    or validate is expanded from its best-effort reading, where
+    C-nonterminals with no constraint expand to nothing.
     """
-    constraints = meta.get("constraints", [])
+    mode, constraints = meta["mode"], meta.get("constraints", [])
     audit: dict = {"index": meta.get("index"), "fallback": False, "warnings": []}
     try:
         if mode == "structural":
@@ -351,7 +350,7 @@ def _decode_chunk(chunk, answer, vocab: ReservedVocab):
     tails = answer([[corpus_io.split_tokens(t) for t in texts[1:]] for _, texts in chunk])
     for (lineno, texts), tail in zip(chunk, tails):
         meta = corpus_io.parse_meta(texts[0], lineno)
-        yield decode_line(meta["mode"], tail, meta, vocab)
+        yield decode_line(tail, meta, vocab)
 
 
 def cmd_decode(args) -> int:
@@ -490,7 +489,7 @@ def cmd_roundtrip(args) -> int:
 
     def line(i: int, row):
         example, meta = _serialize_line(args.mode, row, i, vocab)
-        sentence, audit = decode_line(args.mode, _gold_tail(example), meta, vocab)
+        sentence, audit = decode_line(_gold_tail(example), meta, vocab)
         return i, row[1], example.constraints, sentence, audit
 
     violations: list[str] = []
@@ -566,7 +565,7 @@ def cmd_bench(args) -> int:
         fastest = math.inf
         while True:
             t1 = time.perf_counter()
-            tokens = sum(len(decode_line(args.mode, tail, meta, vocab)[0]) for tail, meta in chunk)
+            tokens = sum(len(decode_line(tail, meta, vocab)[0]) for tail, meta in chunk)
             seconds = time.perf_counter() - t1
             fastest = min(fastest, seconds)
             decode_seconds += seconds

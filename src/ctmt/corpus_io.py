@@ -208,13 +208,13 @@ def _constraint_list(items: Any, lineno: int) -> list[ConstraintPair]:
     if not isinstance(items, list):
         raise CorpusFormatError(f"line {lineno}: 'constraints' must be an array")
     pairs: list[ConstraintPair] = []
-    for k, item in enumerate(items):
+    for item in items:
         if not isinstance(item, dict):
             raise CorpusFormatError(f"line {lineno}: constraint items must be objects")
         src = _token_list(item.get("src"), lineno, "src")
         tgt = _token_list(item.get("tgt"), lineno, "tgt")
         try:
-            pairs.append(ConstraintPair(src=src, tgt=tgt, index=k + 1))
+            pairs.append(ConstraintPair(src=src, tgt=tgt))
         except ValueError as exc:
             raise CorpusFormatError(f"line {lineno}: {exc}") from exc
     return pairs

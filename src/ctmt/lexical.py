@@ -15,7 +15,6 @@ validates, and expands back into a plain sentence.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 
 from .errors import (
     CapacityError,
@@ -173,17 +172,17 @@ def canonical_constraints(
     constraints: list[ConstraintPair],
     src_spans: list[Span] | None = None,
 ) -> tuple[list[ConstraintPair], list[Span], list[int]]:
-    """Re-index constraints 1..N by ascending source span position.
+    """Constraints in canonical (source) order, by ascending source span
+    position; ``C_n`` is the n-th.
 
     Supplied spans are checked; otherwise they are matched as
-    match_constraint_spans does. Returns the re-indexed constraints, their
+    match_constraint_spans does. Returns the ordered constraints, their
     ascending spans, and the permutation mapping canonical position to
     input position.
     """
     src_spans = _place_phrases(x, [c.src for c in constraints], src_spans, "source")
     perm = sorted(range(len(src_spans)), key=lambda i: src_spans[i])
-    ordered = [replace(constraints[i], index=rank + 1) for rank, i in enumerate(perm)]
-    return ordered, [src_spans[i] for i in perm], perm
+    return [constraints[i] for i in perm], [src_spans[i] for i in perm], perm
 
 
 def _render_source(
@@ -198,7 +197,7 @@ def _render_source(
         raise CapacityError(
             f"{len(ordered)} constraints exceed reserved max_index {vocab.max_index}"
         )
-    slots = [vocab.render(Nonterminal("C", c.index)) for c in ordered]
+    slots = [vocab.render(Nonterminal("C", n)) for n in range(1, len(ordered) + 1)]
     return SerializedExample(
         encoder_input=constraint_section(slots, [c.src for c in ordered], vocab)
         + render_side("X", slots, segment(x, spans), vocab),
@@ -209,12 +208,9 @@ def _render_source(
 
 
 def constraint_derivation(constraints: list[ConstraintPair]) -> DerivationTable:
-    """The C-rules supplied by the user: C_n rewrites to the n-th target
-    phrase; a repeated index keeps its first phrase."""
-    table: DerivationTable = {}
-    for c in constraints:
-        table.setdefault(Nonterminal("C", c.index), list(c.tgt))
-    return table
+    """The C-rules of constraints in canonical (source) order: C_n rewrites
+    to the n-th target phrase."""
+    return {Nonterminal("C", n): list(c.tgt) for n, c in enumerate(constraints, start=1)}
 
 
 def build_training_pair(
@@ -228,9 +224,9 @@ def build_training_pair(
 ) -> SerializedExample:
     """Serialize a training pair into flat encoder and decoder-target streams.
 
-    Constraints are indexed 1..N by source position. The constraint
-    sections always list ascending indices; the target template follows
-    the order the constraints take in y. ``tgt_spans``, when given, must
+    Constraints are put in canonical (source) order; ``C_n`` is the n-th.
+    The constraint sections always list ascending indices; the target
+    template follows the order the constraints take in y. ``tgt_spans``, when given, must
     be aligned item-for-item with ``constraints``; otherwise the target
     phrases are placed in y by claim_spans, in canonical order. The example carries
     the streams in ``encoder_input`` and ``target_output``, the forced
@@ -247,7 +243,7 @@ def build_training_pair(
     t_spans = _place_phrases(y, [c.tgt for c in ordered], tgt_spans, "target")
 
     target_order = sorted(range(len(ordered)), key=lambda i: t_spans[i])
-    slots = [vocab.render(Nonterminal("C", ordered[i].index)) for i in target_order]
+    slots = [vocab.render(Nonterminal("C", i + 1)) for i in target_order]
     example.target_output = example.decoder_prefix + render_side(
         "Y", slots, segment(y, sorted(t_spans)), vocab
     )

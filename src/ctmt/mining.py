@@ -115,16 +115,13 @@ def sample_phrase_pairs(
 def sample_constraints(
     pairs: list[PhrasePair], cfg: SamplerConfig, rng: random.Random
 ) -> list[ConstraintPair]:
-    """Sample a constraint set, indexed 1..k by source position."""
+    """Sample a constraint set in canonical (source) order; ``C_n`` is the n-th."""
     return as_constraints(sample_phrase_pairs(pairs, cfg, rng))
 
 
 def as_constraints(chosen: list[PhrasePair]) -> list[ConstraintPair]:
-    """Sampled phrase pairs as constraints, indexed 1..k in their order."""
-    return [
-        ConstraintPair(src=list(p.src_tokens), tgt=list(p.tgt_tokens), index=n + 1)
-        for n, p in enumerate(chosen)
-    ]
+    """Sampled phrase pairs as constraints, in their order; ``C_n`` is the n-th."""
+    return [ConstraintPair(src=list(p.src_tokens), tgt=list(p.tgt_tokens)) for p in chosen]
 
 
 def sentence_rng(seed: int, index: int) -> random.Random:

@@ -51,7 +51,6 @@ class ConstraintPair:
 
     src: TokenSeq
     tgt: TokenSeq
-    index: int = 0
 
     def __post_init__(self) -> None:
         if not self.src or not self.tgt:
@@ -91,9 +90,9 @@ class SerializedExample:
     empty for structural ones). ``target_output`` is the full target
     stream of a training pair and empty for an inference input; the model
     continuation is what follows the prefix in it. Lexical builders fill
-    ``constraints`` (re-indexed 1..N by source position) and their
-    ascending ``src_spans``; structural builders fill ``source_tags`` and,
-    for a training pair, ``target_tags``.
+    ``constraints`` in canonical (source) order, ``C_n`` the n-th, and
+    their ascending ``src_spans``; structural builders fill
+    ``source_tags`` and, for a training pair, ``target_tags``.
     """
 
     encoder_input: TokenSeq

@@ -108,8 +108,7 @@ def test_criterion_2_round_trip_10k(tmp_path, capsys):
             extracted = extract_phrase_pairs(x, y, links, cfg.max_len)
             chosen = sample_phrase_pairs(extracted, cfg, sentence_rng(cfg.rng_seed, i))
             constraint_sets.append(
-                [ConstraintPair(list(p.src_tokens), list(p.tgt_tokens), k + 1)
-                 for k, p in enumerate(chosen)]
+                [ConstraintPair(list(p.src_tokens), list(p.tgt_tokens)) for p in chosen]
             )
             span_sets.append([(p.src_span, p.tgt_span) for p in chosen])
         cons = tmp_path / "c.cons.jsonl"

@@ -827,8 +827,8 @@ def model_lines(draw):
         template = ["<Y_0>"]
         for slot, c in enumerate(order, start=1):
             template += [f"<C_{c}>", f"<Y_{slot}>"]
-        constraints = [ConstraintPair([f"s{k}"], [f"T{k}"], k) for k in range(1, n + 1)]
-        meta = {"index": 0, "constraints": constraints}
+        constraints = [ConstraintPair([f"s{k}"], [f"T{k}"]) for k in range(1, n + 1)]
+        meta = {"mode": mode, "index": 0, "constraints": constraints}
         words = ["w", "v", "<ph>", "&amp;"] if vocab is TAGGED_VOCAB else ["w", "v"]
     else:
         tags = draw(st.sampled_from([[], ["<ph>", "</ph>"], ["&amp;"]]))
@@ -837,7 +837,7 @@ def model_lines(draw):
         template = ["<Y_0>"]
         for slot, tag in enumerate(tags, start=1):
             template += [tag, f"<Y_{slot}>"]
-        meta = {"index": 0, "source_tags": tags}
+        meta = {"mode": mode, "index": 0, "source_tags": tags}
         words = ["w", "v"]
     line = template + ["<sep>"]
     for k in range(len(template) // 2 + 1):
@@ -856,7 +856,7 @@ def model_lines(draw):
 @given(model_lines())
 def test_decode_line_is_total_and_exact_on_valid_lines(case):
     mode, vocab, tail, meta = case
-    sentence, audit = decode_line(mode, tail, meta, vocab)
+    sentence, audit = decode_line(tail, meta, vocab)
     assert all(isinstance(tok, str) for tok in sentence)
     constraints = meta.get("constraints", [])
     try:
@@ -877,8 +877,9 @@ def test_decode_line_is_total_and_exact_on_valid_lines(case):
 
 
 TWO_CONSTRAINTS = {
+    "mode": "lexical",
     "index": 0,
-    "constraints": [ConstraintPair(["a"], ["T1"], 1), ConstraintPair(["b"], ["T2"], 2)],
+    "constraints": [ConstraintPair(["a"], ["T1"]), ConstraintPair(["b"], ["T2"])],
 }
 
 
@@ -906,7 +907,7 @@ TWO_CONSTRAINTS = {
     ids=["no-separator", "stray-tokens", "x-head", "c-head", "unknown-c-index", "repeated-head"],
 )
 def test_decode_line_fallback_expansion(tail, sentence, reason):
-    decoded, audit = decode_line("lexical", tail.split(), TWO_CONSTRAINTS, DEFAULT_VOCAB)
+    decoded, audit = decode_line(tail.split(), TWO_CONSTRAINTS, DEFAULT_VOCAB)
     assert " ".join(decoded) == sentence
     assert not audit["valid"] and audit["reason"] == reason
 
@@ -914,21 +915,21 @@ def test_decode_line_fallback_expansion(tail, sentence, reason):
 def test_decode_line_fallback_keeps_tags_in_lexical_derivations():
     # a registered tag is an ordinary token in a lexical derivation, whether
     # the line is valid, parses but fails validation, or does not parse
-    meta = {"index": 0, "constraints": [ConstraintPair(["a"], ["T1"], 1)]}
+    meta = {"mode": "lexical", "index": 0, "constraints": [ConstraintPair(["a"], ["T1"])]}
     cases = [
         ("<Y_0> <C_1> <Y_1> <sep> <Y_0> <ph> a </ph> <Y_1> b", "<ph> a </ph> T1 b", True),
         ("<Y_0> <C_1> <sep> <Y_0> <ph> a </ph>", "<ph> a </ph> T1", False),
         ("<Y_0> <C_1> <Y_1> junk <sep> <Y_0> <ph> a </ph> <Y_1> b", "<ph> a </ph> T1 b junk", False),
     ]
     for tail, sentence, valid in cases:
-        decoded, audit = decode_line("lexical", tail.split(), meta, TAGGED_VOCAB)
+        decoded, audit = decode_line(tail.split(), meta, TAGGED_VOCAB)
         assert (" ".join(decoded), audit["valid"]) == (sentence, valid)
 
 
 def test_decode_line_fallback_drops_tags_in_structural_derivations():
-    meta = {"index": 0, "source_tags": ["<ph>", "</ph>"]}
+    meta = {"mode": "structural", "index": 0, "source_tags": ["<ph>", "</ph>"]}
     tail = "<Y_0> <ph> <Y_1> </ph> <sep> <Y_0> a <Y_1> <g> b".split()
-    decoded, audit = decode_line("structural", tail, meta, TAGGED_VOCAB)
+    decoded, audit = decode_line(tail, meta, TAGGED_VOCAB)
     assert decoded == ["a", "<ph>", "b", "</ph>"]
     assert audit["fallback"] and audit["reason"] == "markup tag '<g>' inside the derivation region"
 
@@ -955,9 +956,9 @@ def test_bench_gate_fails_a_slow_transform(golden_files, capsys, monkeypatch):
 
     real = cli_mod.decode_line
 
-    def slow(mode, tail, meta, vocab):
+    def slow(tail, meta, vocab):
         time.sleep(0.001)
-        return real(mode, tail, meta, vocab)
+        return real(tail, meta, vocab)
 
     monkeypatch.setattr(cli_mod, "decode_line", slow)
     code, out = run(
@@ -1036,9 +1037,9 @@ def test_bench_gate_fails_a_slow_transform_over_many_chunks(tmp_path, capsys, mo
 
     real = cli_mod.decode_line
 
-    def slow(mode, tail, meta, vocab):
+    def slow(tail, meta, vocab):
         time.sleep(0.001)
-        return real(mode, tail, meta, vocab)
+        return real(tail, meta, vocab)
 
     monkeypatch.setattr(cli_mod, "decode_line", slow)
     _, corpus = _multi_chunk_corpus(tmp_path)
@@ -1099,12 +1100,16 @@ def test_roundtrip_violation_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_console_script_entry_point(tmp_path):
+    import ctmt
+
+    package_root = str(Path(ctmt.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-m", "ctmt.cli"],
-        capture_output=True,
-        text=True,
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": package_root},
     )
     assert result.returncode == 1
+    assert result.stderr.startswith("usage: ctmt")
 
 
 def test_cli_logs_under_its_module_name_when_run_as_main(tmp_path):

@@ -81,7 +81,7 @@ def test_read_constraints(tmp_path):
         '{"constraints":[]}\n',
     )
     sets = corpus_io.read_constraints(path)
-    assert sets[0] == [ConstraintPair(["slowing", "down"], ["减弱"], index=1)]
+    assert sets[0] == [ConstraintPair(["slowing", "down"], ["减弱"])]
     assert sets[1] == []
 
 
@@ -131,7 +131,7 @@ def test_a_line_ends_at_lf_only(tmp_path):
 
 def test_constraints_round_trip(tmp_path):
     sets = [
-        [ConstraintPair(["a", "b"], ["x"], 1), ConstraintPair(["c"], ["y", "z"], 2)],
+        [ConstraintPair(["a", "b"], ["x"]), ConstraintPair(["c"], ["y", "z"])],
         [],
     ]
     path = tmp_path / "c.cons.jsonl"
@@ -169,7 +169,7 @@ def test_vocab_manifest_round_trip(tmp_path):
 
 def test_meta_round_trip(tmp_path):
     lexical = {"mode": "lexical", "index": 0, "src_spans": [[0, 1]],
-               "constraints": [ConstraintPair(["a"], ["x", "y"], 1)]}
+               "constraints": [ConstraintPair(["a"], ["x", "y"])]}
     structural = {"mode": "structural", "index": 1, "source_tags": ["<b>", "</b>"]}
     path = tmp_path / "m.meta.jsonl"
     corpus_io.write_jsonl(path, [lexical, structural])
@@ -196,7 +196,7 @@ def test_meta_record_is_what_read_meta_returns(tmp_path):
     corpus_io.write_jsonl(path, records)
     assert corpus_io.read_meta(path) == records == [
         {"mode": "lexical", "index": 0, "src_spans": [[1, 2]],
-         "constraints": [ConstraintPair(["b"], ["y"], 1)]},
+         "constraints": [ConstraintPair(["b"], ["y"])]},
         {"mode": "structural", "index": 1, "source_tags": ["<b>", "</b>"],
          "target_tags": ["<b>", "</b>"]},
     ]
@@ -222,7 +222,7 @@ def test_read_corpus_reads_every_companion_file(tmp_path):
     assert corpus_io.read_corpus(src, tgt, cons, spans) == (
         [["a", "b"], ["c"]],
         [["x"], ["y", "z"]],
-        [[ConstraintPair(["b"], ["x"], 1)], []],
+        [[ConstraintPair(["b"], ["x"])], []],
         [[((1, 2), (0, 1))], []],
     )
 

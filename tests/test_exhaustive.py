@@ -33,7 +33,7 @@ def test_every_short_lexical_continuation_decodes(n_constraints):
     meta = _meta({"mode": "lexical", "constraints": CONSTRAINTS[:n_constraints]})
     cases = 0
     for tail in _continuations(LEXICAL_SYMBOLS, 4):
-        sentence, audit = decode_line("lexical", tail, meta, DEFAULT_VOCAB)
+        sentence, audit = decode_line(tail, meta, DEFAULT_VOCAB)
         assert not [t for t in sentence if DEFAULT_VOCAB.is_reserved(t)], (tail, sentence)
         assert isinstance(audit["valid"], bool)
         cases += 1
@@ -45,7 +45,7 @@ def test_every_short_structural_continuation_decodes(source_tags):
     meta = _meta({"mode": "structural", "source_tags": source_tags})
     cases = 0
     for tail in _continuations(STRUCTURAL_SYMBOLS, 5):
-        sentence, audit = decode_line("structural", tail, meta, TAGGED_VOCAB)
+        sentence, audit = decode_line(tail, meta, TAGGED_VOCAB)
         assert not [t for t in sentence if TAGGED_VOCAB.is_reserved(t)], (tail, sentence)
         assert isinstance(audit["valid"], bool)
         cases += 1

@@ -509,6 +509,16 @@ def test_reconstruct_golden_output(vocab):
     assert " ".join(result) == GOLD_RESULT
 
 
+def test_constraints_are_numbered_by_position(vocab):
+    # C_n is the n-th constraint of the list, however the pairs were built
+    constraints = [ConstraintPair(["a"], ["A"]), ConstraintPair(["b"], ["B"])]
+    table = constraint_derivation(constraints)
+    assert table == {C(1): ["A"], C(2): ["B"]}
+    tail = "<Y_0> <C_2> <Y_1> <C_1> <Y_2> <sep> <Y_0> x <Y_1> y <Y_2> z".split()
+    parsed = parse_output(tail, vocab, 2)
+    assert reconstruct(parsed.template, table, parsed.derivation) == ["x", "B", "y", "A", "z"]
+
+
 def test_reconstruct_identity():
     table = DerivationTable([(Y(0), ["hi"])])
     assert reconstruct(Template([Y(0)]), DerivationTable(), table) == ["hi"]

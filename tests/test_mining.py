@@ -130,11 +130,20 @@ def test_sample_invariants():
         assert [p.src_span for p in chosen] == sorted(p.src_span for p in chosen)
 
 
-def test_sample_indices_follow_source_order():
+def test_sample_constraints_follow_source_order():
+    # C_n is the n-th constraint, so the list itself must be in source order
     _, _, pairs = _pairs_for()
     cfg = SamplerConfig()
-    constraints = sample_constraints(pairs, cfg, random.Random(3))
-    assert [c.index for c in constraints] == list(range(1, len(constraints) + 1))
+    sizes = set()
+    for seed in range(20):
+        chosen = sample_phrase_pairs(pairs, cfg, random.Random(seed))
+        constraints = sample_constraints(pairs, cfg, random.Random(seed))
+        assert [p.src_span for p in chosen] == sorted(p.src_span for p in chosen)
+        assert [(c.src, c.tgt) for c in constraints] == [
+            (list(p.src_tokens), list(p.tgt_tokens)) for p in chosen
+        ]
+        sizes.add(len(chosen))
+    assert max(sizes) > 1
 
 
 def test_sample_deterministic():

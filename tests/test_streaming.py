@@ -145,7 +145,7 @@ def _whole_file_outputs(f) -> dict[str, list[str]]:
                      corpus_io.meta_record("lexical", example, i)))
     answers = corpus_io.read_token_lines(f["dir"] / "answers")
     metas = [corpus_io.parse_meta(corpus_io.json_line(meta), i + 1) for i, (*_, meta) in enumerate(enc)]
-    decoded = [decode_line("lexical", tail, meta, DEFAULT_VOCAB) for tail, meta in zip(answers, metas)]
+    decoded = [decode_line(tail, meta, DEFAULT_VOCAB) for tail, meta in zip(answers, metas)]
     tokens = lambda seqs: [corpus_io.token_line(s) for s in seqs]
     jsons = lambda records: [corpus_io.json_line(r) for r in records]
     return {
