@@ -236,7 +236,7 @@ def cmd_encode(args) -> int:
 def decode_line(tail: TokenSeq, meta: dict, vocab: ReservedVocab) -> tuple[TokenSeq, dict]:
     """Reconstruct one model output line, never raising on bad content.
 
-    ``meta`` is the line's record as corpus_io.read_meta returns it; its
+    ``meta`` is the line's record as corpus_io.parse_meta returns it; its
     ``mode`` alone names how the line decodes. A line that fails to parse
     or validate is expanded from its best-effort reading, where
     C-nonterminals with no constraint expand to nothing.
@@ -440,10 +440,14 @@ def cmd_sample(args) -> int:
 def cmd_evaluate(args) -> int:
     from .metrics import EvalRecord, score, sentence_metrics
 
+    outputs = [Path(path).resolve() for path in (args.report, args.per_sentence) if path]
+    if len(set(outputs)) < len(outputs):
+        raise UsageError("--report and --per-sentence name the same file")
     vocab = _tagged_vocab(args)
     rows = corpus_io.iter_corpus(args.hyp, args.ref, args.constraints)
     structural_mode = args.mode == "structural"
     with corpus_io.StagedOutput() as staged:
+        report_out = staged.open(args.report) if args.report else None
         rows_out = staged.open(args.per_sentence) if args.per_sentence else None
         if rows_out is not None:
             rows_out.write("\t".join(["index", *score((), structural_mode).values()]) + "\n")
@@ -462,8 +466,8 @@ def cmd_evaluate(args) -> int:
 
         report = score(itertools.starmap(line, enumerate(rows)), structural_mode)
         payload = json.dumps(report.as_dict(), indent=2, sort_keys=True)
-        if args.report:
-            staged.open(args.report).write(payload + "\n")
+        if report_out is not None:
+            report_out.write(payload + "\n")
     print(payload)
     return 0
 

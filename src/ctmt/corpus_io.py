@@ -6,18 +6,21 @@ split on ASCII whitespace runs only, so upstream tokenization is preserved
 bit for bit. Alignments use the Pharaoh ``i-j`` format with 0-based
 indices. Constraints and spans are JSON lines.
 
-Line-aligned files are read together, one line of each at a time
-(``iter_lines``), and the ``read_*`` functions are that reader run to the
-end. Commands write through ``StagedOutput``, so a failed run leaves no
-output.
+Commands read line-aligned files together, one line of each at a time
+(``iter_lines``, under ``iter_corpus`` and ``iter_bitext``), parse a meta
+record with ``parse_meta``, and write through ``StagedOutput``, so a failed
+run leaves no output. The whole-file ``read_*`` and ``write_*`` functions
+are called by no command; the traced benchmark still wraps them.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 import re
+import stat
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
 
@@ -55,12 +58,6 @@ def count_lines(path: str | Path) -> int:
     return count + (last != b"\n")
 
 
-def check_line_count(corpus_lines: int, lines: int, path: str | Path) -> None:
-    """Fail unless the file at ``path``, which has ``lines`` lines, holds one per corpus line."""
-    if lines != corpus_lines:
-        raise CorpusFormatError(f"line count mismatch {corpus_lines} vs {lines} ({path})")
-
-
 def iter_lines(*paths: str | Path) -> Iterator[tuple[str, ...]]:
     """The line-aligned files read together, one tuple of line texts at a time.
 
@@ -68,12 +65,18 @@ def iter_lines(*paths: str | Path) -> Iterator[tuple[str, ...]]:
     line whose bytes are not UTF-8 fails with the file and its 1-based line.
     Every file after the first is count-checked against it before this
     returns, so a mismatch fails before any line is read or any work done.
+    Each file is read twice, to count and for its lines, so files read
+    together must be regular files: a pipe would be empty the second time.
     """
     first, *companions = paths
     if companions:
+        for path in paths:
+            if not stat.S_ISREG(os.stat(path).st_mode):  # stat does not block on a FIFO
+                raise CorpusFormatError(f"line-aligned input is not a regular file ({path})")
         corpus_lines = count_lines(first)
         for path in companions:
-            check_line_count(corpus_lines, count_lines(path), path)
+            if (lines := count_lines(path)) != corpus_lines:
+                raise CorpusFormatError(f"line count mismatch {corpus_lines} vs {lines} ({path})")
     return _zip_lines(paths)
 
 
@@ -136,13 +139,6 @@ def read_bitext(src_path: str | Path, tgt_path: str | Path) -> list[tuple[TokenS
     return [(src, tgt) for src, tgt, _ in iter_bitext(src_path, tgt_path)]
 
 
-def write_bitext(
-    src_path: str | Path, tgt_path: str | Path, pairs: list[tuple[TokenSeq, TokenSeq]]
-) -> None:
-    write_token_lines(src_path, [x for x, _ in pairs])
-    write_token_lines(tgt_path, [y for _, y in pairs])
-
-
 def _links(line: str, lineno: int, src: TokenSeq, tgt: TokenSeq) -> set[tuple[int, int]]:
     links: set[tuple[int, int]] = set()
     for item in split_tokens(line):
@@ -160,19 +156,10 @@ def _links(line: str, lineno: int, src: TokenSeq, tgt: TokenSeq) -> set[tuple[in
 
 
 def read_alignments(
-    path: str | Path, pairs: list[tuple[TokenSeq, TokenSeq]]
+    src_path: str | Path, tgt_path: str | Path, align_path: str | Path
 ) -> list[set[tuple[int, int]]]:
     """Read Pharaoh alignments, checking indices against the paired sentences."""
-    check_line_count(len(pairs), count_lines(path), path)
-    return [
-        _links(line, lineno, src, tgt)
-        for lineno, ((line,), (src, tgt)) in enumerate(zip(iter_lines(path), pairs), start=1)
-    ]
-
-
-def write_alignments(path: str | Path, alignments: list[set[tuple[int, int]]]) -> None:
-    lines = [" ".join(f"{i}-{j}" for i, j in sorted(links)) + "\n" for links in alignments]
-    _write_lines(path, lines)
+    return [links for _, _, links in iter_bitext(src_path, tgt_path, align_path)]
 
 
 def _json_object(line: str, lineno: int) -> dict:
@@ -242,7 +229,7 @@ MODES = ("lexical", "structural")
 
 
 def meta_record(mode: str, example: SerializedExample, index: int) -> dict:
-    """The metadata record of serialized line ``index``, as read_meta returns
+    """The metadata record of serialized line ``index``, as parse_meta returns
     it: everything decode and evaluate need downstream."""
     if mode == "lexical":
         spans = [list(s) for s in example.src_spans]
@@ -254,8 +241,8 @@ def meta_record(mode: str, example: SerializedExample, index: int) -> dict:
 
 
 def parse_meta(line: str, lineno: int) -> dict:
-    """One metadata record, checking ``constraints`` (read as in
-    read_constraints), ``source_tags`` where present, and ``mode``, lexical if absent."""
+    """One metadata record, checking ``constraints`` (as a constraint file's
+    are), ``source_tags`` where present, and ``mode``, lexical if absent."""
     record = _json_object(line, lineno)
     if "constraints" in record:
         record["constraints"] = _constraint_list(record["constraints"], lineno)
@@ -263,11 +250,6 @@ def parse_meta(line: str, lineno: int) -> dict:
     if record.setdefault("mode", "lexical") not in MODES:
         raise CorpusFormatError(f"line {lineno}: mode must be one of {', '.join(MODES)}")
     return record
-
-
-def read_meta(path: str | Path) -> list[dict]:
-    """Read metadata records, each checked as parse_meta checks it."""
-    return [parse_meta(line, lineno) for lineno, (line,) in enumerate(iter_lines(path), start=1)]
 
 
 def _spans(line: str, lineno: int) -> list[tuple[Span, Span]]:
@@ -320,13 +302,6 @@ def _corpus_rows(rows, has_tgt: bool, has_constraints: bool, has_spans: bool) ->
         yield split_tokens(source), target, cons, pairs
 
 
-def read_corpus(src: str | Path, tgt=None, constraints=None, spans=None) -> tuple[list, ...]:
-    """The columns of iter_corpus read whole: sources, targets, constraint
-    sets and span pairs."""
-    rows = list(iter_corpus(src, tgt, constraints, spans))
-    return tuple([row[k] for row in rows] for k in range(4))
-
-
 def load_vocab(path: str | Path) -> ReservedVocab:
     try:
         data = json.loads(_read_text(path))
@@ -336,13 +311,6 @@ def load_vocab(path: str | Path) -> ReservedVocab:
         return ReservedVocab.from_dict(data)
     except (TypeError, ValueError) as exc:
         raise CorpusFormatError(f"invalid vocabulary manifest: {exc}") from exc
-
-
-def save_vocab(path: str | Path, vocab: ReservedVocab) -> None:
-    Path(path).write_text(
-        json.dumps(vocab.to_dict(), ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 class StagedOutput:
@@ -370,8 +338,11 @@ class StagedOutput:
         return path
 
     def open(self, path: str | Path) -> IO[str]:
-        """A text file to write what will become ``path``."""
+        """A text file to write what will become ``path``. A directory at
+        ``path`` fails here, not when the outputs are moved into place."""
         target = Path(path)
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
         staging = target.with_name(f"{target.name}.{os.getpid()}.tmp")
         fd = os.open(staging, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         self._files.append((open(fd, "w", encoding="utf-8", newline=""), staging, target))

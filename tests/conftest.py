@@ -182,6 +182,20 @@ def make_structural_corpus(n: int, seed: int, max_depth: int = 3):
 
 
 # ---------------------------------------------------------------------------
+# corpus files
+
+def write_lines(path, rows) -> str:
+    """Write each row as one LF-terminated line; the path as a string, for an argv."""
+    path.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
+    return str(path)
+
+
+def pharaoh_line(links) -> str:
+    """A sentence pair's word alignment as a Pharaoh line of sorted ``i-j`` items."""
+    return " ".join(f"{i}-{j}" for i, j in sorted(links))
+
+
+# ---------------------------------------------------------------------------
 # independent oracle: phrase extraction by full span-pair scan
 
 def brute_force_phrase_pairs(x, y, links, max_len):

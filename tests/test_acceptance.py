@@ -51,8 +51,10 @@ from conftest import (
     exhaustive_min_shift_cost,
     make_lexical_corpus,
     make_structural_corpus,
+    pharaoh_line,
     reference_ter,
     gold_constraints,
+    write_lines,
 )
 
 
@@ -67,11 +69,6 @@ class Timer:
 
 def report(number: int, label: str, seconds: float) -> None:
     print(f"ACCEPTANCE {number} PASS {label} ({seconds:.2f}s)")
-
-
-def write_lines(path, rows):
-    path.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
-    return str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +261,7 @@ def test_criterion_7_structural_suite(tmp_path, capsys):
         n = 5000
         corpus = make_structural_corpus(n, seed=77, max_depth=3)
         vocab_path = tmp_path / "vocab.json"
-        corpus_io.save_vocab(vocab_path, TAGGED_VOCAB)
+        write_lines(vocab_path, [json.dumps(TAGGED_VOCAB.to_dict())])
         src = write_lines(tmp_path / "s.src", [" ".join(x) for x, _ in corpus])
         tgt = write_lines(tmp_path / "s.tgt", [" ".join(y) for _, y in corpus])
         code = main([
@@ -357,15 +354,14 @@ def test_criterion_9_determinism_and_sharding(tmp_path, capsys):
         pairs, alignments = make_lexical_corpus(n, seed=99, max_len=16)
         src = write_lines(tmp_path / "d.src", [" ".join(x) for x, _ in pairs])
         tgt = write_lines(tmp_path / "d.tgt", [" ".join(y) for _, y in pairs])
-        align = tmp_path / "d.align"
-        corpus_io.write_alignments(align, alignments)
+        align = write_lines(tmp_path / "d.align", [pharaoh_line(links) for links in alignments])
 
         blobs = {}
         for name in ("one", "again"):
             stem = tmp_path / f"mined_{name}"
             cons, spans = f"{stem}.cons.jsonl", f"{stem}.spans.jsonl"
             assert main([
-                "sample", "--src", src, "--tgt", tgt, "--align", str(align),
+                "sample", "--src", src, "--tgt", tgt, "--align", align,
                 "--out", str(stem), "--seed", "31",
             ]) == 0
             prep_dir = tmp_path / f"prep_{name}"

@@ -41,6 +41,8 @@ from conftest import (
     TAGGED_VOCAB,
     make_lexical_corpus,
     make_structural_corpus,
+    pharaoh_line,
+    write_lines,
 )
 
 
@@ -52,11 +54,6 @@ def run(capsys, *argv):
 
 def last_json(out):
     return json.loads(out[out.index("{"):]) if "{" in out else {}
-
-
-def write_lines(path, rows):
-    path.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
-    return str(path)
 
 
 @pytest.fixture
@@ -190,7 +187,7 @@ def test_decode_counts_omissions(golden_files, capsys):
 
 def test_structural_prepare_and_roundtrip(tmp_path, capsys):
     vocab_path = tmp_path / "vocab.json"
-    corpus_io.save_vocab(vocab_path, TAGGED_VOCAB)
+    write_lines(vocab_path, [json.dumps(TAGGED_VOCAB.to_dict())])
     src = write_lines(tmp_path / "s.src", [MARKUP_SRC, "hello world"])
     tgt = write_lines(tmp_path / "s.tgt", [MARKUP_REF, "bonjour tout le monde"])
     out_dir = tmp_path / "prep"
@@ -224,7 +221,7 @@ def test_structural_prepare_and_roundtrip(tmp_path, capsys):
 
 def test_structural_encode_decode(tmp_path, capsys):
     vocab_path = tmp_path / "vocab.json"
-    corpus_io.save_vocab(vocab_path, TAGGED_VOCAB)
+    write_lines(vocab_path, [json.dumps(TAGGED_VOCAB.to_dict())])
     src = write_lines(tmp_path / "s.src", [MARKUP_SRC])
     enc_dir = tmp_path / "enc"
     code, _ = run(
@@ -258,7 +255,7 @@ def test_structural_roundtrip_with_non_ascii_space_in_tags(tmp_path, capsys):
     # only ASCII whitespace separates tokens, so a tag may hold U+00A0
     vocab_path = tmp_path / "vocab.json"
     tags = frozenset({"<a\xa0b>", "</a\xa0b>"})
-    corpus_io.save_vocab(vocab_path, ReservedVocab(registered_tags=tags))
+    write_lines(vocab_path, [json.dumps(ReservedVocab(registered_tags=tags).to_dict())])
     line = write_lines(tmp_path / "s.txt", ["<a\xa0b> x </a\xa0b> y"])
     code, out = run(
         capsys, "roundtrip", "--mode", "structural", "--vocab", str(vocab_path),
@@ -273,7 +270,7 @@ def test_structural_roundtrip_with_non_ascii_space_in_tags(tmp_path, capsys):
 
 def test_structural_evaluate(tmp_path, capsys):
     vocab_path = tmp_path / "vocab.json"
-    corpus_io.save_vocab(vocab_path, TAGGED_VOCAB)
+    write_lines(vocab_path, [json.dumps(TAGGED_VOCAB.to_dict())])
     hyp = write_lines(tmp_path / "h.txt", ["<g> b </g> <ph> a </ph>", "<ph> x"])
     ref = write_lines(tmp_path / "r.txt", ["<ph> a </ph> <g> b </g>", "<ph> x </ph>"])
     code, out = run(
@@ -293,9 +290,8 @@ def _write_sample_inputs(tmp_path, n=40, seed=3):
     pairs, alignments = make_lexical_corpus(n, seed=seed, max_len=12)
     src = write_lines(tmp_path / "c.src", [" ".join(x) for x, _ in pairs])
     tgt = write_lines(tmp_path / "c.tgt", [" ".join(y) for _, y in pairs])
-    align = tmp_path / "c.align"
-    corpus_io.write_alignments(align, alignments)
-    return src, tgt, str(align)
+    align = write_lines(tmp_path / "c.align", [pharaoh_line(links) for links in alignments])
+    return src, tgt, align
 
 
 def test_sample_outputs_are_usable(tmp_path, capsys):
@@ -427,7 +423,7 @@ def test_evaluate_claims_spans_once_per_side(tmp_path, capsys, monkeypatch):
 
 def test_structural_evaluate_per_sentence_rows_score_each_line_alone(tmp_path, capsys):
     vocab_path = tmp_path / "vocab.json"
-    corpus_io.save_vocab(vocab_path, TAGGED_VOCAB)
+    write_lines(vocab_path, [json.dumps(TAGGED_VOCAB.to_dict())])
     hyps = ["<g> b </g> <ph> a </ph>", "<ph> x y", "a c b q", ""]
     refs = ["<ph> a </ph> <g> b </g>", "<ph> x y </ph>", "a b c", "<ph> z </ph>"]
     cons = [
@@ -474,9 +470,8 @@ def _write_roundtrip_corpus(tmp_path, n=60, seed=13):
     pairs, alignments = make_lexical_corpus(n, seed=seed, max_len=14)
     src = write_lines(tmp_path / "rt.src", [" ".join(x) for x, _ in pairs])
     tgt = write_lines(tmp_path / "rt.tgt", [" ".join(y) for _, y in pairs])
-    align = tmp_path / "rt.align"
-    corpus_io.write_alignments(align, alignments)
-    return src, tgt, str(align)
+    align = write_lines(tmp_path / "rt.align", [pharaoh_line(links) for links in alignments])
+    return src, tgt, align
 
 
 def test_roundtrip_with_sampled_constraints(tmp_path, capsys):
@@ -1143,7 +1138,7 @@ def test_log_level_from_environment(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("mode", ["lexical", "structural"])
 def test_roundtrip_all_empty_corpus(tmp_path, capsys, mode):
     vocab_path = tmp_path / "vocab.json"
-    corpus_io.save_vocab(vocab_path, TAGGED_VOCAB)
+    write_lines(vocab_path, [json.dumps(TAGGED_VOCAB.to_dict())])
     src = write_lines(tmp_path / "e.src", [""])
     tgt = write_lines(tmp_path / "e.tgt", [""])
     code, out = run(
@@ -1362,6 +1357,32 @@ def test_every_line_aligned_input_is_count_checked(tmp_path, capsys, companion):
     assert not Path(out).exists() and not list(tmp_path.glob("out.*"))
 
 
+def _pipe(data: bytes) -> int:
+    """The read end of a pipe that holds ``data`` and whose write end is closed."""
+    r, w = os.pipe()
+    os.write(w, data)
+    os.close(w)
+    return r
+
+
+def test_a_pipe_is_read_alone_but_not_with_other_files(tmp_path, capsys):
+    # counting the lines of a pipe drains it: read beside another file, it would read as empty
+    r = _pipe(b"a\n")
+    try:
+        assert main(["encode", "--src", f"/dev/fd/{r}", "--out-dir", str(tmp_path / "enc")]) == 0
+    finally:
+        os.close(r)
+    r = _pipe(b"<Y_0> <sep> <Y_0> x\n")
+    try:
+        capsys.readouterr()
+        assert main(["decode", "--encode-dir", str(tmp_path / "enc"), "--model-output", f"/dev/fd/{r}",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    finally:
+        os.close(r)
+    assert capsys.readouterr().err == f"ctmt: line-aligned input is not a regular file (/dev/fd/{r})\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _latin1(tmp_path):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"ok\ncaf\xe9\n")
@@ -1402,10 +1423,13 @@ def _latin1(tmp_path):
                     "--ref", write_lines(d / "r", ["a <b> c </b>"]),
                     "--vocab", write_lines(d / "v", ['{"registered_tags": []}'])],
          1, "--mode structural needs a --vocab with registered tags"),
+        (lambda d: ["evaluate", "--report", str(d / "out"), "--per-sentence", str(d / "out"),
+                    "--hyp", write_lines(d / "h", ["a"]), "--ref", write_lines(d / "r", ["a"])],
+         1, "--report and --per-sentence name the same file"),
     ],
     ids=["latin1-source", "latin1-ref", "surrogate-constraint", "surrogate-vocab",
          "structural-constraints", "decode-two-sources", "structural-no-vocab",
-         "structural-tagless-vocab"],
+         "structural-tagless-vocab", "evaluate-one-file-twice"],
 )
 def test_rejected_inputs_write_no_output(tmp_path, capsys, make_argv, code, message):
     argv = make_argv(tmp_path)
@@ -1464,7 +1488,7 @@ def test_structural_prepare_segments_each_sentence_once(tmp_path, capsys, monkey
 
     monkeypatch.setattr(structural_mod, "segment_tagged", counting)
     vocab_path = tmp_path / "vocab.json"
-    corpus_io.save_vocab(vocab_path, TAGGED_VOCAB)
+    write_lines(vocab_path, [json.dumps(TAGGED_VOCAB.to_dict())])
     src = write_lines(tmp_path / "s.src", [MARKUP_SRC, "hello world"])
     tgt = write_lines(tmp_path / "s.tgt", [MARKUP_REF, "bonjour tout le monde"])
     code, _ = run(

@@ -1,9 +1,13 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ctmt import ConstraintPair, CorpusFormatError, ReservedVocab
 from ctmt import corpus_io
+
+from conftest import pharaoh_line, write_lines
 
 
 def _write(path, text):
@@ -14,20 +18,25 @@ def _write(path, text):
 def test_read_bitext_splits_on_whitespace(tmp_path):
     src = _write(tmp_path / "a.src", "a b\n")
     tgt = _write(tmp_path / "a.tgt", "x y z\n")
-    assert corpus_io.read_bitext(src, tgt) == [(["a", "b"], ["x", "y", "z"])]
+    assert list(corpus_io.iter_bitext(src, tgt)) == [(["a", "b"], ["x", "y", "z"], None)]
 
 
 def test_read_bitext_empty_lines(tmp_path):
     src = _write(tmp_path / "a.src", "\n")
     tgt = _write(tmp_path / "a.tgt", "\n")
-    assert corpus_io.read_bitext(src, tgt) == [([], [])]
+    assert list(corpus_io.iter_bitext(src, tgt)) == [([], [], None)]
 
 
 def test_read_bitext_line_count_mismatch(tmp_path):
     src = _write(tmp_path / "a.src", "a\nb\n")
     tgt = _write(tmp_path / "a.tgt", "x\ny\nz\n")
-    with pytest.raises(CorpusFormatError, match="line count mismatch 2 vs 3"):
-        corpus_io.read_bitext(src, tgt)
+    with pytest.raises(CorpusFormatError) as info:
+        next(corpus_io.iter_bitext(src, tgt))
+    assert str(info.value) == f"line count mismatch 2 vs 3 ({tgt})"
+    align = _write(tmp_path / "a.align", "0-0\n")
+    with pytest.raises(CorpusFormatError) as info:
+        next(corpus_io.iter_bitext(src, src, align))
+    assert str(info.value) == f"line count mismatch 2 vs 1 ({align})"
 
 
 def test_read_bitext_trailing_newline_optional(tmp_path):
@@ -36,42 +45,45 @@ def test_read_bitext_trailing_newline_optional(tmp_path):
     assert with_nl == without == [["a", "b"], ["c"]]
 
 
+def _links(tmp_path, src: str, tgt: str, align: str):
+    """The links iter_bitext reads from a one-line bitext and its alignment line."""
+    files = [_write(tmp_path / f"a.{ext}", text + "\n")
+             for ext, text in (("src", src), ("tgt", tgt), ("align", align))]
+    return [links for _, _, links in corpus_io.iter_bitext(*files)]
+
+
 def test_read_alignments(tmp_path):
-    path = _write(tmp_path / "a.align", "0-0 1-2\n")
-    pairs = [(["a", "b"], ["x", "y", "z"])]
-    assert corpus_io.read_alignments(path, pairs) == [{(0, 0), (1, 2)}]
+    files = [_write(tmp_path / name, text) for name, text in
+             (("a.src", "a b\nc\n"), ("a.tgt", "x y z\nw\n"), ("a.align", "0-0 1-2\n\n"))]
+    assert corpus_io.read_alignments(*files) == [{(0, 0), (1, 2)}, set()]
 
 
 def test_read_alignments_empty_line(tmp_path):
-    path = _write(tmp_path / "a.align", "\n")
-    assert corpus_io.read_alignments(path, [(["a"], ["b"])]) == [set()]
+    assert _links(tmp_path, "a", "b", "") == [set()]
 
 
 def test_read_alignments_duplicates_collapse(tmp_path):
-    path = _write(tmp_path / "a.align", "0-0 0-0\n")
-    assert corpus_io.read_alignments(path, [(["a"], ["b"])]) == [{(0, 0)}]
+    assert _links(tmp_path, "a", "b", "0-0 0-0") == [{(0, 0)}]
 
 
 @pytest.mark.parametrize("line", ["x-1", "1--2", "1-", "1_2", "1-2-3"])
 def test_read_alignments_malformed(tmp_path, line):
-    path = _write(tmp_path / "a.align", line + "\n")
-    with pytest.raises(CorpusFormatError, match="line 1"):
-        corpus_io.read_alignments(path, [(["a", "b"], ["x", "y", "z"])])
+    with pytest.raises(CorpusFormatError, match="line 1: malformed alignment item"):
+        _links(tmp_path, "a b", "x y z", line)
 
 
 @pytest.mark.parametrize("item", ["\u00b2-0", "\u0661-\u0660", "0-\uff11", "+1-0", "1-0\u200b"])
 def test_read_alignments_accepts_only_ascii_digits(tmp_path, item):
     # str.isdigit admits superscripts and other scripts' digits
-    path = _write(tmp_path / "a.align", "0-0 " + item + "\n")
     with pytest.raises(CorpusFormatError) as info:
-        corpus_io.read_alignments(path, [(["a", "b"], ["x", "y", "z"])])
+        _links(tmp_path, "a b", "x y z", "0-0 " + item)
     assert str(info.value) == f"line 1: malformed alignment item {item!r}"
 
 
 def test_read_alignments_out_of_bounds(tmp_path):
-    path = _write(tmp_path / "a.align", "5-0\n")
-    with pytest.raises(CorpusFormatError, match="out of bounds"):
-        corpus_io.read_alignments(path, [(["a", "b"], ["x"])])
+    with pytest.raises(CorpusFormatError) as info:
+        _links(tmp_path, "a b", "x", "5-0")
+    assert str(info.value) == "line 1: link 5-0 out of bounds for 2x1 sentence pair"
 
 
 def test_read_constraints(tmp_path):
@@ -148,41 +160,39 @@ def test_spans_round_trip(tmp_path):
 
 def test_alignments_round_trip(tmp_path):
     alignments = [{(0, 0), (1, 2)}, set(), {(2, 1)}]
-    pairs = [(["a", "b", "c"], ["x", "y", "z"])] * 3
-    path = tmp_path / "a.align"
-    corpus_io.write_alignments(path, alignments)
-    assert corpus_io.read_alignments(path, pairs) == alignments
+    src = write_lines(tmp_path / "a.src", ["a b c"] * 3)
+    tgt = write_lines(tmp_path / "a.tgt", ["x y z"] * 3)
+    align = write_lines(tmp_path / "a.align", [pharaoh_line(links) for links in alignments])
+    assert [links for _, _, links in corpus_io.iter_bitext(src, tgt, align)] == alignments
 
 
 def test_bitext_round_trip(tmp_path):
     pairs = [(["a", "b"], ["x"]), ([], []), (["αβ", "汉字"], ["ß"])]
-    corpus_io.write_bitext(tmp_path / "r.src", tmp_path / "r.tgt", pairs)
-    assert corpus_io.read_bitext(tmp_path / "r.src", tmp_path / "r.tgt") == pairs
+    src = write_lines(tmp_path / "r.src", [corpus_io.join_tokens(x) for x, _ in pairs])
+    tgt = write_lines(tmp_path / "r.tgt", [corpus_io.join_tokens(y) for _, y in pairs])
+    assert [(x, y) for x, y, _ in corpus_io.iter_bitext(src, tgt)] == pairs
 
 
 def test_vocab_manifest_round_trip(tmp_path):
     vocab = ReservedVocab(max_index=12, registered_tags=frozenset({"<ph>", "</ph>"}))
-    path = tmp_path / "vocab.json"
-    corpus_io.save_vocab(path, vocab)
+    path = write_lines(tmp_path / "vocab.json", [json.dumps(vocab.to_dict())])
     assert corpus_io.load_vocab(path) == vocab
 
 
-def test_meta_round_trip(tmp_path):
+def test_meta_round_trip():
     lexical = {"mode": "lexical", "index": 0, "src_spans": [[0, 1]],
                "constraints": [ConstraintPair(["a"], ["x", "y"])]}
     structural = {"mode": "structural", "index": 1, "source_tags": ["<b>", "</b>"]}
-    path = tmp_path / "m.meta.jsonl"
-    corpus_io.write_jsonl(path, [lexical, structural])
-    assert path.read_text(encoding="utf-8").splitlines() == [
+    lines = [corpus_io.json_line(record) for record in (lexical, structural)]
+    assert lines == [
         '{"constraints": [{"src": ["a"], "tgt": ["x", "y"]}], "index": 0, '
-        '"mode": "lexical", "src_spans": [[0, 1]]}',
-        '{"index": 1, "mode": "structural", "source_tags": ["<b>", "</b>"]}',
+        '"mode": "lexical", "src_spans": [[0, 1]]}\n',
+        '{"index": 1, "mode": "structural", "source_tags": ["<b>", "</b>"]}\n',
     ]
-    assert corpus_io.read_meta(path) == [lexical, structural]
+    assert [corpus_io.parse_meta(line, 1) for line in lines] == [lexical, structural]
 
 
-
-def test_meta_record_is_what_read_meta_returns(tmp_path):
+def test_meta_record_is_what_parse_meta_returns():
     from ctmt import DEFAULT_VOCAB, build_inference_input, build_structural_pair
 
     lexical = build_inference_input(["a", "b"], [ConstraintPair(["b"], ["y"])], vocab=DEFAULT_VOCAB)
@@ -192,47 +202,43 @@ def test_meta_record_is_what_read_meta_returns(tmp_path):
         corpus_io.meta_record("lexical", lexical, 0),
         corpus_io.meta_record("structural", structural, 1),
     ]
-    path = tmp_path / "m.meta.jsonl"
-    corpus_io.write_jsonl(path, records)
-    assert corpus_io.read_meta(path) == records == [
+    parsed = [corpus_io.parse_meta(corpus_io.json_line(r), n) for n, r in enumerate(records, 1)]
+    assert parsed == records == [
         {"mode": "lexical", "index": 0, "src_spans": [[1, 2]],
          "constraints": [ConstraintPair(["b"], ["y"])]},
         {"mode": "structural", "index": 1, "source_tags": ["<b>", "</b>"],
          "target_tags": ["<b>", "</b>"]},
     ]
     # a record without a mode reads as lexical
-    corpus_io.write_jsonl(path, [{"index": 0}])
-    assert corpus_io.read_meta(path) == [{"index": 0, "mode": "lexical"}]
+    assert corpus_io.parse_meta('{"index": 0}', 1) == {"index": 0, "mode": "lexical"}
 
 
-def test_read_corpus_without_companion_files(tmp_path):
+def test_iter_corpus_without_companion_files(tmp_path):
     src = _write(tmp_path / "a.src", "a b\n\nc\n")
-    assert corpus_io.read_corpus(src) == (
-        [["a", "b"], [], ["c"]], [[], [], []], [[], [], []], [None, None, None]
-    )
+    assert list(corpus_io.iter_corpus(src)) == [
+        (["a", "b"], [], [], None), ([], [], [], None), (["c"], [], [], None)
+    ]
 
 
-def test_read_corpus_reads_every_companion_file(tmp_path):
+def test_iter_corpus_reads_every_companion_file(tmp_path):
     src = _write(tmp_path / "a.src", "a b\nc\n")
     tgt = _write(tmp_path / "a.tgt", "x\ny z\n")
     cons = _write(tmp_path / "a.cons.jsonl",
                   '{"constraints": [{"src": ["b"], "tgt": ["x"]}]}\n{"constraints": []}\n')
     spans = _write(tmp_path / "a.spans.jsonl",
                    '{"spans": [{"src": [1, 2], "tgt": [0, 1]}]}\n{"spans": []}\n')
-    assert corpus_io.read_corpus(src, tgt, cons, spans) == (
-        [["a", "b"], ["c"]],
-        [["x"], ["y", "z"]],
-        [[ConstraintPair(["b"], ["x"])], []],
-        [[((1, 2), (0, 1))], []],
-    )
+    assert list(corpus_io.iter_corpus(src, tgt, cons, spans)) == [
+        (["a", "b"], ["x"], [ConstraintPair(["b"], ["x"])], [((1, 2), (0, 1))]),
+        (["c"], ["y", "z"], [], []),
+    ]
 
 
-def test_read_corpus_needs_one_span_per_constraint(tmp_path):
+def test_iter_corpus_needs_one_span_per_constraint(tmp_path):
     src = _write(tmp_path / "a.src", "a b\n")
     cons = _write(tmp_path / "a.cons.jsonl", '{"constraints": [{"src": ["b"], "tgt": ["x"]}]}\n')
     spans = _write(tmp_path / "a.spans.jsonl", '{"spans": []}\n')
     with pytest.raises(CorpusFormatError, match="line 1: 0 spans for 1 constraints"):
-        corpus_io.read_corpus(src, constraints=cons, spans=spans)
+        next(corpus_io.iter_corpus(src, constraints=cons, spans=spans))
 
 
 @pytest.mark.parametrize(
@@ -251,13 +257,17 @@ def test_bytes_that_are_not_utf8_name_file_and_line(tmp_path, reader):
     [
         (corpus_io.read_constraints, '{"constraints": [{"src": ["a"], "tgt": ["\\ud800"]}]}', "tgt"),
         (corpus_io.read_constraints, '{"constraints": [{"src": ["\\udfff"], "tgt": ["x"]}]}', "src"),
-        (corpus_io.read_meta, '{"source_tags": ["<\\ud800>"]}', "source_tags"),
     ],
 )
 def test_lone_surrogate_escapes_are_rejected(tmp_path, reader, line, field):
     path = _write(tmp_path / "a.jsonl", '{"constraints": []}\n' + line + "\n")
     with pytest.raises(CorpusFormatError, match=f"line 2: {field} holds a lone surrogate"):
         reader(path)
+
+
+def test_meta_source_tags_reject_a_lone_surrogate_escape():
+    with pytest.raises(CorpusFormatError, match="line 2: source_tags holds a lone surrogate"):
+        corpus_io.parse_meta('{"source_tags": ["<\\ud800>"]}', 2)
 
 
 token_st = st.text(

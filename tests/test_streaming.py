@@ -18,12 +18,7 @@ from ctmt import corpus_io, lexical
 from ctmt.cli import CHUNK_LINES, decode_line, main
 from ctmt.vocab import DEFAULT_VOCAB
 
-from conftest import KEYED_TRANSLATOR, make_lexical_corpus
-
-
-def write_lines(path, rows):
-    path.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
-    return str(path)
+from conftest import KEYED_TRANSLATOR, make_lexical_corpus, pharaoh_line, write_lines
 
 
 def _fresh_interpreter(code: str):
@@ -85,12 +80,11 @@ def _corpus(tmp_path, n):
     files = {
         "src": write_lines(d / "c.src", [" ".join(x) for x, _ in pairs]),
         "tgt": write_lines(d / "c.tgt", [" ".join(y) for _, y in pairs]),
-        "align": d / "c.align",
+        "align": write_lines(d / "c.align", [pharaoh_line(links) for links in alignments]),
     }
-    corpus_io.write_alignments(files["align"], alignments)
     stem = str(d / "mined")
     assert main(["sample", "--src", files["src"], "--tgt", files["tgt"],
-                 "--align", str(files["align"]), "--out", stem, "--seed", "3"]) == 0
+                 "--align", files["align"], "--out", stem, "--seed", "3"]) == 0
     files.update(cons=stem + ".cons.jsonl", spans=stem + ".spans.jsonl", dir=d)
     return files
 
@@ -133,10 +127,9 @@ def _checking_stages(f):
 
 
 def _whole_file_outputs(f) -> dict[str, list[str]]:
-    """Every output of _stages, made from whole-file reads by the library functions."""
-    src, tgt, cons, spans = corpus_io.read_corpus(f["src"], f["tgt"], f["cons"], f["spans"])
+    """Every output of _stages, made line by line by the library functions."""
     train, enc = [], []
-    for i, (x, y, c, s) in enumerate(zip(src, tgt, cons, spans)):
+    for i, (x, y, c, s) in enumerate(corpus_io.iter_corpus(f["src"], f["tgt"], f["cons"], f["spans"])):
         src_spans, tgt_spans = [a for a, _ in s], [b for _, b in s]
         pair = lexical.build_training_pair(x, y, c, tgt_spans, vocab=DEFAULT_VOCAB, src_spans=src_spans)
         train.append((pair.encoder_input, pair.target_output, corpus_io.meta_record("lexical", pair, i)))
@@ -254,6 +247,16 @@ def test_a_failure_mid_stream_writes_nothing(tmp_path, capsys, make_argv, earlie
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     else:
         assert not (tmp_path / "out").exists()
+
+
+def test_a_directory_at_an_output_path_fails_before_any_output_moves(tmp_path, capsys):
+    src = write_lines(tmp_path / "s.src", ["a"])
+    tgt = write_lines(tmp_path / "s.tgt", ["x"])
+    out = tmp_path / "out"
+    (out / "train.meta.jsonl").mkdir(parents=True)
+    assert main(["prepare", "--src", src, "--tgt", tgt, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"ctmt: [Errno 21] Is a directory: '{out / 'train.meta.jsonl'}'\n"
+    assert [p.name for p in out.iterdir()] == ["train.meta.jsonl"]
 
 
 # ---------------------------------------------------------------------------
