@@ -9,14 +9,13 @@ import argparse
 import contextlib
 import itertools
 import json
-import logging
 import math
 import os
 import sys
 import time
 from pathlib import Path
 
-from . import corpus_io, lexical
+from . import _log, corpus_io, lexical
 from .errors import CorpusFormatError, CtmtError, OutputParseError
 from .types import SerializedExample, TemplateVerdict, TokenSeq
 from .vocab import DEFAULT_VOCAB, ReservedVocab
@@ -24,7 +23,7 @@ from .vocab import DEFAULT_VOCAB, ReservedVocab
 # mining, metrics and structural are imported by the commands and modes that
 # use them, so that a command loads only what it runs
 
-log = logging.getLogger("ctmt.cli")  # not __name__, which is "__main__" under python -m
+log = _log.Logger("ctmt.cli")  # not __name__, which is "__main__" under python -m
 
 
 class UsageError(Exception):
@@ -691,14 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("CTMT_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-
-
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
+    _log.configure(os.environ.get("CTMT_LOG"))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,20 +10,18 @@ tag sequence equals the reference's.
 
 from __future__ import annotations
 
-import logging
 import math
 from array import array
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from itertools import accumulate
 
+from ._log import Logger
 from .lexical import claim_spans, occurrences
-from .structural import tag_sequence, tags_well_formed
-from .types import ConstraintPair, Span, TokenSeq
+from .types import ConstraintPair, Span, TokenSeq, Value
 from .vocab import ReservedVocab
 
-log = logging.getLogger(__name__)
+log = Logger(__name__)
 
 # Shifted substrings are capped at this many tokens, as in standard TER.
 MAX_SHIFT_LEN = 10
@@ -33,46 +31,78 @@ MAX_NGRAM = 4
 WINDOW = 2
 
 
-@dataclass
-class EvalRecord:
-    hypothesis: TokenSeq
-    reference: TokenSeq
-    constraints: list[ConstraintPair] = field(default_factory=list)
+class EvalRecord(Value):
+    __slots__ = FIELDS = ("hypothesis", "reference", "constraints")
+
+    def __init__(
+        self, hypothesis: TokenSeq, reference: TokenSeq,
+        constraints: list[ConstraintPair] | None = None,
+    ) -> None:
+        self.hypothesis = hypothesis
+        self.reference = reference
+        self.constraints = [] if constraints is None else constraints
 
 
-@dataclass
-class MetricReport:
-    bleu: float
-    exact_match: float
-    window_overlap: float
-    one_minus_term: float
-    structure_correct: float | None = None
-    structure_match: float | None = None
+class MetricReport(Value):
+    __slots__ = FIELDS = (
+        "bleu", "exact_match", "window_overlap", "one_minus_term",
+        "structure_correct", "structure_match",
+    )
+
+    def __init__(
+        self, bleu: float, exact_match: float, window_overlap: float, one_minus_term: float,
+        structure_correct: float | None = None, structure_match: float | None = None,
+    ) -> None:
+        self.bleu = bleu
+        self.exact_match = exact_match
+        self.window_overlap = window_overlap
+        self.one_minus_term = one_minus_term
+        self.structure_correct = structure_correct
+        self.structure_match = structure_match
 
     def values(self) -> dict[str, float]:
         """The metrics computed, unrounded, in field order."""
-        return {name: value for name, value in vars(self).items() if value is not None}
+        return {name: value for name in self.FIELDS if (value := getattr(self, name)) is not None}
 
     def as_dict(self) -> dict:
         return {name: round(value, 4) for name, value in self.values().items()}
 
 
-@dataclass
-class SentenceStats:
+class SentenceStats(Value):
     """One record's sufficient statistics: ``score`` turns those of any set
     of records, a corpus or one line, into that set's metrics."""
 
-    ngram_matches: list[int]  # clipped, per n-gram order
-    ngram_totals: list[int]
-    hyp_len: int
-    ref_len: int
-    phrases_found: int
-    phrases_required: int
-    window_scores: list[float]  # one per phrase; concatenated, never summed, across records
-    term_edits: int
-    term_ref_weight: int
-    well_formed: bool | None = None  # structure flags, in structural mode only
-    tags_match: bool | None = None
+    __slots__ = FIELDS = (
+        "ngram_matches", "ngram_totals", "hyp_len", "ref_len", "phrases_found",
+        "phrases_required", "window_scores", "term_edits", "term_ref_weight",
+        "well_formed", "tags_match",
+    )
+
+    def __init__(
+        self,
+        ngram_matches: list[int],  # clipped, per n-gram order
+        ngram_totals: list[int],
+        hyp_len: int,
+        ref_len: int,
+        phrases_found: int,
+        phrases_required: int,
+        window_scores: list[float],  # one per phrase; concatenated, never summed, across records
+        term_edits: int,
+        term_ref_weight: int,
+        well_formed: bool | None = None,  # structure flags, in structural mode only
+        tags_match: bool | None = None,
+    ) -> None:
+        self.ngram_matches = ngram_matches
+        self.ngram_totals = ngram_totals
+        self.hyp_len = hyp_len
+        self.ref_len = ref_len
+        self.phrases_found = phrases_found
+        self.phrases_required = phrases_required
+        self.window_scores = window_scores
+        self.term_edits = term_edits
+        self.term_ref_weight = term_ref_weight
+        self.well_formed = well_formed
+        self.tags_match = tags_match
 
 
 def _percent(part: float, whole: int) -> float:
@@ -336,6 +366,8 @@ def bleu(records: list[EvalRecord]) -> float:
 
 
 def _structure_flags(r: EvalRecord, vocab: ReservedVocab) -> tuple[bool, bool]:
+    from .structural import tag_sequence, tags_well_formed  # loaded by structural mode only
+
     hyp_tags = tag_sequence(r.hypothesis, vocab)
     return tags_well_formed(hyp_tags, vocab), hyp_tags == tag_sequence(r.reference, vocab)
 

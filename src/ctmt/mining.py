@@ -9,35 +9,41 @@ Constraint sets are then drawn per sentence with a seeded generator.
 
 from __future__ import annotations
 
-import logging
 import random
-from dataclasses import dataclass
 
-from .types import ConstraintPair, Span, TokenSeq, disjoint
+from ._log import Logger
+from .types import ConstraintPair, FrozenValue, Span, TokenSeq, disjoint
 
-log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class PhrasePair:
-    src_span: Span
-    tgt_span: Span
-    src_tokens: tuple[str, ...]
-    tgt_tokens: tuple[str, ...]
+log = Logger(__name__)
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    max_constraints: int = 3
-    min_len: int = 1
-    max_len: int = 3
-    rng_seed: int = 0
+class PhrasePair(FrozenValue):
+    __slots__ = FIELDS = ("src_span", "tgt_span", "src_tokens", "tgt_tokens")
 
-    def __post_init__(self) -> None:
-        if self.max_constraints < 0:
+    def __init__(
+        self, src_span: Span, tgt_span: Span,
+        src_tokens: tuple[str, ...], tgt_tokens: tuple[str, ...],
+    ) -> None:
+        object.__setattr__(self, "src_span", src_span)
+        object.__setattr__(self, "tgt_span", tgt_span)
+        object.__setattr__(self, "src_tokens", src_tokens)
+        object.__setattr__(self, "tgt_tokens", tgt_tokens)
+
+
+class SamplerConfig(FrozenValue):
+    __slots__ = FIELDS = ("max_constraints", "min_len", "max_len", "rng_seed")
+
+    def __init__(
+        self, max_constraints: int = 3, min_len: int = 1, max_len: int = 3, rng_seed: int = 0
+    ) -> None:
+        if max_constraints < 0:
             raise ValueError("max_constraints must be non-negative")
-        if not (1 <= self.min_len <= self.max_len):
+        if not (1 <= min_len <= max_len):
             raise ValueError("lengths must satisfy 1 <= min_len <= max_len")
+        object.__setattr__(self, "max_constraints", max_constraints)
+        object.__setattr__(self, "min_len", min_len)
+        object.__setattr__(self, "max_len", max_len)
+        object.__setattr__(self, "rng_seed", rng_seed)
 
 
 def extract_phrase_pairs(

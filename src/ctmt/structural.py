@@ -10,9 +10,9 @@ nests properly and recalls exactly the source tags.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 
+from ._log import Logger
 from .types import (
     DerivationTable,
     Nonterminal,
@@ -25,7 +25,7 @@ from .types import (
 from .lexical import read_output, reconstruct, render_side, strict
 from .vocab import ReservedVocab
 
-log = logging.getLogger(__name__)
+log = Logger(__name__)
 
 
 def segment_tagged(x: TokenSeq, vocab: ReservedVocab) -> tuple[list[str], list[TokenSeq]]:

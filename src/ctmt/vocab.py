@@ -10,56 +10,51 @@ only when ``</name>`` is registered too, and every other registered symbol
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 from .errors import CapacityError, ReservedTokenError
-from .types import ASCII_WHITESPACE, LONE_SURROGATE, Nonterminal, TokenSeq
+from .types import ASCII_WHITESPACE, LONE_SURROGATE, FrozenValue, Nonterminal, TokenSeq
 
-# A registered tag holds no ASCII whitespace (__post_init__ checks it).
+# A registered tag holds no ASCII whitespace (__init__ checks it).
 _OPEN_RE = re.compile(r"^<([^<>/]+)>$")
 _CLOSE_RE = re.compile(r"^</([^<>/]+)>$")
 
 
-@dataclass(frozen=True)
-class ReservedVocab:
-    sep_token: str = "<sep>"
-    x_prefix: str = "X"
-    y_prefix: str = "Y"
-    c_prefix: str = "C"
-    max_index: int = 64
-    registered_tags: frozenset[str] = field(default_factory=frozenset)
+class ReservedVocab(FrozenValue):
+    FIELDS = ("sep_token", "x_prefix", "y_prefix", "c_prefix", "max_index", "registered_tags")
+    __slots__ = (*FIELDS, "_nt_pattern", "_kind_by_prefix", "_prefix_by_kind")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "registered_tags", frozenset(self.registered_tags))
-        if self.max_index < 1:
+    def __init__(
+        self,
+        sep_token: str = "<sep>",
+        x_prefix: str = "X",
+        y_prefix: str = "Y",
+        c_prefix: str = "C",
+        max_index: int = 64,
+        registered_tags: frozenset[str] = frozenset(),
+    ) -> None:
+        registered_tags = frozenset(registered_tags)
+        for name, value in zip(
+            self.FIELDS, (sep_token, x_prefix, y_prefix, c_prefix, max_index, registered_tags)
+        ):
+            object.__setattr__(self, name, value)
+        if max_index < 1:
             raise ValueError("max_index must be positive")
-        prefixes = (self.x_prefix, self.y_prefix, self.c_prefix)
+        prefixes = (x_prefix, y_prefix, c_prefix)
         if len(set(prefixes)) != 3:
             raise ValueError("nonterminal prefixes must be pairwise distinct")
-        for surface in (self.sep_token, *prefixes, *self.registered_tags):
+        for surface in (sep_token, *prefixes, *registered_tags):
             if not surface or ASCII_WHITESPACE.search(surface):
                 raise ValueError(f"reserved surface form {surface!r} must be a single token")
-        if self._nt_pattern.match(self.sep_token):
+        alts = "|".join(re.escape(p) for p in prefixes)
+        nt_pattern = re.compile(rf"^<({alts})_(0|[1-9][0-9]*)>$")
+        object.__setattr__(self, "_nt_pattern", nt_pattern)
+        object.__setattr__(self, "_kind_by_prefix", {x_prefix: "X", y_prefix: "Y", c_prefix: "C"})
+        object.__setattr__(self, "_prefix_by_kind", {"X": x_prefix, "Y": y_prefix, "C": c_prefix})
+        if nt_pattern.match(sep_token):
             raise ValueError("separator token collides with a nonterminal spelling")
-        for tag in self.registered_tags:
-            if tag == self.sep_token or self._nt_pattern.match(tag):
+        for tag in registered_tags:
+            if tag == sep_token or nt_pattern.match(tag):
                 raise ValueError(f"registered tag {tag!r} collides with a reserved token")
-
-    @cached_property
-    def _nt_pattern(self) -> re.Pattern[str]:
-        alts = "|".join(
-            re.escape(p) for p in (self.x_prefix, self.y_prefix, self.c_prefix)
-        )
-        return re.compile(rf"^<({alts})_(0|[1-9][0-9]*)>$")
-
-    @cached_property
-    def _kind_by_prefix(self) -> dict[str, str]:
-        return {self.x_prefix: "X", self.y_prefix: "Y", self.c_prefix: "C"}
-
-    @cached_property
-    def _prefix_by_kind(self) -> dict[str, str]:
-        return {"X": self.x_prefix, "Y": self.y_prefix, "C": self.c_prefix}
 
     def render(self, nt: Nonterminal) -> str:
         if nt.index > self.max_index:
@@ -104,7 +99,7 @@ class ReservedVocab:
 
     def to_dict(self) -> dict:
         """Every field, as from_dict reads it back; the tags sorted."""
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data = {name: getattr(self, name) for name in self.FIELDS}
         return {**data, "registered_tags": sorted(self.registered_tags)}
 
     @classmethod
@@ -116,7 +111,7 @@ class ReservedVocab:
         and unknown keys are ignored."""
         if not isinstance(data, dict):
             raise ValueError("expected a JSON object")
-        given = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        given = {name: data[name] for name in cls.FIELDS if name in data}
         for name, value in given.items():
             if name == "max_index":
                 if type(value) is not int:

@@ -1107,20 +1107,56 @@ def test_console_script_entry_point(tmp_path):
     assert result.stderr.startswith("usage: ctmt")
 
 
-def test_cli_logs_under_its_module_name_when_run_as_main(tmp_path):
+def _run_module(tmp_path, *argv, log_level=None):
+    """``python -m ctmt.cli argv`` in a new interpreter, with CTMT_LOG set to
+    ``log_level`` or unset."""
     import ctmt
 
+    env = {**os.environ, "PYTHONPATH": str(Path(ctmt.__file__).resolve().parents[1])}
+    env.pop("CTMT_LOG", None)
+    if log_level is not None:
+        env["CTMT_LOG"] = log_level
+    return subprocess.run(
+        [sys.executable, "-m", "ctmt.cli", *argv], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+
+
+def _skipping_roundtrip(tmp_path, log_level):
+    """A roundtrip run whose one line is skipped."""
     src = write_lines(tmp_path / "l.src", ["p r"])
     tgt = write_lines(tmp_path / "l.tgt", ["x y"])
     cons = write_lines(tmp_path / "l.cons.jsonl", [json.dumps({"constraints": [{"src": ["q"], "tgt": ["x"]}]})])
-    package_root = str(Path(ctmt.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-m", "ctmt.cli", "roundtrip", "--src", src, "--tgt", tgt, "--constraints", cons],
-        capture_output=True, text=True, cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": package_root, "CTMT_LOG": "WARNING"},
-    )
+    return _run_module(tmp_path, "roundtrip", "--src", src, "--tgt", tgt, "--constraints", cons,
+                       log_level=log_level)
+
+
+def test_cli_logs_under_its_module_name_when_run_as_main(tmp_path):
+    result = _skipping_roundtrip(tmp_path, "WARNING")
     assert result.returncode == 0
     assert result.stderr.startswith("WARNING ctmt.cli: line 1 skipped: ")
+
+
+@pytest.mark.parametrize("log_level", [None, "warning", "verbose", "basic_format"])
+def test_a_skipped_line_is_logged_alone_on_stderr(tmp_path, log_level):
+    # unset, logging loads with the first record; BASIC_FORMAT, a constant of
+    # the logging module that names no level, reads as an unknown name does
+    result = _skipping_roundtrip(tmp_path, log_level)
+    assert result.returncode == 0
+    assert result.stderr == "WARNING ctmt.cli: line 1 skipped: constraint phrase 'q' has no available occurrence\n"
+
+
+@pytest.mark.parametrize("log_level", [None, "DEBUG"])
+def test_debug_level_shows_the_sampler_shortfall(tmp_path, log_level):
+    src = write_lines(tmp_path / "s.src", ["a"] * 3)
+    tgt = write_lines(tmp_path / "s.tgt", ["b"] * 3)
+    align = write_lines(tmp_path / "s.align", ["0-0"] * 3)
+    result = _run_module(tmp_path, "sample", "--src", src, "--tgt", tgt, "--align", align,
+                         "--out", str(tmp_path / "s"), "--seed", "1", log_level=log_level)
+    assert result.returncode == 0
+    if log_level is None:
+        assert result.stderr == ""
+    else:
+        assert result.stderr.startswith("DEBUG ctmt.mining: wanted 3 constraints but only 1 disjoint candidates\n")
 
 
 def test_log_level_from_environment(tmp_path, capsys, monkeypatch):

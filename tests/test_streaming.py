@@ -29,6 +29,11 @@ def _fresh_interpreter(code: str):
     return json.loads(run.stdout)
 
 
+# What no command loads at start: the value classes are plain classes, logging
+# is imported with the first record, and the structural code by structural mode.
+START_UP_FREE = {"dataclasses", "inspect", "logging", "traceback", "ctmt.structural"}
+
+
 def test_importing_the_cli_loads_no_process_machinery():
     # subprocess, shlex and concurrent.futures are imported on the decode path
     # only, the metrics by evaluate and roundtrip only, and mining by sample only
@@ -42,6 +47,26 @@ def test_importing_the_cli_loads_no_process_machinery():
     ))
     assert "ctmt.cli" in added
     assert not added & {"subprocess", "concurrent.futures", "tempfile", "ctmt.metrics", "ctmt.mining"}
+    assert not added & START_UP_FREE
+
+
+def test_a_lexical_evaluate_loads_no_logging_nor_structural_code(tmp_path):
+    hyp = write_lines(tmp_path / "l.hyp", ["a b c"])
+    ref = write_lines(tmp_path / "l.ref", ["a c b"])
+    cons = write_lines(tmp_path / "l.cons.jsonl", [json.dumps({"constraints": [{"src": ["s"], "tgt": ["b"]}]})])
+    code, added = _fresh_interpreter(
+        f"""\
+        import contextlib, io, json, sys
+        before = set(sys.modules)
+        from ctmt.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["evaluate", "--hyp", {hyp!r}, "--ref", {ref!r}, "--constraints", {cons!r}])
+        print(json.dumps([code, sorted(set(sys.modules) - before)]))
+        """
+    )
+    assert code == 0
+    assert "ctmt.metrics" in added
+    assert not set(added) & START_UP_FREE
 
 
 def test_every_public_name_imports_from_the_package():
