@@ -321,12 +321,13 @@ class StagedOutput:
     On an exception every staging file is removed, and so is every
     directory ``directory`` created, so a failed run leaves no output and
     an earlier output at the same place untouched. A run killed outright
-    may leave a staging file, ``NAME.PID.tmp``, behind.
+    may leave its staging files (``NAME.PID.RANDOM.tmp``) behind, in no later run's way.
     """
 
     def __init__(self) -> None:
         self._files: list[tuple[IO[str], Path, Path]] = []  # (file, staging path, target)
         self._made: list[Path] = []  # directories created, outermost first
+        self._run = f"{os.getpid()}.{os.urandom(4).hex()}"
 
     def directory(self, path: str | Path) -> Path:
         """The directory ``path``, made with its missing parents."""
@@ -338,12 +339,17 @@ class StagedOutput:
         return path
 
     def open(self, path: str | Path) -> IO[str]:
-        """A text file to write what will become ``path``. A directory at
-        ``path`` fails here, not when the outputs are moved into place."""
+        """A text file to write what will become ``path``. Anything but a
+        regular file at ``path`` (a directory, a FIFO, a device) fails here,
+        not when the outputs are moved into place. A symlink keeps pointing
+        at the new file: its target is what is replaced."""
         target = Path(path)
         if target.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
-        staging = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+        if target.exists() and not target.is_file():
+            raise CorpusFormatError(f"output path is not a regular file ({target})")
+        target = Path(os.path.realpath(target))
+        staging = target.with_name(f"{target.name}.{self._run}.tmp")
         fd = os.open(staging, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         self._files.append((open(fd, "w", encoding="utf-8", newline=""), staging, target))
         return self._files[-1][0]

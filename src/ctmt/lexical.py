@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import (
-    CapacityError,
     ConstraintMatchError,
     InternalError,
     OutputParseError,
@@ -193,10 +192,6 @@ def _render_source(
 ) -> SerializedExample:
     """The source stream ``c <sep> s <sep> e`` and the forced prefix
     ``d <sep>`` of canonically ordered constraints."""
-    if len(ordered) > vocab.max_index:
-        raise CapacityError(
-            f"{len(ordered)} constraints exceed reserved max_index {vocab.max_index}"
-        )
     slots = [vocab.render(Nonterminal("C", n)) for n in range(1, len(ordered) + 1)]
     return SerializedExample(
         encoder_input=constraint_section(slots, [c.src for c in ordered], vocab)

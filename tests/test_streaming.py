@@ -4,6 +4,7 @@ decode's chunks and translator shards leave its output bytes unchanged."""
 
 import json
 import os
+import stat
 import subprocess
 import sys
 import textwrap
@@ -184,10 +185,13 @@ def test_peak_memory_does_not_grow_with_the_corpus(tmp_path, capsys):
         with open(f["dir"] / "answers", "w", encoding="utf-8") as answers:
             for yprime in corpus_io.read_token_lines(prep / "train.yprime"):
                 answers.write(corpus_io.token_line(yprime[yprime.index("<sep>") + 1 :]))
-    peaks = {name: [] for name, *_ in _stages(corpora[0]) + _checking_stages(corpora[0])}
-    for f in corpora:
-        for name, argv, *_ in _stages(f) + _checking_stages(f):
-            peaks[name].append(_traced_peak(argv))
+    peaks = {}
+    small_stages, large_stages = (_stages(f) + _checking_stages(f) for f in corpora)
+    for (name, small, *_), (_, large, *_) in zip(small_stages, large_stages):
+        # an unmeasured first run, so that neither peak counts the caches and
+        # free lists that earlier tests in this process did or did not fill
+        assert main(small) == 0
+        peaks[name] = [_traced_peak(small), _traced_peak(large)]
     for f, lines in zip(corpora, (n, 10 * n)):
         expected = _whole_file_outputs(f)
         for name, _, outputs in _stages(f):
@@ -282,6 +286,57 @@ def test_a_directory_at_an_output_path_fails_before_any_output_moves(tmp_path, c
     assert main(["prepare", "--src", src, "--tgt", tgt, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"ctmt: [Errno 21] Is a directory: '{out / 'train.meta.jsonl'}'\n"
     assert [p.name for p in out.iterdir()] == ["train.meta.jsonl"]
+
+
+def _evaluate_one_line(tmp_path, *outputs):
+    """evaluate of a one-line file against itself, with --report and --per-sentence as given."""
+    t = write_lines(tmp_path / "t", ["a b"])
+    argv = ["evaluate", "--hyp", t, "--ref", t]
+    for option, path in zip(["--report", "--per-sentence"], outputs):
+        argv += [option, str(path)]
+    return main(argv)
+
+
+@pytest.mark.parametrize("via_link", [False, True], ids=["fifo", "symlink-to-fifo"])
+def test_a_fifo_at_an_output_path_fails_before_any_output_moves(tmp_path, capsys, via_link):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    path = tmp_path / "link" if via_link else fifo
+    if via_link:
+        path.symlink_to(fifo)
+    report = tmp_path / "report.json"
+    assert _evaluate_one_line(tmp_path, report, path) == 2
+    assert capsys.readouterr().err == f"ctmt: output path is not a regular file ({path})\n"
+    assert stat.S_ISFIFO(fifo.lstat().st_mode) and path.is_symlink() == via_link
+    assert not report.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["t", "fifo"] + (["link"] if via_link else []))
+
+
+def test_a_symlinked_output_path_replaces_its_target(tmp_path, capsys):
+    real = tmp_path / "real.json"
+    real.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    assert _evaluate_one_line(tmp_path, link) == 0
+    assert link.is_symlink() and link.resolve() == real
+    assert real.read_text(encoding="utf-8") == capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json", "t"]
+
+
+def test_a_staging_file_left_by_a_killed_run_is_not_in_the_way(tmp_path):
+    src = write_lines(tmp_path / "s.src", ["a b"])
+    tgt = write_lines(tmp_path / "s.tgt", ["x y"])
+    runs = [tmp_path / "out", tmp_path / "clean"]
+    stale = runs[0] / f"train.xprime.{os.getpid()}.tmp"  # a killed run's, under this PID
+    runs[0].mkdir()
+    stale.write_bytes(b"left by a killed run\n")
+    for out in runs:
+        assert main(["prepare", "--src", src, "--tgt", tgt, "--out-dir", str(out)]) == 0
+    assert stale.read_bytes() == b"left by a killed run\n"
+    outputs = ["train.xprime", "train.yprime", "train.meta.jsonl"]
+    assert sorted(p.name for p in runs[0].iterdir()) == sorted([stale.name, *outputs])
+    for name in outputs:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------
