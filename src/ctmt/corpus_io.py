@@ -145,14 +145,19 @@ def _links(line: str, lineno: int, src: TokenSeq, tgt: TokenSeq) -> set[tuple[in
         m = _ALIGN_ITEM.fullmatch(item)
         if m is None:
             raise CorpusFormatError(f"line {lineno}: malformed alignment item {item!r}")
-        i, j = int(m.group(1)), int(m.group(2))
-        if i >= len(src) or j >= len(tgt):
+        i, j = (digits.lstrip("0") or "0" for digits in m.groups())  # an index is its value
+        if not (_below(i, len(src)) and _below(j, len(tgt))):
             raise CorpusFormatError(
                 f"line {lineno}: link {i}-{j} out of bounds for "
                 f"{len(src)}x{len(tgt)} sentence pair"
             )
-        links.add((i, j))
+        links.add((int(i), int(j)))
     return links
+
+
+def _below(digits: str, n: int) -> bool:
+    """Whether digits without leading zeros name a number below n; int() refuses long runs."""
+    return len(digits) <= len(str(n)) and int(digits) < n
 
 
 def read_alignments(
@@ -165,7 +170,7 @@ def read_alignments(
 def _json_object(line: str, lineno: int) -> dict:
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, too long an integer, too deep
         raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise CorpusFormatError(f"line {lineno}: expected a JSON object")
@@ -304,12 +309,8 @@ def _corpus_rows(rows, has_tgt: bool, has_constraints: bool, has_spans: bool) ->
 
 def load_vocab(path: str | Path) -> ReservedVocab:
     try:
-        data = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"invalid vocabulary manifest: {exc}") from exc
-    try:
-        return ReservedVocab.from_dict(data)
-    except (TypeError, ValueError) as exc:
+        return ReservedVocab.from_dict(json.loads(_read_text(path)))
+    except (TypeError, ValueError, RecursionError) as exc:
         raise CorpusFormatError(f"invalid vocabulary manifest: {exc}") from exc
 
 

@@ -57,31 +57,30 @@ def find_disjoint_assignment(
     token than the sentence has. Otherwise phrases are placed in the given
     order, each trying its leftmost free occurrence first and backtracking
     through the alternatives; its first descent is plain greedy claiming.
-    Each occurrence tried spends one node of the budget, so a None from the
-    search itself means only that the budget ran out.
+    Each occurrence tried spends one node of the budget, the only bound on
+    the search, so a None from the search itself means the budget ran out.
     """
     occs = [occurrences(tokens, p) for p in phrases]
     if not all(occs) or Counter(t for p in phrases for t in p) - Counter(tokens):
         return None
-    chosen: list[Span] = []
+    chosen: list[Span] = []  # chosen[k] is phrase k's placement
+    untried = [iter(o) for o in occs]  # untried[k]: phrase k's occurrences not yet tried
     nodes = node_budget
-
-    def place(k: int) -> bool:
-        nonlocal nodes
-        if k == len(occs):
-            return True
-        for span in occs[k]:
+    while len(chosen) < len(occs):
+        k = len(chosen)
+        for span in untried[k]:
             nodes -= 1
             if nodes <= 0:
-                return False
+                return None
             if all(disjoint(span, c) for c in chosen):
                 chosen.append(span)
-                if place(k + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return list(chosen) if place(0) else None
+                break
+        else:  # phrase k has no free occurrence left: back up past it
+            if not chosen:
+                return None
+            untried[k] = iter(occs[k])
+            chosen.pop()
+    return chosen
 
 
 def claim_spans(tokens: TokenSeq, phrases: list[TokenSeq]) -> list[Span | None]:
@@ -93,14 +92,12 @@ def claim_spans(tokens: TokenSeq, phrases: list[TokenSeq]) -> list[Span | None]:
     claim, with None for each phrase left unplaced, when it does not.
     """
     phrases = [list(p) for p in phrases]
-    claimed: list[Span] = []
     out: list[Span | None] = []
     for phrase in phrases:
         found = None
         for span in occurrences(tokens, phrase):
-            if all(disjoint(span, c) for c in claimed):
+            if all(disjoint(span, c) for c in out if c):  # the phrases placed so far
                 found = span
-                claimed.append(found)
                 break
         out.append(found)
     if None not in out:

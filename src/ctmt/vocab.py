@@ -46,7 +46,8 @@ class ReservedVocab(FrozenValue):
             if not surface or ASCII_WHITESPACE.search(surface):
                 raise ValueError(f"reserved surface form {surface!r} must be a single token")
         alts = "|".join(re.escape(p) for p in prefixes)
-        nt_pattern = re.compile(rf"^<({alts})_(0|[1-9][0-9]*)>$")
+        digits = len(str(max_index)) - 1  # no more than max_index has: int() refuses long runs
+        nt_pattern = re.compile(rf"^<({alts})_(0|[1-9][0-9]{{0,{digits}}})>$")
         object.__setattr__(self, "_nt_pattern", nt_pattern)
         object.__setattr__(self, "_kind_by_prefix", {x_prefix: "X", y_prefix: "Y", c_prefix: "C"})
         object.__setattr__(self, "_prefix_by_kind", {"X": x_prefix, "Y": y_prefix, "C": c_prefix})

@@ -56,6 +56,13 @@ def last_json(out):
     return json.loads(out[out.index("{"):]) if "{" in out else {}
 
 
+# JSON that json.loads refuses with RecursionError and ValueError, not JSONDecodeError
+TOO_DEEP = "[" * 200_000 + "]" * 200_000
+TOO_LONG = "1" * 5000
+TOO_DEEP_ERROR = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+TOO_LONG_ERROR = "Exceeds the limit (4300 digits) for integer string conversion"
+
+
 @pytest.fixture
 def golden_files(tmp_path):
     src = write_lines(tmp_path / "t.src", [GOLD_SRC])
@@ -806,6 +813,27 @@ def test_decode_survives_corrupted_outputs(tmp_path, capsys):
     assert len(audits) == n
 
 
+@pytest.mark.parametrize("kind", ["X", "Y"])
+def test_a_nonterminal_spelling_of_any_length_past_max_index_is_plain_text(tmp_path, capsys, kind):
+    # a source token for encode, a model output token for decode: each line
+    # is handled as the same line with <X_65> / <Y_65> in its place
+    long = f"<{kind}_{'1' * 5000}>"  # more digits than int() takes
+    results = []
+    for token in (long, f"<{kind}_65>"):
+        d = tmp_path / token[:6]
+        if kind == "X":
+            argv = ["encode", "--src", write_lines(tmp_path / "s", [f"{token} a"]), "--out-dir", str(d)]
+        else:
+            run(capsys, "encode", "--src", write_lines(tmp_path / "s", ["a b"]), "--out-dir", str(d))
+            argv = ["decode", "--encode-dir", str(d),
+                    "--model-output", write_lines(tmp_path / "m", [f"<Y_0> <sep> <Y_0> {token} x"])]
+        code, out = run(capsys, *argv)
+        results.append((code, out, {f.name: f.read_text(encoding="utf-8") for f in sorted(d.iterdir())}))
+    assert results[0][0] == 0
+    assert repr(results[0]).replace(long, f"<{kind}_65>") == repr(results[1])
+    assert long in results[0][2]["encode.xprime" if kind == "X" else "decode.out"]
+
+
 SOUP = ["<Y_0>", "<Y_1>", "<Y_2>", "<C_1>", "<C_2>", "<C_7>", "<X_0>", "<X_1>", "<sep>",
         "w", "v", "<ph>", "</ph>", "&amp;", "<Y_99>"]
 
@@ -1210,6 +1238,12 @@ def test_decode_meta_line_not_an_object_is_data_error(golden_files, capsys):
         ('{"source_tags": 3}', "source_tags must be a list of strings"),
         ('{"constraints": [{"src": ["a"], "tgt": "xy"}]}', "tgt must be a list of strings"),
         ('{"mode": "other"}', "mode must be one of lexical, structural"),
+        pytest.param('{"constraints": ' + TOO_DEEP + "}", f"invalid JSON: {TOO_DEEP_ERROR}",
+                     id="too-deep"),
+        pytest.param('{"constraints": [], "n": ' + TOO_LONG + "}",
+                     f"invalid JSON: {TOO_LONG_ERROR}: value has 5000 digits; "
+                     "use sys.set_int_max_str_digits() to increase the limit",
+                     id="too-long-integer"),
     ],
 )
 def test_decode_malformed_meta_record_is_data_error(tmp_path, capsys, record, message):
@@ -1230,6 +1264,8 @@ def test_decode_malformed_meta_record_is_data_error(tmp_path, capsys, record, me
         ('{"max_index": true}', "max_index must be an integer"),
         ('{"max_index": 2.9}', "max_index must be an integer"),
         ('{"sep_token": "<sep>",}', "Expecting property name enclosed in double quotes"),
+        pytest.param('{"max_index": ' + TOO_DEEP + "}", TOO_DEEP_ERROR, id="too-deep"),
+        pytest.param('{"max_index": ' + TOO_LONG + "}", TOO_LONG_ERROR, id="too-long-integer"),
     ],
 )
 def test_prepare_malformed_vocab_manifest_is_data_error(tmp_path, capsys, manifest, message):
@@ -1425,6 +1461,19 @@ def _latin1(tmp_path):
     return str(path)
 
 
+def _prepare_reading(option, line):
+    """make_argv of a one-line prepare whose --OPTION file holds ``line``
+    (and whose constraint file, when that is not it, is an empty set)."""
+    def make_argv(d):
+        files = {"constraints": '{"constraints": []}', option: line}
+        argv = ["prepare", "--src", write_lines(d / "s", ["a"]), "--tgt", write_lines(d / "t", ["x"]),
+                "--out-dir", str(d / "out")]
+        for name, text in files.items():
+            argv += [f"--{name}", write_lines(d / name, [text])]
+        return argv
+    return make_argv
+
+
 @pytest.mark.parametrize(
     "make_argv, code, message",
     [
@@ -1462,10 +1511,24 @@ def _latin1(tmp_path):
         (lambda d: ["evaluate", "--report", str(d / "out"), "--per-sentence", str(d / "out"),
                     "--hyp", write_lines(d / "h", ["a"]), "--ref", write_lines(d / "r", ["a"])],
          1, "--report and --per-sentence name the same file"),
+        (_prepare_reading("constraints", '{"constraints": ' + TOO_DEEP + "}"),
+         2, f"line 1: invalid JSON: {TOO_DEEP_ERROR}"),
+        (_prepare_reading("constraints", '{"constraints": [], "n": ' + TOO_LONG + "}"),
+         2, f"line 1: invalid JSON: {TOO_LONG_ERROR}"),
+        (_prepare_reading("spans", '{"spans": ' + TOO_DEEP + "}"),
+         2, f"line 1: invalid JSON: {TOO_DEEP_ERROR}"),
+        (_prepare_reading("spans", '{"spans": [], "n": ' + TOO_LONG + "}"),
+         2, f"line 1: invalid JSON: {TOO_LONG_ERROR}"),
+        (_prepare_reading("vocab", '{"max_index": ' + TOO_DEEP + "}"),
+         2, f"invalid vocabulary manifest: {TOO_DEEP_ERROR}"),
+        (_prepare_reading("vocab", '{"max_index": ' + TOO_LONG + "}"),
+         2, f"invalid vocabulary manifest: {TOO_LONG_ERROR}"),
     ],
     ids=["latin1-source", "latin1-ref", "surrogate-constraint", "surrogate-vocab",
          "structural-constraints", "decode-two-sources", "structural-no-vocab",
-         "structural-tagless-vocab", "evaluate-one-file-twice"],
+         "structural-tagless-vocab", "evaluate-one-file-twice",
+         "too-deep-constraints", "too-long-integer-constraints", "too-deep-spans",
+         "too-long-integer-spans", "too-deep-vocab", "too-long-integer-vocab"],
 )
 def test_rejected_inputs_write_no_output(tmp_path, capsys, make_argv, code, message):
     argv = make_argv(tmp_path)
@@ -1510,6 +1573,57 @@ def test_encode_searches_spans_once_per_line(tmp_path, capsys, monkeypatch):
     assert code == 0 and last_json(out)["written"] == 4
     assert claims == [["a", "b", "c"], ["c", "d"], ["e"], ["x", "y", "x"]]
     assert searches == [["x", "y", "x"]]
+
+
+def _deep_placement_files(d):
+    """One line whose thousand and two constraints only the span search
+    places ("a b" claims (1, 3) and strands "b a"), target-side constraints
+    for evaluate, and a vocabulary that reserves indices for them all."""
+    src = ["b", "a", "b", "a", "b"] + [f"z{i}" for i in range(1000)]
+    phrases = [["a", "b"], ["b", "a"]] + [[t] for t in src[5:]]
+    upper = [[t.upper() for t in p] for p in phrases]
+    return {
+        "src": write_lines(d / "deep.src", [" ".join(src)]),
+        "tgt": write_lines(d / "deep.tgt", [" ".join(src).upper()]),
+        "cons": write_lines(d / "deep.cons.jsonl", [json.dumps(
+            {"constraints": [{"src": p, "tgt": u} for p, u in zip(phrases, upper)]})]),
+        "tgt_cons": write_lines(d / "deep.tgt.cons.jsonl", [json.dumps(
+            {"constraints": [{"src": u, "tgt": u} for u in upper]})]),
+        "vocab": write_lines(d / "vocab.json", ['{"max_index": 2000}']),
+    }
+
+
+def test_deep_placement_encode_skips_the_line_over_capacity(tmp_path, capsys, caplog):
+    f = _deep_placement_files(tmp_path)
+    code, out = run(capsys, "encode", "--src", f["src"], "--constraints", f["cons"],
+                    "--out-dir", str(tmp_path / "enc"))
+    assert (code, last_json(out)) == (0, {"skipped": 1, "written": 0})
+    assert "line 1 skipped: nonterminal index 65 exceeds reserved max_index 64" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["prepare", "roundtrip", "bench", "evaluate"])
+def test_deep_placement_through_every_command(tmp_path, capsys, command):
+    f = _deep_placement_files(tmp_path)
+    corpus = ["--src", f["src"], "--tgt", f["tgt"], "--constraints", f["cons"], "--vocab", f["vocab"]]
+    argv = {
+        "prepare": ["prepare", *corpus, "--out-dir", str(tmp_path / "out")],
+        "roundtrip": ["roundtrip", *corpus],
+        "bench": ["bench", *corpus, "--baseline-tps", "1e-6"],  # a gate no run can miss
+        "evaluate": ["evaluate", "--hyp", f["tgt"], "--ref", f["tgt"],
+                     "--constraints", f["tgt_cons"]],
+    }[command]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    report = last_json(out)
+    if command == "prepare":
+        assert report == {"skipped": 0, "written": 1}
+        assert (tmp_path / "out" / "train.yprime").read_text(encoding="utf-8").count("<C_") == 2 * 1002
+    elif command == "evaluate":
+        assert set(report.values()) == {100.0}
+    else:
+        assert (report["sentences"], report["skipped"]) == (1, 0)
+    if command == "roundtrip":
+        assert report["violations"] == [] and set(report["metrics"].values()) == {100.0}
 
 
 def test_structural_prepare_segments_each_sentence_once(tmp_path, capsys, monkeypatch):

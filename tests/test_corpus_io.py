@@ -56,6 +56,8 @@ def test_read_alignments(tmp_path):
     files = [_write(tmp_path / name, text) for name, text in
              (("a.src", "a b\nc\n"), ("a.tgt", "x y z\nw\n"), ("a.align", "0-0 1-2\n\n"))]
     assert corpus_io.read_alignments(*files) == [{(0, 0), (1, 2)}, set()]
+    # an index is its value, whatever its leading zeros
+    assert _links(tmp_path, "a b", "x y", "0-0000000001") == [{(0, 1)}]
 
 
 def test_read_alignments_empty_line(tmp_path):
@@ -64,6 +66,8 @@ def test_read_alignments_empty_line(tmp_path):
 
 def test_read_alignments_duplicates_collapse(tmp_path):
     assert _links(tmp_path, "a", "b", "0-0 0-0") == [{(0, 0)}]
+    # more digits than int() takes, and still index 0
+    assert _links(tmp_path, "a", "b", "0-0 0-" + "0" * 5000) == [{(0, 0)}]
 
 
 @pytest.mark.parametrize("line", ["x-1", "1--2", "1-", "1_2", "1-2-3"])
@@ -81,9 +85,10 @@ def test_read_alignments_accepts_only_ascii_digits(tmp_path, item):
 
 
 def test_read_alignments_out_of_bounds(tmp_path):
-    with pytest.raises(CorpusFormatError) as info:
-        _links(tmp_path, "a b", "x", "5-0")
-    assert str(info.value) == "line 1: link 5-0 out of bounds for 2x1 sentence pair"
+    for link in ("5-0", "0-" + "1" * 5000):  # the second has more digits than int() takes
+        with pytest.raises(CorpusFormatError) as info:
+            _links(tmp_path, "a b", "x", link)
+        assert str(info.value) == f"line 1: link {link} out of bounds for 2x1 sentence pair"
 
 
 def test_read_constraints(tmp_path):

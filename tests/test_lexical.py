@@ -314,6 +314,17 @@ def test_span_search_gives_up_when_its_budget_runs_out():
     assert find_disjoint_assignment(x, phrases) == [(2, 3), (0, 2)]
 
 
+# "a b" claims (1, 3) and strands "b a", so a thousand one-token phrases
+# after them are placed by the search, one level deeper each
+DEEP_LINE = ["b", "a", "b", "a", "b"] + [f"z{i}" for i in range(1000)]
+DEEP_PHRASES = [["a", "b"], ["b", "a"]] + [[t] for t in DEEP_LINE[5:]]
+
+
+def test_span_search_places_a_thousand_phrases_without_recursion():
+    spans = [(3, 5), (0, 2)] + [(k, k + 1) for k in range(5, len(DEEP_LINE))]
+    assert find_disjoint_assignment(DEEP_LINE, DEEP_PHRASES) == spans
+
+
 @pytest.mark.parametrize("token", ["a b", "a\tb", "a\rb", "a\nb", "a\fb", "a\vb", " ", ""])
 def test_constraint_tokens_hold_no_ascii_whitespace(token):
     with pytest.raises(ValueError, match="is empty or contains whitespace"):

@@ -28,7 +28,8 @@ def test_parse_inverts_render(kind, index):
 
 @pytest.mark.parametrize(
     "token",
-    ["<X_65>", "<X_-1>", "<X_00>", "<X_01>", "x", "<sep>", "<Z_1>", "<X_1", "X_1>", "<X_1 >"],
+    ["<X_65>", "<X_-1>", "<X_00>", "<X_01>", "x", "<sep>", "<Z_1>", "<X_1", "X_1>", "<X_1 >",
+     "<X_100>", pytest.param("<X_" + "1" * 5000 + ">", id="more-digits-than-int-takes")],
 )
 def test_parse_rejects_non_nonterminals(vocab, token):
     assert vocab.parse_token(token) is None
