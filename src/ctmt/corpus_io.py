@@ -30,7 +30,7 @@ from .types import (
 )
 from .vocab import ReservedVocab
 
-_ALIGN_ITEM = re.compile(r"([0-9]+)-([0-9]+)")
+_ALIGN_ITEM = re.compile(r"0*([1-9][0-9]*|0)-0*([1-9][0-9]*|0)")
 
 
 def split_tokens(line: str) -> TokenSeq:
@@ -141,23 +141,21 @@ def read_bitext(src_path: str | Path, tgt_path: str | Path) -> list[tuple[TokenS
 
 def _links(line: str, lineno: int, src: TokenSeq, tgt: TokenSeq) -> set[tuple[int, int]]:
     links: set[tuple[int, int]] = set()
+    # int() refuses long runs, and an index below n has no more digits than n
+    src_digits, tgt_digits = len(str(len(src))), len(str(len(tgt)))
     for item in split_tokens(line):
         m = _ALIGN_ITEM.fullmatch(item)
         if m is None:
             raise CorpusFormatError(f"line {lineno}: malformed alignment item {item!r}")
-        i, j = (digits.lstrip("0") or "0" for digits in m.groups())  # an index is its value
-        if not (_below(i, len(src)) and _below(j, len(tgt))):
+        i, j = m.groups()  # without leading zeros: an index is its value
+        if not (len(i) <= src_digits and len(j) <= tgt_digits
+                and int(i) < len(src) and int(j) < len(tgt)):
             raise CorpusFormatError(
                 f"line {lineno}: link {i}-{j} out of bounds for "
                 f"{len(src)}x{len(tgt)} sentence pair"
             )
         links.add((int(i), int(j)))
     return links
-
-
-def _below(digits: str, n: int) -> bool:
-    """Whether digits without leading zeros name a number below n; int() refuses long runs."""
-    return len(digits) <= len(str(n)) and int(digits) < n
 
 
 def read_alignments(

@@ -37,14 +37,26 @@ from .types import (
 from .vocab import ReservedVocab
 
 
-def occurrences(tokens: TokenSeq, phrase: TokenSeq) -> list[Span]:
-    """All spans where the phrase occurs, leftmost first."""
-    width = len(phrase)
-    return [
-        (s, s + width)
-        for s in range(len(tokens) - width + 1)
-        if tokens[s : s + width] == phrase
-    ]
+def occurrences(tokens: TokenSeq, phrases: list[TokenSeq]) -> list[list[Span]]:
+    """Each phrase's spans in the sentence, leftmost first; equal phrases
+    share one list. Phrases are non-empty, as constraint phrases are.
+
+    One pass over the sentence indexes where each phrase's first token
+    stands, so a phrase is compared only at those positions.
+    """
+    starts: dict[str, list[int]] = {p[0]: [] for p in phrases}
+    for position, token in enumerate(tokens):
+        if token in starts:
+            starts[token].append(position)
+    found: dict[tuple[str, ...], list[Span]] = {}
+    for phrase in phrases:
+        key = tuple(phrase)
+        if key not in found:
+            width = len(phrase)
+            found[key] = [
+                (s, s + width) for s in starts[phrase[0]] if tokens[s : s + width] == phrase
+            ]
+    return [found[tuple(phrase)] for phrase in phrases]
 
 
 def find_disjoint_assignment(
@@ -60,26 +72,29 @@ def find_disjoint_assignment(
     Each occurrence tried spends one node of the budget, the only bound on
     the search, so a None from the search itself means the budget ran out.
     """
-    occs = [occurrences(tokens, p) for p in phrases]
+    occs = occurrences(tokens, phrases)
     if not all(occs) or Counter(t for p in phrases for t in p) - Counter(tokens):
         return None
+    occupied = bytearray(len(tokens))  # 1 at each position a chosen span covers
     chosen: list[Span] = []  # chosen[k] is phrase k's placement
     untried = [iter(o) for o in occs]  # untried[k]: phrase k's occurrences not yet tried
     nodes = node_budget
     while len(chosen) < len(occs):
         k = len(chosen)
-        for span in untried[k]:
+        for start, end in untried[k]:
             nodes -= 1
             if nodes <= 0:
                 return None
-            if all(disjoint(span, c) for c in chosen):
-                chosen.append(span)
+            if occupied.find(1, start, end) < 0:
+                occupied[start:end] = b"\1" * (end - start)
+                chosen.append((start, end))
                 break
         else:  # phrase k has no free occurrence left: back up past it
             if not chosen:
                 return None
             untried[k] = iter(occs[k])
-            chosen.pop()
+            start, end = chosen.pop()
+            occupied[start:end] = bytes(end - start)
     return chosen
 
 
@@ -92,12 +107,18 @@ def claim_spans(tokens: TokenSeq, phrases: list[TokenSeq]) -> list[Span | None]:
     claim, with None for each phrase left unplaced, when it does not.
     """
     phrases = [list(p) for p in phrases]
+    occupied = bytearray(len(tokens))  # 1 at each position a claimed span covers
+    # equal phrases share one iterator: an occurrence passed over or claimed
+    # stays taken, so the next copy of the phrase resumes after it
+    occs = occurrences(tokens, phrases)
+    cursors = {id(o): iter(o) for o in occs}
     out: list[Span | None] = []
-    for phrase in phrases:
+    for occ in occs:
         found = None
-        for span in occurrences(tokens, phrase):
-            if all(disjoint(span, c) for c in out if c):  # the phrases placed so far
-                found = span
+        for start, end in cursors[id(occ)]:
+            if occupied.find(1, start, end) < 0:
+                occupied[start:end] = b"\1" * (end - start)
+                found = (start, end)
                 break
         out.append(found)
     if None not in out:

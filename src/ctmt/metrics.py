@@ -163,7 +163,7 @@ def _span_weights(length: int, spans: list[Span | None]) -> list[int]:
 
 
 def _all_occurrence_weights(tokens: TokenSeq, phrases: list[TokenSeq]) -> list[int]:
-    return _span_weights(len(tokens), [s for p in phrases for s in occurrences(tokens, p)])
+    return _span_weights(len(tokens), [s for occ in occurrences(tokens, phrases) for s in occ])
 
 
 def _extend_rows(
@@ -310,18 +310,22 @@ def term_score(records: list[EvalRecord]) -> float:
 
 
 def _ngrams(tokens: TokenSeq, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    """The sentence's n-grams (tuples of n tokens) and their counts."""
+    return Counter(zip(*(tokens[k:] for k in range(n))))
 
 
 def _bleu_counts(hyp: TokenSeq, ref: TokenSeq) -> tuple[list[int], list[int], int, int]:
-    """Clipped matches and hypothesis n-grams per order, and both lengths."""
-    matches = [0] * MAX_NGRAM
-    totals = [0] * MAX_NGRAM
-    for n in range(1, MAX_NGRAM + 1):
-        hyp_counts = _ngrams(hyp, n)
-        if hyp_counts:
-            matches[n - 1] = sum((hyp_counts & _ngrams(ref, n)).values())
-            totals[n - 1] = sum(hyp_counts.values())
+    """Clipped matches and hypothesis n-grams per order, and both lengths.
+
+    A sentence's n-grams clipped by its own counts are all of them, so a
+    hypothesis equal to its reference matches each order's total."""
+    totals = [max(0, len(hyp) - n + 1) for n in range(1, MAX_NGRAM + 1)]
+    if hyp == ref:
+        matches = list(totals)
+    else:
+        matches = [
+            sum((_ngrams(hyp, n) & _ngrams(ref, n)).values()) for n in range(1, MAX_NGRAM + 1)
+        ]
     return matches, totals, len(hyp), len(ref)
 
 
@@ -386,19 +390,25 @@ def sentence_metrics(
 ) -> list[SentenceStats]:
     """Each record's statistics, read from ``records`` one at a time; logged
     line numbers count from ``start``. A record's phrases are claimed once per
-    side, and those spans serve Exact Match, Window Overlap and the 1-TERm weights."""
+    side, and those spans serve Exact Match, Window Overlap and the 1-TERm weights.
+    A hypothesis equal to its reference is claimed once for both sides: each
+    placed phrase's windows are then equal and score 1, as _window_score gives."""
     if structural and vocab is None:
         raise ValueError("structural evaluation requires a vocabulary")
     out: list[SentenceStats] = []
     for lineno, r in enumerate(records, start=start):
         phrases = _phrases(r)
         hyp_spans = claim_spans(r.hypothesis, phrases)
-        ref_spans = claim_spans(r.reference, phrases)
+        if r.hypothesis == r.reference:
+            windows = [0.0 if span is None else 1.0 for span in hyp_spans]
+        else:
+            ref_spans = claim_spans(r.reference, phrases)
+            windows = [_window_score(r, hs, rs, window) for hs, rs in zip(hyp_spans, ref_spans)]
         out.append(SentenceStats(
             *_bleu_counts(r.hypothesis, r.reference),
             len(phrases) - hyp_spans.count(None),
             len(phrases),
-            [_window_score(r, hs, rs, window) for hs, rs in zip(hyp_spans, ref_spans)],
+            windows,
             *_term_stats(r, hyp_spans, lineno),
             *(_structure_flags(r, vocab) if structural else (None, None)),
         ))

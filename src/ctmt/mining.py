@@ -58,27 +58,32 @@ def extract_phrase_pairs(
     """
     if not links:
         return []
-    src_links: dict[int, list[int]] = {}
-    tgt_links: dict[int, list[int]] = {}
+    # the lowest and highest linked position of each source and target token;
+    # an unlinked target token bounds nothing
+    src_lo: dict[int, int] = {}
+    src_hi: dict[int, int] = {}
+    width = max(j for _, j in links) + 1
+    tgt_lo = [len(x)] * width
+    tgt_hi = [-1] * width
     for i, j in links:
-        src_links.setdefault(i, []).append(j)
-        tgt_links.setdefault(j, []).append(i)
+        src_lo[i] = min(src_lo.get(i, j), j)
+        src_hi[i] = max(src_hi.get(i, j), j)
+        tgt_lo[j] = min(tgt_lo[j], i)
+        tgt_hi[j] = max(tgt_hi[j], i)
 
     pairs: list[PhrasePair] = []
     for i1 in range(len(x)):
-        if i1 not in src_links:
+        if i1 not in src_lo:
             continue
+        j1, j2 = src_lo[i1], src_hi[i1] + 1  # the projection of x[i1:i2], grown with i2
         for i2 in range(i1 + 1, min(i1 + max_len, len(x)) + 1):
-            if (i2 - 1) not in src_links:
+            if (i2 - 1) not in src_lo:
                 continue
-            projected = [j for i in range(i1, i2) for j in src_links.get(i, ())]
-            j1, j2 = min(projected), max(projected) + 1
+            j1, j2 = min(j1, src_lo[i2 - 1]), max(j2, src_hi[i2 - 1] + 1)
             if j2 - j1 > max_len:
-                continue
-            consistent = all(
-                i1 <= i < i2 for j in range(j1, j2) for i in tgt_links.get(j, ())
-            )
-            if not consistent:
+                break  # the projection only grows
+            # consistent: no target token in it links outside x[i1:i2]
+            if min(tgt_lo[j1:j2]) < i1 or max(tgt_hi[j1:j2]) >= i2:
                 continue
             pairs.append(
                 PhrasePair((i1, i2), (j1, j2), tuple(x[i1:i2]), tuple(y[j1:j2]))

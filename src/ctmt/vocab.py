@@ -21,7 +21,7 @@ _CLOSE_RE = re.compile(r"^</([^<>/]+)>$")
 
 class ReservedVocab(FrozenValue):
     FIELDS = ("sep_token", "x_prefix", "y_prefix", "c_prefix", "max_index", "registered_tags")
-    __slots__ = (*FIELDS, "_nt_pattern", "_kind_by_prefix", "_prefix_by_kind")
+    __slots__ = (*FIELDS, "_nt_pattern", "_candidate", "_kind_by_prefix", "_prefix_by_kind")
 
     def __init__(
         self,
@@ -49,6 +49,9 @@ class ReservedVocab(FrozenValue):
         digits = len(str(max_index)) - 1  # no more than max_index has: int() refuses long runs
         nt_pattern = re.compile(rf"^<({alts})_(0|[1-9][0-9]{{0,{digits}}})>$")
         object.__setattr__(self, "_nt_pattern", nt_pattern)
+        # the separator or a nonterminal spelling; is_reserved confirms the index
+        candidate = re.compile(rf"{re.escape(sep_token)}$|{nt_pattern.pattern}")
+        object.__setattr__(self, "_candidate", candidate)
         object.__setattr__(self, "_kind_by_prefix", {x_prefix: "X", y_prefix: "Y", c_prefix: "C"})
         object.__setattr__(self, "_prefix_by_kind", {"X": x_prefix, "Y": y_prefix, "C": c_prefix})
         if nt_pattern.match(sep_token):
@@ -93,8 +96,9 @@ class ReservedVocab(FrozenValue):
         return "void", token
 
     def check_plain(self, tokens: TokenSeq, where: str = "sentence") -> None:
-        """Reject reserved tokens in a plain (non-serialized) sentence."""
-        for tok in tokens:
+        """Reject reserved tokens in a plain (non-serialized) sentence; the
+        error names the first in line order."""
+        for tok in filter(self._candidate.match, tokens):
             if self.is_reserved(tok):
                 raise ReservedTokenError(f"reserved token {tok!r} appears in {where}")
 

@@ -382,13 +382,14 @@ def test_evaluate_reports_and_per_sentence(tmp_path, capsys):
 
 
 def test_evaluate_warns_once_per_empty_reference(tmp_path, capsys, caplog):
-    hyp = write_lines(tmp_path / "h.txt", ["a b", "c", "d"])
-    ref = write_lines(tmp_path / "r.txt", ["a b", "", "d"])
+    # line 4 is an identical pair, scored from one side, and still warned about
+    hyp = write_lines(tmp_path / "h.txt", ["a b", "c", "d", ""])
+    ref = write_lines(tmp_path / "r.txt", ["a b", "", "d", ""])
     code, _ = run(capsys, "evaluate", "--hyp", hyp, "--ref", ref,
                   "--per-sentence", str(tmp_path / "per.tsv"))
     assert code == 0
     warnings = [r.getMessage() for r in caplog.records if "empty reference" in r.getMessage()]
-    assert warnings == ["line 2: empty reference skipped"]
+    assert warnings == ["line 2: empty reference skipped", "line 4: empty reference skipped"]
 
 
 def test_evaluate_claims_spans_once_per_side(tmp_path, capsys, monkeypatch):
@@ -408,14 +409,16 @@ def test_evaluate_claims_spans_once_per_side(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(metrics_mod, "claim_spans", claim)
     monkeypatch.setattr(metrics_mod, "shifted_edit_cost", shift)
-    hyp = write_lines(tmp_path / "h.txt", ["a B c", "x", "D e"])
-    ref = write_lines(tmp_path / "r.txt", ["a c B", "", "D f"])
+    # line 4 is an identical pair: its phrases are claimed once, for both sides
+    hyp = write_lines(tmp_path / "h.txt", ["a B c", "x", "D e", "g H"])
+    ref = write_lines(tmp_path / "r.txt", ["a c B", "", "D f", "g H"])
     cons = write_lines(
         tmp_path / "c.jsonl",
         [
             json.dumps({"constraints": [{"src": ["b"], "tgt": ["B"]}]}),
             json.dumps({"constraints": []}),
             json.dumps({"constraints": [{"src": ["d"], "tgt": ["D"]}, {"src": ["e"], "tgt": ["E"]}]}),
+            json.dumps({"constraints": [{"src": ["h"], "tgt": ["H"]}]}),
         ],
     )
     code, _ = run(capsys, "evaluate", "--hyp", hyp, "--ref", ref, "--constraints", cons,
@@ -425,6 +428,7 @@ def test_evaluate_claims_spans_once_per_side(tmp_path, capsys, monkeypatch):
         ("claim", "a B c"), ("claim", "a c B"), ("shift", "a c B"),
         ("claim", "x"), ("claim", ""),
         ("claim", "D e"), ("claim", "D f"), ("shift", "D f"),
+        ("claim", "g H"), ("shift", "g H"),
     ]
 
 

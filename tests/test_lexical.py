@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -323,6 +324,20 @@ DEEP_PHRASES = [["a", "b"], ["b", "a"]] + [[t] for t in DEEP_LINE[5:]]
 def test_span_search_places_a_thousand_phrases_without_recursion():
     spans = [(3, 5), (0, 2)] + [(k, k + 1) for k in range(5, len(DEEP_LINE))]
     assert find_disjoint_assignment(DEEP_LINE, DEEP_PHRASES) == spans
+
+
+@pytest.mark.parametrize("strand", [[], [["a", "b"], ["b", "a"]]], ids=["greedy", "search"])
+def test_placement_time_is_linear_in_the_phrases_on_a_line(strand):
+    # 20,000 one-token phrases on one line: testing each candidate against
+    # every placed span, or scanning the line once per phrase, takes minutes
+    words = [f"z{i}" for i in range(20_000)]
+    head = ["b", "a", "b", "a", "b"] if strand else []
+    started = time.perf_counter()
+    spans = claim_spans(head + words, strand + [[w] for w in words])
+    assert time.perf_counter() - started < 5.0
+    assert spans == [(3, 5), (0, 2)][: len(strand)] + [
+        (k, k + 1) for k in range(len(head), len(head) + len(words))
+    ]
 
 
 @pytest.mark.parametrize("token", ["a b", "a\tb", "a\rb", "a\nb", "a\fb", "a\vb", " ", ""])

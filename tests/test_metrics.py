@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from ctmt import ConstraintPair, EvalRecord, bleu, exact_match, structure_metrics, term_score, window_overlap
 from ctmt.metrics import (
     MetricReport,
+    _bleu_counts,
     claim_spans,
     evaluate_records,
     score,
@@ -335,6 +337,29 @@ def test_bleu_agrees_with_textbook_formula():
     assert compared > 100
 
 
+def _clipped_counts(hyp, ref):
+    """BLEU's counts by definition: per order, the hypothesis n-grams clipped
+    by the reference's (a Counter intersection), and all hypothesis n-grams."""
+    import collections
+
+    matches, totals = [], []
+    for n in range(1, 5):
+        hyp_grams = collections.Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
+        ref_grams = collections.Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
+        matches.append(sum((hyp_grams & ref_grams).values()))
+        totals.append(sum(hyp_grams.values()))
+    return matches, totals, len(hyp), len(ref)
+
+
+def test_bleu_counts_are_the_clipped_ngram_counts():
+    # every pair of sentences of 0-5 tokens over two letters, so tokens
+    # repeat, equal pairs included; integers, compared exactly
+    sentences = [list(s) for n in range(6) for s in itertools.product("ab", repeat=n)]
+    for hyp in sentences:
+        for ref in sentences:
+            assert _bleu_counts(hyp, ref) == _clipped_counts(hyp, ref)
+
+
 # ---------------------------------------------------------------------------
 # monotonicity
 
@@ -437,9 +462,12 @@ def test_sentence_metrics_keys(vocab):
 _TOKENS = st.sampled_from(["a", "b", "c", "<ph>", "</ph>", "<g>", "</g>", "&amp;"])
 _RECORDS = st.lists(
     st.builds(
-        lambda hyp, ref, phrases: EvalRecord(hyp, ref, [ConstraintPair(["s"], p) for p in phrases]),
+        lambda hyp, ref, same, phrases: EvalRecord(
+            hyp, list(hyp) if same else ref, [ConstraintPair(["s"], p) for p in phrases]
+        ),
         st.lists(_TOKENS, max_size=8),
         st.lists(_TOKENS, max_size=8),
+        st.booleans(),  # a reference equal to its hypothesis, scored from one side
         st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=2), max_size=3),
     ),
     max_size=5,

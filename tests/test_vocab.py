@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctmt import CapacityError, Nonterminal, ReservedVocab
+from ctmt import CapacityError, Nonterminal, ReservedTokenError, ReservedVocab
 
 
 def test_render_defaults(vocab):
@@ -40,6 +40,24 @@ def test_is_reserved(vocab):
     assert vocab.is_reserved("<C_3>")
     assert not vocab.is_reserved("hello")
     assert not vocab.is_reserved("<ph>")
+
+
+@pytest.mark.parametrize(
+    "line, first",
+    [
+        ("a <X_3> b <sep> c", "<X_3>"),  # a nonterminal before the separator
+        ("a <sep> b <C_1> c", "<sep>"),  # the separator before a nonterminal
+        ("<Y_65> <Y_01> x <Y_64> <sep>", "<Y_64>"),  # past max_index or zero-padded: plain text
+    ],
+)
+def test_check_plain_names_the_first_reserved_token_in_line_order(vocab, line, first):
+    with pytest.raises(ReservedTokenError) as excinfo:
+        vocab.check_plain(line.split(), "source sentence")
+    assert str(excinfo.value) == f"reserved token {first!r} appears in source sentence"
+
+
+def test_check_plain_passes_nonterminal_spellings_past_max_index(vocab):
+    vocab.check_plain(["<Y_65>", "<Y_01>", "<X_100>", "<sep>x", "a"])
 
 
 def test_tag_roles(tagged_vocab):
