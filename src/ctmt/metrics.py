@@ -6,6 +6,13 @@ terminology-weighted translation edit rate in which every edit touching a
 constrained token costs 2 instead of 1. Structural metrics: the fraction
 of hypotheses whose markup nests properly and the fraction whose ordered
 tag sequence equals the reference's.
+
+One path computes them all: ``sentence_metrics`` gathers each record's
+statistics and ``score`` turns those of any set of records into a
+``MetricReport``. ``bleu``, ``exact_match``, ``window_overlap``,
+``term_score`` and ``structure_metrics`` each read one field of an
+``evaluate_records`` call, so each costs a whole evaluation, 1-TERm
+included.
 """
 
 from __future__ import annotations
@@ -110,16 +117,6 @@ def _percent(part: float, whole: int) -> float:
     return 100.0 * part / whole if whole else 100.0
 
 
-def _phrases(record: EvalRecord) -> list[TokenSeq]:
-    return [c.tgt for c in record.constraints]
-
-
-def exact_match(records: list[EvalRecord]) -> float:
-    """Percentage of required target phrases present in their hypotheses."""
-    claimed = [claim_spans(r.hypothesis, _phrases(r)) for r in records]
-    return _percent(sum(len(c) - c.count(None) for c in claimed), sum(map(len, claimed)))
-
-
 def _window(tokens: TokenSeq, span: Span, width: int) -> TokenSeq:
     start, end = span
     return tokens[max(0, start - width) : start] + tokens[end : end + width]
@@ -134,22 +131,6 @@ def _window_score(r: EvalRecord, hs: Span | None, rs: Span | None, width: int) -
     if denom == 0:
         return 1.0
     return sum((Counter(hw) & Counter(rw)).values()) / denom
-
-
-def window_overlap(records: list[EvalRecord], window: int = WINDOW) -> float:
-    """Context agreement around each constraint matched in both sentences.
-
-    For a constraint found in the hypothesis and in the reference, the up
-    to ``window`` tokens on each side of the two spans are compared as
-    multisets and scored by intersection size over the larger window; a
-    constraint missing from either side scores 0.
-    """
-    scores: list[float] = []
-    for r in records:
-        phrases = _phrases(r)
-        spans = zip(claim_spans(r.hypothesis, phrases), claim_spans(r.reference, phrases))
-        scores += [_window_score(r, hs, rs, window) for hs, rs in spans]
-    return _percent(sum(scores), len(scores))
 
 
 def _span_weights(length: int, spans: list[Span | None]) -> list[int]:
@@ -278,35 +259,21 @@ def shifted_edit_cost(
     return shift_total + distance
 
 
-def _term_stats(r: EvalRecord, hyp_spans: list[Span | None], lineno: int) -> tuple[int, int]:
+def _term_stats(
+    r: EvalRecord, phrases: list[TokenSeq], hyp_spans: list[Span | None], lineno: int
+) -> tuple[int, int]:
     """(weighted edits, weighted reference length); an empty reference is skipped."""
     if not r.reference:
         log.warning("line %d: empty reference skipped", lineno)
         return 0, 0
-    ref_w = _all_occurrence_weights(r.reference, _phrases(r))
+    ref_w = _all_occurrence_weights(r.reference, phrases)
     hyp_w = _span_weights(len(r.hypothesis), hyp_spans)
     return shifted_edit_cost(r.hypothesis, r.reference, hyp_w, ref_w), sum(ref_w)
 
 
-def _one_minus_term(counts: list[tuple[int, int]]) -> float:
-    """1-TERm of the records whose (edits, reference weight) are given."""
-    edits = sum(e for e, _ in counts)
-    ref_weight = sum(w for _, w in counts)
+def _one_minus_term(edits: int, ref_weight: int) -> float:
+    """1-TERm of records with these summed weighted edits and reference weight."""
     return max(0.0, min(100.0, 100.0 * (1.0 - edits / ref_weight))) if ref_weight else 100.0
-
-
-def term_score(records: list[EvalRecord]) -> float:
-    """One minus the terminology-weighted translation edit rate, in percent.
-
-    Reference tokens inside any occurrence of a required target phrase and
-    hypothesis tokens inside a matched occurrence weigh 2; everything else
-    weighs 1. The corpus rate divides total weighted edits by the total
-    weighted reference length; the result is clamped to [0, 100].
-    """
-    return _one_minus_term([
-        _term_stats(r, claim_spans(r.hypothesis, _phrases(r)), lineno)
-        for lineno, r in enumerate(records, start=1)
-    ])
 
 
 def _ngrams(tokens: TokenSeq, n: int) -> Counter:
@@ -329,12 +296,8 @@ def _bleu_counts(hyp: TokenSeq, ref: TokenSeq) -> tuple[list[int], list[int], in
     return matches, totals, len(hyp), len(ref)
 
 
-def _bleu_score(counts: list[tuple[list[int], list[int], int, int]]) -> float:
-    """BLEU of the records whose counts are given."""
-    matches = [sum(c[0][k] for c in counts) for k in range(MAX_NGRAM)]
-    totals = [sum(c[1][k] for c in counts) for k in range(MAX_NGRAM)]
-    hyp_len = sum(c[2] for c in counts)
-    ref_len = sum(c[3] for c in counts)
+def _bleu_score(matches: list[int], totals: list[int], hyp_len: int, ref_len: int) -> float:
+    """BLEU of records with these summed counts per order and lengths."""
     if hyp_len == 0:
         return 100.0 if ref_len == 0 else 0.0
     log_sum = 0.0
@@ -356,32 +319,11 @@ def _bleu_score(counts: list[tuple[list[int], list[int], int, int]]) -> float:
     return 100.0 * brevity * math.exp(log_sum / orders)
 
 
-def bleu(records: list[EvalRecord]) -> float:
-    """Corpus BLEU on the given tokens with the usual brevity penalty.
-
-    Modified n-gram precisions up to MAX_NGRAM are combined geometrically;
-    a zero count for an order above 1 falls back to 1/(2^k * total)
-    exponential smoothing while zero unigram overlap scores 0. Orders for
-    which the corpus has no n-grams at all are left out of the mean. Empty
-    hypotheses score 0, unless every reference is empty too: then there
-    is nothing to get wrong and the score is 100.
-    """
-    return _bleu_score([_bleu_counts(r.hypothesis, r.reference) for r in records])
-
-
 def _structure_flags(r: EvalRecord, vocab: ReservedVocab) -> tuple[bool, bool]:
     from .structural import tag_sequence, tags_well_formed  # loaded by structural mode only
 
     hyp_tags = tag_sequence(r.hypothesis, vocab)
     return tags_well_formed(hyp_tags, vocab), hyp_tags == tag_sequence(r.reference, vocab)
-
-
-def structure_metrics(records: list[EvalRecord], vocab: ReservedVocab) -> tuple[float, float]:
-    """(correct%, match%): well-formed markup, and tag order equal to the
-    reference's."""
-    n = len(records)
-    flags = [_structure_flags(r, vocab) for r in records]
-    return _percent(sum(c for c, _ in flags), n), _percent(sum(m for _, m in flags), n)
 
 
 def sentence_metrics(
@@ -395,9 +337,11 @@ def sentence_metrics(
     placed phrase's windows are then equal and score 1, as _window_score gives."""
     if structural and vocab is None:
         raise ValueError("structural evaluation requires a vocabulary")
+    if window < 0:
+        raise ValueError(f"window must be at least 0, not {window}")
     out: list[SentenceStats] = []
     for lineno, r in enumerate(records, start=start):
-        phrases = _phrases(r)
+        phrases = [c.tgt for c in r.constraints]
         hyp_spans = claim_spans(r.hypothesis, phrases)
         if r.hypothesis == r.reference:
             windows = [0.0 if span is None else 1.0 for span in hyp_spans]
@@ -409,7 +353,7 @@ def sentence_metrics(
             len(phrases) - hyp_spans.count(None),
             len(phrases),
             windows,
-            *_term_stats(r, hyp_spans, lineno),
+            *_term_stats(r, phrases, hyp_spans, lineno),
             *(_structure_flags(r, vocab) if structural else (None, None)),
         ))
     return out
@@ -441,11 +385,11 @@ def score(stats: Iterable[SentenceStats], structural: bool = False) -> MetricRep
         if structural:
             well_formed += s.well_formed
             tags_match += s.tags_match
-    report = MetricReport(  # the sums score as the counts of one record would
-        bleu=_bleu_score([(matches, totals, hyp_len, ref_len)]),
+    report = MetricReport(
+        bleu=_bleu_score(matches, totals, hyp_len, ref_len),
         exact_match=_percent(found, required),
         window_overlap=_percent(sum(window_scores), len(window_scores)),
-        one_minus_term=_one_minus_term([(edits, ref_weight)]),
+        one_minus_term=_one_minus_term(edits, ref_weight),
     )
     if structural:
         report.structure_correct = _percent(well_formed, lines)
@@ -459,3 +403,50 @@ def evaluate_records(
 ) -> MetricReport:
     stats = sentence_metrics(records, vocab=vocab, structural=structural, window=window)
     return score(stats, structural)
+
+
+def bleu(records: list[EvalRecord]) -> float:
+    """Corpus BLEU on the given tokens with the usual brevity penalty.
+
+    Modified n-gram precisions up to MAX_NGRAM are combined geometrically;
+    a zero count for an order above 1 falls back to 1/(2^k * total)
+    exponential smoothing while zero unigram overlap scores 0. Orders for
+    which the corpus has no n-grams at all are left out of the mean. Empty
+    hypotheses score 0, unless every reference is empty too: then there
+    is nothing to get wrong and the score is 100.
+    """
+    return evaluate_records(records).bleu
+
+
+def exact_match(records: list[EvalRecord]) -> float:
+    """Percentage of required target phrases present in their hypotheses."""
+    return evaluate_records(records).exact_match
+
+
+def window_overlap(records: list[EvalRecord], window: int = WINDOW) -> float:
+    """Context agreement around each constraint matched in both sentences.
+
+    For a constraint found in the hypothesis and in the reference, the up
+    to ``window`` tokens on each side of the two spans are compared as
+    multisets and scored by intersection size over the larger window; a
+    constraint missing from either side scores 0.
+    """
+    return evaluate_records(records, window=window).window_overlap
+
+
+def term_score(records: list[EvalRecord]) -> float:
+    """One minus the terminology-weighted translation edit rate, in percent.
+
+    Reference tokens inside any occurrence of a required target phrase and
+    hypothesis tokens inside a matched occurrence weigh 2; everything else
+    weighs 1. The corpus rate divides total weighted edits by the total
+    weighted reference length; the result is clamped to [0, 100].
+    """
+    return evaluate_records(records).one_minus_term
+
+
+def structure_metrics(records: list[EvalRecord], vocab: ReservedVocab) -> tuple[float, float]:
+    """(correct%, match%): well-formed markup, and tag order equal to the
+    reference's."""
+    report = evaluate_records(records, vocab=vocab, structural=True)
+    return report.structure_correct, report.structure_match

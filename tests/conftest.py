@@ -5,14 +5,17 @@ can vouch for them: phrase extraction is checked against a full scan of
 every span pair, and the shift-based edit cost against a shortest-path
 search over all block moves. The greedy shift search and the span search
 are also checked against plain copies that do every step in full, with
-no reuse, pruning or early failure.
+no reuse, pruning or early failure. The corpus metrics are recomputed from
+their docstrings, line by line, with none of the package's metric code.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import textwrap
+from collections import Counter
 
 import pytest
 
@@ -432,3 +435,115 @@ def reference_claim_spans(tokens, phrases):
                 break
         out.append(found)
     return out
+
+
+# ---------------------------------------------------------------------------
+# independent oracles: the corpus metrics, each from its definition
+
+def _percent(part, whole):
+    return 100.0 * part / whole if whole else 100.0
+
+
+def _phrases(record):
+    return [c.tgt for c in record.constraints]
+
+
+def reference_bleu(records):
+    """Corpus BLEU: per order up to 4, hypothesis n-grams clipped by the
+    reference's counts, summed over the corpus. The k-th order above 1 with
+    no match scores 1/(2^k * total); no unigram match scores 0; an order
+    with no n-grams is left out of the geometric mean. The brevity penalty
+    applies when the hypotheses are shorter. Empty hypotheses score 0, or
+    100 when every reference is empty too."""
+    matches, totals = [0] * 4, [0] * 4
+    for r in records:
+        for n in range(1, 5):
+            hyp = Counter(tuple(r.hypothesis[i : i + n]) for i in range(len(r.hypothesis) - n + 1))
+            ref = Counter(tuple(r.reference[i : i + n]) for i in range(len(r.reference) - n + 1))
+            matches[n - 1] += sum(min(count, ref[gram]) for gram, count in hyp.items())
+            totals[n - 1] += sum(hyp.values())
+    hyp_len = sum(len(r.hypothesis) for r in records)
+    ref_len = sum(len(r.reference) for r in records)
+    if hyp_len == 0:
+        return 100.0 if ref_len == 0 else 0.0
+    if matches[0] == 0:
+        return 0.0
+    logs, zeros = [], 0
+    for matched, total in zip(matches, totals):
+        if total == 0:
+            continue
+        if matched == 0:
+            zeros += 1
+            logs.append(math.log(1 / (2**zeros * total)))
+        else:
+            logs.append(math.log(matched / total))
+    brevity = 1.0 if hyp_len >= ref_len else math.exp(1 - ref_len / hyp_len)
+    return 100.0 * brevity * math.exp(sum(logs) / len(logs))
+
+
+def reference_exact_match(records):
+    """Share of required target phrases placed in their hypotheses."""
+    spans = [s for r in records for s in reference_claim_spans(r.hypothesis, _phrases(r))]
+    return _percent(sum(s is not None for s in spans), len(spans))
+
+
+def reference_window_overlap(records, window):
+    """Mean over phrases of the multiset intersection of the up to ``window``
+    tokens on each side of the phrase's hypothesis and reference spans, over
+    the larger of the two windows (1 when both are empty); a phrase missing
+    from either side scores 0."""
+    scores = []
+    for r in records:
+        phrases = _phrases(r)
+        placed = zip(reference_claim_spans(r.hypothesis, phrases), reference_claim_spans(r.reference, phrases))
+        for hs, rs in placed:
+            if hs is None or rs is None:
+                scores.append(0.0)
+                continue
+            hw = r.hypothesis[max(0, hs[0] - window) : hs[0]] + r.hypothesis[hs[1] : hs[1] + window]
+            rw = r.reference[max(0, rs[0] - window) : rs[0]] + r.reference[rs[1] : rs[1] + window]
+            shared = sum(min(count, rw.count(tok)) for tok, count in Counter(hw).items())
+            scores.append(shared / max(len(hw), len(rw)) if hw or rw else 1.0)
+    return _percent(sum(scores), len(scores))
+
+
+def reference_term_score(records):
+    """1-TERm: reference tokens in any occurrence of a required phrase and
+    hypothesis tokens in a placed one weigh 2, others 1; the weighted shift
+    edits over the weighted reference length, clamped to [0, 100]. Empty
+    references are left out."""
+    edits = ref_weight = 0
+    for r in records:
+        if not r.reference:
+            continue
+        phrases = _phrases(r)
+        hw, rw = [1] * len(r.hypothesis), [1] * len(r.reference)
+        for b, e in filter(None, reference_claim_spans(r.hypothesis, phrases)):
+            hw[b:e] = [2] * (e - b)
+        for phrase in phrases:
+            for b, e in reference_occurrences(r.reference, list(phrase)):
+                rw[b:e] = [2] * (e - b)
+        edits += reference_shifted_edit_cost(r.hypothesis, r.reference, hw, rw)
+        ref_weight += sum(rw)
+    return max(0.0, min(100.0, 100.0 * (1 - edits / ref_weight))) if ref_weight else 100.0
+
+
+def reference_structure_metrics(records, vocab):
+    """(correct%, match%) from a tag stack of its own. A registered </name>
+    closes, a registered <name> opens when </name> is registered too, and
+    every other registered symbol is void. Correct: every close pops its
+    own name and nothing is left open. Match: the hypothesis's tags, in
+    order, are the reference's."""
+    registered = vocab.registered_tags
+    correct = match = 0
+    for r in records:
+        tags = [t for t in r.hypothesis if t in registered]
+        stack, nested = [], True
+        for tag in tags:
+            if tag.startswith("</"):
+                nested = nested and bool(stack) and stack.pop() == tag[2:-1]
+            elif f"</{tag[1:-1]}>" in registered:
+                stack.append(tag[1:-1])
+        correct += nested and not stack
+        match += tags == [t for t in r.reference if t in registered]
+    return _percent(correct, len(records)), _percent(match, len(records))

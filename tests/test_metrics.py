@@ -21,8 +21,13 @@ from ctmt.metrics import (
 from conftest import (
     TAGGED_VOCAB,
     exhaustive_min_shift_cost,
+    reference_bleu,
+    reference_exact_match,
     reference_shifted_edit_cost,
+    reference_structure_metrics,
+    reference_term_score,
     reference_ter,
+    reference_window_overlap,
     simple_weighted_lev,
 )
 
@@ -474,25 +479,62 @@ _RECORDS = st.lists(
 )
 
 
+def _oracle_values(records, window):
+    return MetricReport(
+        reference_bleu(records), reference_exact_match(records),
+        reference_window_overlap(records, window), reference_term_score(records),
+        *reference_structure_metrics(records, TAGGED_VOCAB),
+    ).values()
+
+
 @settings(max_examples=300, deadline=None)
 @given(records=_RECORDS, window=st.integers(0, 3))
-def test_one_statistics_pass_equals_the_metric_functions(records, window):
-    # exact equality: the report and each per-sentence row are the values
-    # the five metric functions give on the corpus and on the line alone
-    def separately(recs):
-        return MetricReport(
-            bleu(recs), exact_match(recs), window_overlap(recs, window), term_score(recs),
-            *structure_metrics(recs, TAGGED_VOCAB),
-        )
+def test_one_statistics_pass_equals_the_oracles(records, window):
+    # the corpus report and each per-sentence row are the values the
+    # conftest oracles give on the corpus and on the line alone; the report
+    # is exactly evaluate_records, and each row exactly evaluate_records on its line
+    def evaluate(recs):
+        return evaluate_records(recs, vocab=TAGGED_VOCAB, structural=True, window=window)
 
     stats = sentence_metrics(records, vocab=TAGGED_VOCAB, structural=True, window=window)
     assert len(stats) == len(records)
-    assert score(stats, structural=True) == separately(records)
-    assert evaluate_records(
-        records, vocab=TAGGED_VOCAB, structural=True, window=window
-    ) == separately(records)
+    report = score(stats, structural=True)
+    assert report == evaluate(records)
+    assert report.values() == pytest.approx(_oracle_values(records, window), abs=1e-9)
     for record, line_stats in zip(records, stats):
-        assert score([line_stats], structural=True) == separately([record])
+        row = score([line_stats], structural=True)
+        assert row == evaluate([record])
+        assert row.values() == pytest.approx(_oracle_values([record], window), abs=1e-9)
+
+
+def test_each_metric_function_is_its_field_of_evaluate_records():
+    records = [rec("a P b c", "c P d a", ["P", "q"]), srec("<ph> a", "<ph> a </ph>"), rec("x", [])]
+    report = evaluate_records(records, vocab=TAGGED_VOCAB, structural=True, window=1)
+    assert bleu(records) == report.bleu
+    assert exact_match(records) == report.exact_match
+    assert window_overlap(records, 1) == report.window_overlap
+    assert term_score(records) == report.one_minus_term
+    assert structure_metrics(records, TAGGED_VOCAB) == (report.structure_correct, report.structure_match)
+
+
+def test_a_negative_window_is_refused():
+    # at -1 the windows around P would both be empty and read as equal
+    records = [rec("a P b", "c P d", ["P"])]
+    assert window_overlap(records, 1) == 0.0
+    with pytest.raises(ValueError, match="window"):
+        window_overlap(records, -1)
+    with pytest.raises(ValueError, match="window"):
+        evaluate_records(records, window=-1)
+
+
+@pytest.mark.parametrize("metric", [
+    bleu, exact_match, window_overlap, term_score, lambda recs: structure_metrics(recs, TAGGED_VOCAB),
+], ids=["bleu", "exact_match", "window_overlap", "term_score", "structure_metrics"])
+def test_each_metric_function_warns_once_per_empty_reference(metric, caplog):
+    # line 4 is an identical empty pair, scored from one side, and still warned about
+    metric([rec("a b", "a b"), rec("c", []), rec("d", "d"), rec([], [])])
+    warnings = [r.getMessage() for r in caplog.records if "empty reference" in r.getMessage()]
+    assert warnings == ["line 2: empty reference skipped", "line 4: empty reference skipped"]
 
 
 def test_structural_statistics_need_a_vocabulary():
