@@ -454,9 +454,9 @@ def cmd_evaluate(args) -> int:
 
         def line(i: int, row):
             hyp, ref, constraints, _ = row
-            (stats,) = sentence_metrics(
-                [EvalRecord(hyp, ref, constraints)],
-                vocab=vocab, structural=structural_mode, window=args.window, start=i + 1,
+            stats = sentence_metrics(
+                EvalRecord(hyp, ref, constraints),
+                vocab=vocab, structural=structural_mode, window=args.window, lineno=i + 1,
             )
             if rows_out is not None:
                 # each row is its line scored as a one-line corpus, from the report's own statistics
@@ -505,8 +505,7 @@ def cmd_roundtrip(args) -> int:
             violations.append(f"line {i + 1}: invalid template ({audit.get('reason')})")
         valid += bool(audit.get("valid"))
         record = EvalRecord(hypothesis=sentence, reference=target, constraints=example.constraints)
-        (stats,) = sentence_metrics([record], vocab=vocab, structural=structural_mode, start=i + 1)
-        return stats
+        return sentence_metrics(record, vocab=vocab, structural=structural_mode, lineno=i + 1)
 
     lines = _LineRun(rows, line)
     report = score(lines, structural_mode)

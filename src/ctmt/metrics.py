@@ -7,12 +7,12 @@ constrained token costs 2 instead of 1. Structural metrics: the fraction
 of hypotheses whose markup nests properly and the fraction whose ordered
 tag sequence equals the reference's.
 
-One path computes them all: ``sentence_metrics`` gathers each record's
-statistics and ``score`` turns those of any set of records into a
-``MetricReport``. ``bleu``, ``exact_match``, ``window_overlap``,
-``term_score`` and ``structure_metrics`` each read one field of an
-``evaluate_records`` call, so each costs a whole evaluation, 1-TERm
-included.
+One path computes them all: ``sentence_metrics`` gathers one record's
+statistics, ``score`` turns those of any set of records into a
+``MetricReport``, and ``evaluate_records`` streams records through both.
+``bleu``, ``exact_match``, ``window_overlap``, ``term_score`` and
+``structure_metrics`` each read one field of an ``evaluate_records``
+call, so each costs a whole evaluation, 1-TERm included.
 """
 
 from __future__ import annotations
@@ -327,36 +327,32 @@ def _structure_flags(r: EvalRecord, vocab: ReservedVocab) -> tuple[bool, bool]:
 
 
 def sentence_metrics(
-    records: Iterable[EvalRecord], *, vocab: ReservedVocab | None = None,
-    structural: bool = False, window: int = WINDOW, start: int = 1,
-) -> list[SentenceStats]:
-    """Each record's statistics, read from ``records`` one at a time; logged
-    line numbers count from ``start``. A record's phrases are claimed once per
-    side, and those spans serve Exact Match, Window Overlap and the 1-TERm weights.
-    A hypothesis equal to its reference is claimed once for both sides: each
-    placed phrase's windows are then equal and score 1, as _window_score gives."""
+    r: EvalRecord, *, vocab: ReservedVocab | None = None,
+    structural: bool = False, window: int = WINDOW, lineno: int = 1,
+) -> SentenceStats:
+    """The record's statistics; a warning about it names line ``lineno``. Its
+    phrases are claimed once per side, for Exact Match, Window Overlap and the
+    1-TERm weights; a hypothesis equal to its reference is claimed once for both,
+    and each placed phrase's windows then score 1, as _window_score gives."""
     if structural and vocab is None:
         raise ValueError("structural evaluation requires a vocabulary")
     if window < 0:
         raise ValueError(f"window must be at least 0, not {window}")
-    out: list[SentenceStats] = []
-    for lineno, r in enumerate(records, start=start):
-        phrases = [c.tgt for c in r.constraints]
-        hyp_spans = claim_spans(r.hypothesis, phrases)
-        if r.hypothesis == r.reference:
-            windows = [0.0 if span is None else 1.0 for span in hyp_spans]
-        else:
-            ref_spans = claim_spans(r.reference, phrases)
-            windows = [_window_score(r, hs, rs, window) for hs, rs in zip(hyp_spans, ref_spans)]
-        out.append(SentenceStats(
-            *_bleu_counts(r.hypothesis, r.reference),
-            len(phrases) - hyp_spans.count(None),
-            len(phrases),
-            windows,
-            *_term_stats(r, phrases, hyp_spans, lineno),
-            *(_structure_flags(r, vocab) if structural else (None, None)),
-        ))
-    return out
+    phrases = [c.tgt for c in r.constraints]
+    hyp_spans = claim_spans(r.hypothesis, phrases)
+    if r.hypothesis == r.reference:
+        windows = [0.0 if span is None else 1.0 for span in hyp_spans]
+    else:
+        ref_spans = claim_spans(r.reference, phrases)
+        windows = [_window_score(r, hs, rs, window) for hs, rs in zip(hyp_spans, ref_spans)]
+    return SentenceStats(
+        *_bleu_counts(r.hypothesis, r.reference),
+        len(phrases) - hyp_spans.count(None),
+        len(phrases),
+        windows,
+        *_term_stats(r, phrases, hyp_spans, lineno),
+        *(_structure_flags(r, vocab) if structural else (None, None)),
+    )
 
 
 def score(stats: Iterable[SentenceStats], structural: bool = False) -> MetricReport:
@@ -398,10 +394,13 @@ def score(stats: Iterable[SentenceStats], structural: bool = False) -> MetricRep
 
 
 def evaluate_records(
-    records: list[EvalRecord], *, vocab: ReservedVocab | None = None,
+    records: Iterable[EvalRecord], *, vocab: ReservedVocab | None = None,
     structural: bool = False, window: int = WINDOW,
 ) -> MetricReport:
-    stats = sentence_metrics(records, vocab=vocab, structural=structural, window=window)
+    """The metrics of ``records``, scored one at a time and numbered from 1; with
+    no records the arguments are never checked and the report is the empty one."""
+    stats = (sentence_metrics(r, vocab=vocab, structural=structural, window=window, lineno=i)
+             for i, r in enumerate(records, start=1))
     return score(stats, structural)
 
 

@@ -459,24 +459,31 @@ def test_evaluate_records_identity_suite(tagged_vocab):
 
 
 def test_sentence_metrics_keys(vocab):
-    values = score(sentence_metrics([rec("a b", "a b", ["b"])], vocab=vocab)).values()
+    values = score([sentence_metrics(rec("a b", "a b", ["b"]), vocab=vocab)]).values()
     assert values["exact_match"] == 100.0
     assert values["one_minus_term"] == 100.0
 
 
 _TOKENS = st.sampled_from(["a", "b", "c", "<ph>", "</ph>", "<g>", "</g>", "&amp;"])
-_RECORDS = st.lists(
-    st.builds(
-        lambda hyp, ref, same, phrases: EvalRecord(
-            hyp, list(hyp) if same else ref, [ConstraintPair(["s"], p) for p in phrases]
-        ),
-        st.lists(_TOKENS, max_size=8),
-        st.lists(_TOKENS, max_size=8),
-        st.booleans(),  # a reference equal to its hypothesis, scored from one side
-        st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=2), max_size=3),
-    ),
-    max_size=5,
-)
+
+
+@st.composite
+def _record(draw):
+    ref = draw(st.lists(_TOKENS, max_size=8))
+    kind = draw(st.sampled_from(["independent", "equal", "tags permuted"]))
+    if kind == "independent":
+        hyp = draw(st.lists(_TOKENS, max_size=8))
+    else:
+        hyp = list(ref)  # an equal pair is scored from one side
+    if kind == "tags permuted":  # the same tag multiset, in another order
+        at = [k for k, tok in enumerate(ref) if TAGGED_VOCAB.is_tag(tok)]
+        for k, tag in zip(at, draw(st.permutations([ref[k] for k in at]))):
+            hyp[k] = tag
+    phrases = draw(st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=2), max_size=3))
+    return EvalRecord(hyp, ref, [ConstraintPair(["s"], p) for p in phrases])
+
+
+_RECORDS = st.lists(_record(), max_size=5)
 
 
 def _oracle_values(records, window):
@@ -496,8 +503,7 @@ def test_one_statistics_pass_equals_the_oracles(records, window):
     def evaluate(recs):
         return evaluate_records(recs, vocab=TAGGED_VOCAB, structural=True, window=window)
 
-    stats = sentence_metrics(records, vocab=TAGGED_VOCAB, structural=True, window=window)
-    assert len(stats) == len(records)
+    stats = [sentence_metrics(r, vocab=TAGGED_VOCAB, structural=True, window=window) for r in records]
     report = score(stats, structural=True)
     assert report == evaluate(records)
     assert report.values() == pytest.approx(_oracle_values(records, window), abs=1e-9)
@@ -525,6 +531,8 @@ def test_a_negative_window_is_refused():
         window_overlap(records, -1)
     with pytest.raises(ValueError, match="window"):
         evaluate_records(records, window=-1)
+    # the window is checked with each record, so an empty corpus has nothing to refuse
+    assert evaluate_records([], window=-1) == score(())
 
 
 @pytest.mark.parametrize("metric", [
@@ -540,3 +548,4 @@ def test_each_metric_function_warns_once_per_empty_reference(metric, caplog):
 def test_structural_statistics_need_a_vocabulary():
     with pytest.raises(ValueError, match="vocabulary"):
         evaluate_records([rec("a", "a")], structural=True)
+    assert evaluate_records([], structural=True) == score((), structural=True)

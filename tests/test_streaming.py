@@ -195,7 +195,10 @@ def test_peak_memory_does_not_grow_with_the_corpus(tmp_path, capsys):
     for f, lines in zip(corpora, (n, 10 * n)):
         expected = _whole_file_outputs(f)
         for name, _, outputs in _stages(f):
-            written = [line for path in outputs for line in path.open(encoding="utf-8", newline="")]
+            written = []
+            for path in outputs:
+                with path.open(encoding="utf-8", newline="") as out:
+                    written.extend(out)
             assert written == expected[name], name
         assert (f["dir"] / "sentences.tsv").read_bytes().count(b"\n") == 1 + lines
     assert all('"skipped": 0' in line for line in capsys.readouterr().out.splitlines() if "skipped" in line)
