@@ -52,59 +52,105 @@ def shard_ranges(n: int, shards: int) -> list[tuple[int, int]]:
 
 
 class TranslatorBridge:
-    """Child translator speaking a line protocol on its standard streams.
+    """Translator children speaking a line protocol on their standard streams.
 
     Each request line carries the encoder input, a tab, then the forced
-    decoder prefix; the child answers with one continuation line and nothing else.
-    Nothing is prepended or reordered, so any wrapped model that honors
-    forced prefixes can sit behind the bridge. The pipes carry UTF-8 bytes,
-    and an answer is read as a --model-output line is: it ends at LF.
+    decoder prefix; a child answers each with one continuation line and
+    nothing else, in the order asked. Nothing is prepended or reordered, so
+    any wrapped model that honors forced prefixes can sit behind the bridge.
+    The pipes carry UTF-8 bytes, and an answer is read as a --model-output
+    line is: it ends at LF.
+
+    A call sends a chunk of requests, split over the children in contiguous
+    ranges, all at once: one selectors loop in the calling thread writes each
+    child's requests while its pipe takes them and reads its answers as they
+    come, so neither side waits on a full pipe and a child may read ahead and
+    batch. The children start on the first chunk, at most one per line of it.
     """
 
-    def __init__(self, command: str):
+    def __init__(self, command: str, children: int = 1):
+        self.command, self.children = command, children
+        self._procs: list = []
+        self._unread: list[bytes] = []  # per child: bytes read past the answers asked for
+
+    def _take(self, k: int, wanted: int, answers: list[TokenSeq]) -> int:
+        """Move up to ``wanted`` whole answers out of child k's unread bytes
+        into ``answers``; return how many are still wanted."""
+        *lines, self._unread[k] = self._unread[k].split(b"\n", wanted)
+        for line in lines:
+            try:
+                answers.append(corpus_io.split_tokens(line.decode("utf-8")))
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(f"not valid UTF-8 (translator {self.command!r})") from exc
+        return wanted - len(lines)
+
+    def translate(self, requests: list[list[TokenSeq]]) -> list[TokenSeq]:
+        """The answers to a chunk's [encoder input, prefix] requests, in order."""
+        import selectors
         import shlex
         import subprocess
 
-        self.command = command
-        self.proc = subprocess.Popen(
-            shlex.split(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
-        )
+        if not self._procs:
+            for _ in range(min(self.children, len(requests))):
+                argv = shlex.split(self.command)
+                proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
+                os.set_blocking(proc.stdin.fileno(), False)  # a write takes what the pipe has room for
+                self._procs.append(proc)
+                self._unread.append(b"")
+        ranges = shard_ranges(len(requests), len(self._procs))
+        answers: list[list[TokenSeq]] = [[] for _ in ranges]
+        unsent, wanted = [], []
+        with selectors.DefaultSelector() as loop:
+            for k, (start, end) in enumerate(ranges):
+                lines = (" ".join(x) + "\t" + " ".join(prefix) + "\n" for x, prefix in requests[start:end])
+                unsent.append(memoryview("".join(lines).encode("utf-8")))
+                wanted.append(self._take(k, end - start, answers[k]))
+                loop.register(self._procs[k].stdin, selectors.EVENT_WRITE, k)
+                if wanted[k]:
+                    loop.register(self._procs[k].stdout, selectors.EVENT_READ, k)
+            while loop.get_map():
+                for key, events in loop.select():
+                    k = key.data
+                    if events & selectors.EVENT_WRITE:
+                        with contextlib.suppress(BlockingIOError):
+                            unsent[k] = unsent[k][os.write(key.fd, unsent[k]) :]
+                        if not unsent[k]:
+                            loop.unregister(key.fileobj)
+                        continue
+                    data = os.read(key.fd, 1 << 16)
+                    if not data:
+                        raise CtmtError(f"translator {self.command!r} closed its output stream")
+                    self._unread[k] += data
+                    wanted[k] = self._take(k, wanted[k], answers[k])
+                    if not wanted[k]:
+                        loop.unregister(key.fileobj)
+        return [answer for share in answers for answer in share]
 
-    def translate(self, encoder_tokens: TokenSeq, prefix_tokens: TokenSeq) -> TokenSeq:
-        assert self.proc.stdin is not None and self.proc.stdout is not None
-        request = " ".join(encoder_tokens) + "\t" + " ".join(prefix_tokens) + "\n"
-        self.proc.stdin.write(request.encode("utf-8"))
-        self.proc.stdin.flush()
-        line = self.proc.stdout.readline()
-        if not line:
-            raise CtmtError(f"translator {self.command!r} closed its output stream")
-        try:
-            return corpus_io.split_tokens(line.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise CorpusFormatError(f"not valid UTF-8 (translator {self.command!r})") from exc
-
-    def close(self) -> bytes:
-        """End the requests and reap the child; return what it wrote after the
-        last answer read, buffered or not, or b"" once closed."""
+    def close(self) -> list[bytes]:
+        """End the requests and reap the children; return what each wrote past
+        the last answer read, buffered or not, or nothing once closed."""
         import subprocess
 
-        if self.proc.stdout.closed:
-            return b""
-        with contextlib.suppress(BrokenPipeError):  # a child that is gone is reaped below
-            self.proc.stdin.close()
-        try:
-            self.proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait()
-        with self.proc.stdout as rest:
-            return rest.read()
+        surplus = []
+        for proc, unread in zip(self._procs, self._unread):
+            try:
+                rest, _ = proc.communicate(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                rest, _ = proc.communicate()
+            surplus.append(unread + rest)
+        self._procs, self._unread = [], []
+        return surplus
 
     def __enter__(self) -> "TranslatorBridge":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc) -> None:
+        """Reap the children; after a clean run, fail on lines no request asked for."""
+        extra = next(filter(None, self.close()), b"")
+        if exc_type is None and extra:
+            lines = extra.count(b"\n") + (not extra.endswith(b"\n"))
+            raise CorpusFormatError(f"translator {self.command!r} sent {lines} lines no request asked for")
 
 
 # ---------------------------------------------------------------------------
@@ -293,61 +339,15 @@ def _chunks(items, size: int):
         yield chunk
 
 
-class _TranslatorPool:
-    """Translator children for a whole decode run, each chunk of requests
-    split over them in contiguous ranges. The children start on the first
-    chunk, at most one per line of it; with more than one, threads overlap
-    their latency."""
-
-    def __init__(self, command: str, shards: int):
-        self.command, self.shards = command, shards
-        self._stack = contextlib.ExitStack()
-        self._bridges: list[TranslatorBridge] = []
-        self._pool = None
-
-    def translate(self, requests: list[list[TokenSeq]]) -> list[TokenSeq]:
-        """The answers to a chunk's [encoder input, prefix] requests, in order."""
-        if not self._bridges:
-            for _ in range(min(self.shards, len(requests))):
-                self._bridges.append(self._stack.enter_context(TranslatorBridge(self.command)))
-        ranges = shard_ranges(len(requests), len(self._bridges))
-
-        def translate_range(k: int) -> list[TokenSeq]:
-            start, end = ranges[k]
-            return [self._bridges[k].translate(x, prefix) for x, prefix in requests[start:end]]
-
-        if len(ranges) == 1:
-            return translate_range(0)
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = self._stack.enter_context(ThreadPoolExecutor(len(self._bridges)))
-        return [a for answers in self._pool.map(translate_range, range(len(ranges))) for a in answers]
-
-    def __enter__(self):
-        """The translate method; leaving checks the children for surplus lines."""
-        return self.translate
-
-    def __exit__(self, exc_type, *exc) -> None:
-        with self._stack:
-            if exc_type is not None:
-                return
-            for bridge in self._bridges:
-                if surplus := bridge.close():
-                    lines = surplus.count(b"\n") + (not surplus.endswith(b"\n"))
-                    raise CorpusFormatError(
-                        f"translator {self.command!r} sent {lines} lines no request asked for"
-                    )
-
-
-def _decode_chunk(chunk, answer, vocab: ReservedVocab):
+def _decode_chunk(chunk, bridge: TranslatorBridge | None, vocab: ReservedVocab):
     """decode_line's (sentence, audit) for each line of ``chunk``, a list of
-    (line number, (meta text, *answer fields)); ``answer`` turns the lines'
-    split fields into their model outputs. It is a generator, not a loop in
+    (line number, (meta text, *answer fields)); the fields are a model output,
+    or a request that ``bridge`` answers. It is a generator, not a loop in
     cmd_decode, so that the chunk's answers go with its frame, before the
     next chunk is translated: inlined, they stayed alive through the next
     translation and raised decode's peak memory by about 5%."""
-    tails = answer([[corpus_io.split_tokens(t) for t in texts[1:]] for _, texts in chunk])
+    fields = [[corpus_io.split_tokens(t) for t in texts[1:]] for _, texts in chunk]
+    tails = bridge.translate(fields) if bridge else [tail for tail, in fields]
     for (lineno, texts), tail in zip(chunk, tails):
         meta = corpus_io.parse_meta(texts[0], lineno)
         yield decode_line(tail, meta, vocab)
@@ -368,20 +368,19 @@ def cmd_decode(args) -> int:
     vocab = _load_vocab(args)
     enc_dir = Path(args.encode_dir)
     if args.translator is None:
-        answers = [args.model_output]
-        translator = contextlib.nullcontext(lambda fields: [tail for tail, in fields])
+        answers, bridge = [args.model_output], None
     else:
         answers = [enc_dir / "encode.xprime", enc_dir / "encode.prefix"]
-        translator = _TranslatorPool(args.translator, args.shards)
+        bridge = TranslatorBridge(args.translator, args.shards)
     rows = corpus_io.iter_lines(enc_dir / "encode.meta.jsonl", *answers)
     out_dir = Path(args.out_dir) if args.out_dir else enc_dir
 
     lines = valid = omitted = fallback = 0
-    with corpus_io.StagedOutput() as staged, translator as answer:
+    with corpus_io.StagedOutput() as staged, bridge or contextlib.nullcontext():
         out = staged.directory(out_dir)
         sentences, audits = staged.open(out / "decode.out"), staged.open(out / "decode.audit.jsonl")
         for chunk in _chunks(enumerate(rows, start=1), CHUNK_LINES):
-            for sentence, audit in _decode_chunk(chunk, answer, vocab):
+            for sentence, audit in _decode_chunk(chunk, bridge, vocab):
                 sentences.write(corpus_io.token_line(sentence))
                 audits.write(corpus_io.json_line(audit))
                 lines += 1

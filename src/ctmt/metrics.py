@@ -267,6 +267,8 @@ def _term_stats(
         log.warning("line %d: empty reference skipped", lineno)
         return 0, 0
     ref_w = _all_occurrence_weights(r.reference, phrases)
+    if r.hypothesis == r.reference:  # no edits, whatever the hypothesis weights
+        return 0, sum(ref_w)
     hyp_w = _span_weights(len(r.hypothesis), hyp_spans)
     return shifted_edit_cost(r.hypothesis, r.reference, hyp_w, ref_w), sum(ref_w)
 

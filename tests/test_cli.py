@@ -409,7 +409,8 @@ def test_evaluate_claims_spans_once_per_side(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(metrics_mod, "claim_spans", claim)
     monkeypatch.setattr(metrics_mod, "shifted_edit_cost", shift)
-    # line 4 is an identical pair: its phrases are claimed once, for both sides
+    # line 4 is an identical pair: its phrases are claimed once, for both
+    # sides, and it has no edits to search for
     hyp = write_lines(tmp_path / "h.txt", ["a B c", "x", "D e", "g H"])
     ref = write_lines(tmp_path / "r.txt", ["a c B", "", "D f", "g H"])
     cons = write_lines(
@@ -428,7 +429,7 @@ def test_evaluate_claims_spans_once_per_side(tmp_path, capsys, monkeypatch):
         ("claim", "a B c"), ("claim", "a c B"), ("shift", "a c B"),
         ("claim", "x"), ("claim", ""),
         ("claim", "D e"), ("claim", "D f"), ("shift", "D f"),
-        ("claim", "g H"), ("shift", "g H"),
+        ("claim", "g H"),
     ]
 
 
@@ -550,8 +551,7 @@ def _make_translator(tmp_path, canned_lines):
 def test_bridge_protocol(tmp_path):
     command = _make_translator(tmp_path, ["<Y_0> <sep> <Y_0> ok", "second line"])
     with TranslatorBridge(command) as bridge:
-        first = bridge.translate(["<sep>", "<X_0>"], ["<sep>"])
-        second = bridge.translate(["x"], [])
+        first, second = bridge.translate([[["<sep>", "<X_0>"], ["<sep>"]], [["x"], []]])
         assert first == ["<Y_0>", "<sep>", "<Y_0>", "ok"]
         assert second == ["second", "line"]
 

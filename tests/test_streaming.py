@@ -22,11 +22,16 @@ from ctmt.vocab import DEFAULT_VOCAB
 from conftest import KEYED_TRANSLATOR, make_lexical_corpus, pharaoh_line, write_lines
 
 
+def _child_env() -> dict:
+    """The environment of a new interpreter that imports ctmt from here."""
+    src = str(Path(ctmt.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_interpreter(code: str):
     """What ``code`` prints as JSON, run in a new interpreter that imports ctmt from here."""
-    src = str(Path(ctmt.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, capture_output=True, check=True)
+    run = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=_child_env(),
+                         capture_output=True, check=True, timeout=60)
     return json.loads(run.stdout)
 
 
@@ -49,6 +54,23 @@ def test_importing_the_cli_loads_no_process_machinery():
     assert "ctmt.cli" in added
     assert not added & {"subprocess", "concurrent.futures", "tempfile", "ctmt.metrics", "ctmt.mining"}
     assert not added & START_UP_FREE
+
+
+def test_a_sharded_translator_decode_starts_no_thread(tmp_path):
+    # one selectors loop in the main thread serves every child
+    enc_dir = _encode(tmp_path, 5)
+    code, added, threads = _fresh_interpreter(
+        f"""\
+        import contextlib, io, json, sys, threading
+        before = set(sys.modules)
+        from ctmt.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["decode", "--encode-dir", {str(enc_dir)!r}, "--translator", "cat", "--shards", "2"])
+        print(json.dumps([code, sorted(set(sys.modules) - before), threading.active_count()]))
+        """
+    )
+    assert code == 0 and threads == 1
+    assert "subprocess" in added and "concurrent.futures" not in added
 
 
 def test_a_lexical_evaluate_loads_no_logging_nor_structural_code(tmp_path):
@@ -415,3 +437,93 @@ def test_surplus_after_the_last_chunk_is_data_error(tmp_path, capsys, shards):
     err = capsys.readouterr().err
     assert err.startswith("ctmt: translator ") and err.endswith(" sent 1 lines no request asked for\n")
     assert sorted(p.name for p in enc_dir.iterdir()) == ["encode.meta.jsonl", "encode.prefix", "encode.xprime"]
+
+
+# ---------------------------------------------------------------------------
+# the pipe loop: a chunk's requests are in flight together
+
+
+def _decode_in_child(argv):
+    """``ctmt decode`` run in a new interpreter, killed if it outlasts a minute,
+    so that a deadlocked bridge fails the test instead of hanging it."""
+    return subprocess.run([sys.executable, "-m", "ctmt.cli", "decode", *argv], env=_child_env(),
+                          capture_output=True, timeout=60)
+
+
+LONG_ECHO = textwrap.dedent(
+    """\
+    #!/usr/bin/env python3
+    import sys
+
+    # test translator: answers each request with the words of its encoder input, padded to
+    # several KiB, so that a chunk of answers overflows the pipe in both directions
+    for line in sys.stdin:
+        words = [t for t in line.split("\\t")[0].split() if not t.startswith("<")]
+        sys.stdout.write(" ".join(["<Y_0>", "<sep>", "<Y_0>", *words, *["pad"] * 1500]) + "\\n")
+        sys.stdout.flush()
+    """
+)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_a_chunk_larger_than_the_pipes_both_ways_decodes(tmp_path, shards):
+    # requests and answers of several KiB each: a full chunk of either fills a
+    # 64 KiB pipe many times over while the child is still reading and writing
+    sources = [" ".join(f"w{i}_{j}" for j in range(700)) for i in range(CHUNK_LINES + 3)]
+    src = write_lines(tmp_path / "long.src", sources)
+    enc_dir = tmp_path / "enc"
+    assert main(["encode", "--src", src, "--out-dir", str(enc_dir)]) == 0
+    assert (enc_dir / "encode.xprime").stat().st_size > 16 * 65536
+    script = tmp_path / "long_echo.py"
+    script.write_text(LONG_ECHO, encoding="utf-8")
+    run = _decode_in_child(["--encode-dir", str(enc_dir), "--shards", str(shards),
+                            "--translator", f"{sys.executable} {script}"])
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["fallback_lines"] == 0
+    decoded = (enc_dir / "decode.out").read_text(encoding="utf-8").splitlines()
+    assert decoded == [line + " pad" * 1500 for line in sources]
+
+
+BURST_TRANSLATOR = textwrap.dedent(
+    """\
+    #!/usr/bin/env python3
+    import itertools
+    import json
+    import os
+    import sys
+    import time
+
+    # test translator: reads whatever requests have arrived, then writes their answers in
+    # pieces of 1 to 4,096 bytes, pausing after the short ones, so that answers split
+    # mid-line across writes and reads
+    with open(sys.argv[1], encoding="utf-8") as f:
+        table = json.load(f)
+    sizes = itertools.cycle([1, 7, 300, 4096, 2])
+    pending = b""
+    while data := os.read(0, 65536):
+        *requests, pending = (pending + data).split(b"\\n")
+        out = b"".join(table[r.decode("utf-8")].encode("utf-8") + b"\\n" for r in requests)
+        while out:
+            n = os.write(1, out[: next(sizes)])
+            out = out[n:]
+            if n < 8:
+                time.sleep(0.002)
+    """
+)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_answers_written_in_bursts_decode_as_the_model_output_file(tmp_path, capsys, shards):
+    enc_dir, answers, table_path = _keyed_decode_setup(tmp_path, CHUNK_LINES + 3)
+    ref = tmp_path / "ref"
+    assert main(["decode", "--encode-dir", str(enc_dir), "--model-output", answers,
+                 "--out-dir", str(ref)]) == 0
+    script = tmp_path / "burst_translator.py"
+    script.write_text(BURST_TRANSLATOR, encoding="utf-8")
+    out = tmp_path / "bridge"
+    run = _decode_in_child(["--encode-dir", str(enc_dir), "--shards", str(shards), "--out-dir", str(out),
+                            "--translator", f"{sys.executable} {script} {table_path}"])
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == json.loads(capsys.readouterr().out.splitlines()[-1])
+    for name in ("decode.out", "decode.audit.jsonl"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
