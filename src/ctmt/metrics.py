@@ -22,6 +22,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable
 from itertools import accumulate
+from operator import add
 
 from ._log import Logger
 from .lexical import claim_spans, occurrences
@@ -150,11 +151,13 @@ def _all_occurrence_weights(tokens: TokenSeq, phrases: list[TokenSeq]) -> list[i
 def _extend_rows(
     row: list[int], tokens: TokenSeq, weights: list[int],
     ref: TokenSeq, ref_weights: list[int], limit: int | None = None,
+    rows: list[list[int]] | None = None,
 ) -> list[int] | None:
     """Continue the weighted-Levenshtein DP from ``row`` over ``tokens``.
 
     ``row`` holds the costs of turning the hypothesis prefix read so far
-    into each reference prefix; the result is that row after ``tokens``.
+    into each reference prefix; the result is that row after ``tokens``,
+    and each row on the way is appended to ``rows`` if given.
     With weights >= 0 a row's minimum never falls from one row to the
     next, so once it reaches ``limit`` the final distance must too, and
     None is returned at once.
@@ -174,6 +177,8 @@ def _extend_rows(
             cur.append(left)
         if limit is not None and min(cur) >= limit:
             return None
+        if rows is not None:
+            rows.append(cur)
         row = cur
     return row
 
@@ -185,6 +190,43 @@ def weighted_edit_distance(
     weight and substituting costs the heavier of the two tokens."""
     first_row = list(accumulate(ref_weights, initial=0))
     return _extend_rows(first_row, hyp, hyp_weights, ref, ref_weights)[-1]
+
+
+def _all_rows(
+    first_row: list[int], tokens: TokenSeq, weights: list[int],
+    ref: TokenSeq, ref_weights: list[int],
+) -> list[list[int]]:
+    """The DP rows after each prefix of ``tokens``, ``first_row`` included."""
+    rows = [first_row]
+    _extend_rows(first_row, tokens, weights, ref, ref_weights, rows=rows)
+    return rows
+
+
+def _multiset_floor(
+    hyp: TokenSeq, ref: TokenSeq, hyp_weights: list[int], ref_weights: list[int]
+) -> int:
+    """A lower bound on the weighted edit distance of every arrangement of
+    the hypothesis's (token, weight) pairs against the reference.
+
+    Only equal tokens pair up for free, so of a token type that the
+    hypothesis holds h times and the reference r times, at least h - r
+    hypothesis tokens are deleted or substituted. Either costs at least the
+    token's own weight, and no operation pays for two hypothesis tokens, so
+    the lightest h - r weights of each type sum to a bound. The same holds
+    on the reference side; the bound is the larger of the two sums.
+    """
+
+    def surplus(tokens: TokenSeq, weights: list[int], other: TokenSeq) -> int:
+        extra = Counter(tokens)
+        extra.subtract(other)
+        total = 0
+        for token, weight in sorted(zip(tokens, weights)):  # each type's lightest first
+            if extra[token] > 0:
+                extra[token] -= 1
+                total += weight
+        return total
+
+    return max(surplus(hyp, hyp_weights, ref), surplus(ref, ref_weights, hyp))
 
 
 def _ref_substring_positions(ref: TokenSeq) -> dict[tuple[str, ...], list[int]]:
@@ -206,52 +248,85 @@ def shifted_edit_cost(
     than the shift's own cost, then stop. A shift costs the weight of its
     heaviest moved token.
 
-    The search is exact, only cheaper than scoring every candidate in full:
-    a candidate keeps the current hypothesis's first ``min(i1, k)`` tokens,
-    so its DP starts from that row of the current hypothesis, and it is
-    dropped once a row shows it cannot beat the best total so far. The
-    first candidate with the lowest total still wins, in the same order.
+    The search is exact, only cheaper than scoring every candidate in full.
+    A shift must bring the total strictly below the best so far, and each
+    rule below drops only a candidate whose total provably cannot, so the
+    first candidate with the lowest total still wins, in the same order:
+
+    - Multiset floor. Shifts keep every token with its weight, so no
+      arrangement has a distance below ``_multiset_floor``. The loop stops
+      once the distance reaches it, and a substring is skipped once its
+      cost plus the floor reaches the best total.
+    - Prefix/suffix rows. Moving ``cur[i1:i2]`` to ``k`` keeps the first
+      ``p = min(i1, k)`` tokens of the current hypothesis and the tokens
+      from ``q = p + (i2 - i1) + |k - i1|`` on. The DP row after ``cur[:p]``
+      and the row of ``cur[q:]`` against each reference suffix are kept for
+      every p and q. A row's minimum never falls as tokens are added, so
+      their minima plus the cost bound the candidate's total from below.
+    - Alignment split. Every alignment crosses the end of the moved middle
+      at some reference position j, so the candidate's distance is the
+      least sum of the two rows' entries at j. Only the middle's rows are
+      computed, and they stop once their minimum shows the bound above is
+      reached.
     """
     if hyp == ref:
         return 0
     cur = list(hyp)
     cur_w = list(hyp_weights)
-    first_row = list(accumulate(ref_weights, initial=0))  # the empty prefix: insert every token
     distance = weighted_edit_distance(cur, ref, cur_w, ref_weights)
+    floor = _multiset_floor(hyp, ref, hyp_weights, ref_weights)
+    if distance <= floor:  # no arrangement of the hypothesis does better
+        return distance
+    first_row = list(accumulate(ref_weights, initial=0))  # the empty prefix: insert every token
+    rev_ref, rev_ref_w = ref[::-1], ref_weights[::-1]
+    last_row = list(accumulate(rev_ref_w, initial=0))  # the empty suffix
     shift_total = 0
     ref_index = _ref_substring_positions(ref)
 
-    while distance > 0:
-        rows = [first_row]  # rows[p]: the DP row after cur[:p]
-        for p in range(len(cur)):
-            rows.append(_extend_rows(rows[p], cur[p : p + 1], cur_w[p : p + 1], ref, ref_weights))
+    while distance > floor:
+        n = len(cur)
+        rows = _all_rows(first_row, cur, cur_w, ref, ref_weights)  # rows[p]: after cur[:p]
+        # back[q][j]: the distance of cur[q:] to ref[j:], from a DP over both reversed
+        back = [row[::-1] for row in _all_rows(last_row, cur[::-1], cur_w[::-1], rev_ref, rev_ref_w)]
+        back.reverse()
+        row_min = [min(row) for row in rows]
+        back_min = [min(row) for row in back]
         best = None  # (new_distance, cost, tokens, weights)
         best_total = distance  # a shift must bring the total below this
-        for i1 in range(len(cur)):
-            for i2 in range(i1 + 1, min(i1 + MAX_SHIFT_LEN, len(cur)) + 1):
+        for i1 in range(n):
+            for i2 in range(i1 + 1, min(i1 + MAX_SHIFT_LEN, n) + 1):
+                # a longer substring from i1 is in the reference no more often, and costs no less
                 positions = ref_index.get(tuple(cur[i1:i2]))
                 if not positions:
-                    continue
+                    break
                 cost = max(cur_w[i1:i2])
-                if cost >= best_total:
-                    continue
-                rest = cur[:i1] + cur[i2:]
-                rest_w = cur_w[:i1] + cur_w[i2:]
+                if cost + floor >= best_total:
+                    break
                 tried: set[int] = set()
                 for j in positions:
-                    k = min(j, len(rest))
+                    k = min(j, n - (i2 - i1))
                     if k in tried or k == i1:
                         continue
                     tried.add(k)
-                    cand = rest[:k] + cur[i1:i2] + rest[k:]
-                    cand_w = rest_w[:k] + cur_w[i1:i2] + rest_w[k:]
-                    p = min(i1, k)
-                    row = _extend_rows(
-                        rows[p], cand[p:], cand_w[p:], ref, ref_weights, best_total - cost
-                    )
-                    if row is not None and row[-1] + cost < best_total:
-                        best_total = row[-1] + cost
-                        best = (row[-1], cost, cand, cand_w)
+                    if k < i1:  # cur[:k] + cur[i1:i2] + cur[k:i1] + cur[i2:]
+                        p, q = k, i2
+                        mid = cur[i1:i2] + cur[k:i1]
+                        mid_w = cur_w[i1:i2] + cur_w[k:i1]
+                    else:  # cur[:i1] + cur[i2:q] + cur[i1:i2] + cur[q:]
+                        p, q = i1, i2 + k - i1
+                        mid = cur[i2:q] + cur[i1:i2]
+                        mid_w = cur_w[i2:q] + cur_w[i1:i2]
+                    limit = best_total - cost - back_min[q]
+                    if row_min[p] >= limit:
+                        continue
+                    row = _extend_rows(rows[p], mid, mid_w, ref, ref_weights, limit)
+                    if row is None:
+                        continue
+                    new_distance = min(map(add, row, back[q]))
+                    if new_distance + cost < best_total:
+                        best_total = new_distance + cost
+                        best = (new_distance, cost,
+                                cur[:p] + mid + cur[q:], cur_w[:p] + mid_w + cur_w[q:])
         if best is None:
             break
         distance, cost, cur, cur_w = best

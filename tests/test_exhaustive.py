@@ -1,16 +1,19 @@
 """Bounded exhaustive checks: decoding is total on every model continuation
-up to a few tokens over a small alphabet, not only on sampled ones."""
+up to a few tokens over a small alphabet, not only on sampled ones, and the
+pruned shift search of 1-TERm scores every short pair as the full one."""
 
 import itertools
 import json
+import random
 
 import pytest
 
 from ctmt import corpus_io
 from ctmt.cli import decode_line
+from ctmt.metrics import shifted_edit_cost
 from ctmt.vocab import DEFAULT_VOCAB
 
-from conftest import TAGGED_VOCAB
+from conftest import TAGGED_VOCAB, reference_shifted_edit_cost
 
 # <Y_65> is past max_index, so it is an ordinary word that looks like a nonterminal
 LEXICAL_SYMBOLS = ["<sep>", "<Y_0>", "<Y_1>", "<X_0>", "<C_1>", "<C_2>", "<C_3>", "a", "<Y_65>"]
@@ -50,3 +53,17 @@ def test_every_short_structural_continuation_decodes(source_tags):
         assert isinstance(audit["valid"], bool)
         cases += 1
     assert cases == sum(len(STRUCTURAL_SYMBOLS) ** n for n in range(6))
+
+
+def test_every_short_pair_over_three_tokens_scores_as_the_full_shift_search():
+    rng = random.Random(41)
+    sides = list(_continuations("abc", 4))
+    cases = 0
+    for hyp in sides:
+        for ref in sides:
+            hw = [rng.choice([1, 2]) for _ in hyp]
+            rw = [rng.choice([1, 2]) for _ in ref]
+            got = shifted_edit_cost(hyp, ref, hw, rw)
+            assert got == reference_shifted_edit_cost(hyp, ref, hw, rw), (hyp, ref, hw, rw)
+            cases += 1
+    assert cases == 121 ** 2

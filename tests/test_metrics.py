@@ -10,6 +10,7 @@ from ctmt import ConstraintPair, EvalRecord, bleu, exact_match, structure_metric
 from ctmt.metrics import (
     MetricReport,
     _bleu_counts,
+    _multiset_floor,
     claim_spans,
     evaluate_records,
     score,
@@ -232,6 +233,83 @@ def test_shift_search_equals_the_full_search(pair):
     hyp, ref, hw, rw = pair
     assert shifted_edit_cost(hyp, ref, hw, rw) == reference_shifted_edit_cost(hyp, ref, hw, rw)
     assert weighted_edit_distance(hyp, ref, hw, rw) == simple_weighted_lev(hyp, ref, hw, rw)
+
+
+def _weights(rng, tokens):
+    return [rng.choice([1, 2]) for _ in tokens]
+
+
+def _near_miss_pair(rng, n):
+    """A reference of n tokens over 300 words, and a hypothesis with about one
+    edit per 6 tokens and a block of 2-4 tokens moved; weights 1 or 2."""
+    words = [f"w{k}" for k in range(300)]
+    ref = [rng.choice(words) for _ in range(n)]
+    hyp = list(ref)
+    for _ in range(n // 6):
+        k = rng.randrange(len(hyp))
+        edit = rng.choice("sdi")
+        if edit == "s":
+            hyp[k] = rng.choice(words)
+        elif edit == "d":
+            del hyp[k]
+        else:
+            hyp.insert(k, rng.choice(words))
+    size = rng.randint(2, 4)
+    start = rng.randrange(len(hyp) - size + 1)
+    block = hyp[start : start + size]
+    del hyp[start : start + size]
+    at = rng.randrange(len(hyp) + 1)
+    hyp[at:at] = block
+    return hyp, ref, _weights(rng, hyp), _weights(rng, ref)
+
+
+def test_shift_search_equals_the_full_search_on_near_miss_lines():
+    rng = random.Random(29)
+    for _ in range(12):
+        hyp, ref, hw, rw = _near_miss_pair(rng, rng.randint(20, 40))
+        assert shifted_edit_cost(hyp, ref, hw, rw) == reference_shifted_edit_cost(hyp, ref, hw, rw)
+
+
+def test_shift_search_equals_the_full_search_on_small_vocabulary_lines():
+    rng = random.Random(31)
+    for _ in range(30):
+        types = "abcd"[: rng.randint(2, 4)]
+        hyp = [rng.choice(types) for _ in range(rng.randint(10, 20))]
+        ref = [rng.choice(types) for _ in range(rng.randint(10, 20))]
+        hw, rw = _weights(rng, hyp), _weights(rng, ref)
+        assert shifted_edit_cost(hyp, ref, hw, rw) == reference_shifted_edit_cost(hyp, ref, hw, rw)
+
+
+def test_the_multiset_floor_bounds_every_arrangement():
+    rng = random.Random(37)
+    cases = 150
+    reached = 0
+    for _ in range(cases):
+        hyp = [rng.choice("abc") for _ in range(rng.randint(0, 6))]
+        ref = [rng.choice("abcd") for _ in range(rng.randint(0, 6))]
+        hw, rw = _weights(rng, hyp), _weights(rng, ref)
+        floor = _multiset_floor(hyp, ref, hw, rw)
+        least = min(
+            weighted_edit_distance([t for t, _ in arrangement], ref, [w for _, w in arrangement], rw)
+            for arrangement in set(itertools.permutations(zip(hyp, hw)))
+        )
+        assert least >= floor, (hyp, ref, hw, rw)
+        reached += least == floor
+    assert 2 * reached >= cases  # on such short lines the bound is mostly the least distance
+
+
+def test_a_pair_at_the_floor_skips_the_shift_search(monkeypatch):
+    # substitutions only, each weighing as much as its hypothesis token: no
+    # arrangement does better, so the substring index is never built
+    hyp, ref = "a b c d".split(), "a x c y".split()
+    hw, rw = [1, 2, 1, 2], [1, 1, 1, 2]
+    assert _multiset_floor(hyp, ref, hw, rw) == weighted_edit_distance(hyp, ref, hw, rw) == 4
+
+    def index(ref):
+        raise AssertionError("the shift search ran")
+
+    monkeypatch.setattr("ctmt.metrics._ref_substring_positions", index)
+    assert shifted_edit_cost(hyp, ref, hw, rw) == 4
 
 
 # ---------------------------------------------------------------------------
