@@ -69,7 +69,9 @@ class TranslatorBridge:
     """
 
     def __init__(self, command: str, children: int = 1):
-        self.command, self.children = command, children
+        import shlex
+
+        self.command, self.argv, self.children = command, shlex.split(command), children
         self._procs: list = []
         self._unread: list[bytes] = []  # per child: bytes read past the answers asked for
 
@@ -87,13 +89,11 @@ class TranslatorBridge:
     def translate(self, requests: list[list[TokenSeq]]) -> list[TokenSeq]:
         """The answers to a chunk's [encoder input, prefix] requests, in order."""
         import selectors
-        import shlex
         import subprocess
 
         if not self._procs:
             for _ in range(min(self.children, len(requests))):
-                argv = shlex.split(self.command)
-                proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
+                proc = subprocess.Popen(self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
                 os.set_blocking(proc.stdin.fileno(), False)  # a write takes what the pipe has room for
                 self._procs.append(proc)
                 self._unread.append(b"")
@@ -354,24 +354,22 @@ def _decode_chunk(chunk, bridge: TranslatorBridge | None, vocab: ReservedVocab):
 
 
 def cmd_decode(args) -> int:
-    import shlex
-
     if (args.model_output is None) == (args.translator is None):
         raise UsageError("decode takes exactly one of --model-output and --translator")
     if args.model_output is not None and args.shards != 1:
         raise UsageError("--shards counts translator children; --model-output takes none")
-    try:
-        if args.translator is not None and not shlex.split(args.translator):
-            raise UsageError("--translator: empty command")
-    except ValueError as exc:
-        raise UsageError(f"--translator: {exc}") from exc
-    vocab = _load_vocab(args)
     enc_dir = Path(args.encode_dir)
     if args.translator is None:
         answers, bridge = [args.model_output], None
     else:
         answers = [enc_dir / "encode.xprime", enc_dir / "encode.prefix"]
-        bridge = TranslatorBridge(args.translator, args.shards)
+        try:
+            bridge = TranslatorBridge(args.translator, args.shards)
+        except ValueError as exc:
+            raise UsageError(f"--translator: {exc}") from exc
+        if not bridge.argv:
+            raise UsageError("--translator: empty command")
+    vocab = _load_vocab(args)
     rows = corpus_io.iter_lines(enc_dir / "encode.meta.jsonl", *answers)
     out_dir = Path(args.out_dir) if args.out_dir else enc_dir
 

@@ -12,7 +12,9 @@ statistics, ``score`` turns those of any set of records into a
 ``MetricReport``, and ``evaluate_records`` streams records through both.
 ``bleu``, ``exact_match``, ``window_overlap``, ``term_score`` and
 ``structure_metrics`` each read one field of an ``evaluate_records``
-call, so each costs a whole evaluation, 1-TERm included.
+call, so each costs a whole evaluation, 1-TERm included. ``sentence_metrics``
+alone decides a line's case: a hypothesis equal to its reference is scored
+from one side, and an empty reference is logged and adds no 1-TERm weight.
 """
 
 from __future__ import annotations
@@ -269,8 +271,6 @@ def shifted_edit_cost(
       computed, and they stop once their minimum shows the bound above is
       reached.
     """
-    if hyp == ref:
-        return 0
     cur = list(hyp)
     cur_w = list(hyp_weights)
     distance = weighted_edit_distance(cur, ref, cur_w, ref_weights)
@@ -334,20 +334,6 @@ def shifted_edit_cost(
     return shift_total + distance
 
 
-def _term_stats(
-    r: EvalRecord, phrases: list[TokenSeq], hyp_spans: list[Span | None], lineno: int
-) -> tuple[int, int]:
-    """(weighted edits, weighted reference length); an empty reference is skipped."""
-    if not r.reference:
-        log.warning("line %d: empty reference skipped", lineno)
-        return 0, 0
-    ref_w = _all_occurrence_weights(r.reference, phrases)
-    if r.hypothesis == r.reference:  # no edits, whatever the hypothesis weights
-        return 0, sum(ref_w)
-    hyp_w = _span_weights(len(r.hypothesis), hyp_spans)
-    return shifted_edit_cost(r.hypothesis, r.reference, hyp_w, ref_w), sum(ref_w)
-
-
 def _one_minus_term(edits: int, ref_weight: int) -> float:
     """1-TERm of records with these summed weighted edits and reference weight."""
     return max(0.0, min(100.0, 100.0 * (1.0 - edits / ref_weight))) if ref_weight else 100.0
@@ -358,19 +344,14 @@ def _ngrams(tokens: TokenSeq, n: int) -> Counter:
     return Counter(zip(*(tokens[k:] for k in range(n))))
 
 
-def _bleu_counts(hyp: TokenSeq, ref: TokenSeq) -> tuple[list[int], list[int], int, int]:
-    """Clipped matches and hypothesis n-grams per order, and both lengths.
+def _ngram_totals(tokens: TokenSeq) -> list[int]:
+    return [max(0, len(tokens) - n + 1) for n in range(1, MAX_NGRAM + 1)]
 
-    A sentence's n-grams clipped by its own counts are all of them, so a
-    hypothesis equal to its reference matches each order's total."""
-    totals = [max(0, len(hyp) - n + 1) for n in range(1, MAX_NGRAM + 1)]
-    if hyp == ref:
-        matches = list(totals)
-    else:
-        matches = [
-            sum((_ngrams(hyp, n) & _ngrams(ref, n)).values()) for n in range(1, MAX_NGRAM + 1)
-        ]
-    return matches, totals, len(hyp), len(ref)
+
+def _bleu_counts(hyp: TokenSeq, ref: TokenSeq) -> tuple[list[int], list[int], int, int]:
+    """Clipped matches and hypothesis n-grams per order, and both lengths."""
+    matches = [sum((_ngrams(hyp, n) & _ngrams(ref, n)).values()) for n in range(1, MAX_NGRAM + 1)]
+    return matches, _ngram_totals(hyp), len(hyp), len(ref)
 
 
 def _bleu_score(matches: list[int], totals: list[int], hyp_len: int, ref_len: int) -> float:
@@ -407,27 +388,37 @@ def sentence_metrics(
     r: EvalRecord, *, vocab: ReservedVocab | None = None,
     structural: bool = False, window: int = WINDOW, lineno: int = 1,
 ) -> SentenceStats:
-    """The record's statistics; a warning about it names line ``lineno``. Its
-    phrases are claimed once per side, for Exact Match, Window Overlap and the
-    1-TERm weights; a hypothesis equal to its reference is claimed once for both,
-    and each placed phrase's windows then score 1, as _window_score gives."""
+    """The record's statistics; a warning about it names line ``lineno``.
+
+    This alone decides a line's case. Its phrases are claimed once per side,
+    for Exact Match, Window Overlap and the 1-TERm weights. A hypothesis equal
+    to its reference is claimed once for both: its BLEU matches are each
+    order's total, each placed phrase's windows score 1, as _window_score
+    gives, and it has no edits. An empty reference is logged and adds no
+    1-TERm weight."""
     if structural and vocab is None:
         raise ValueError("structural evaluation requires a vocabulary")
     if window < 0:
         raise ValueError(f"window must be at least 0, not {window}")
+    hyp, ref = r.hypothesis, r.reference
     phrases = [c.tgt for c in r.constraints]
-    hyp_spans = claim_spans(r.hypothesis, phrases)
-    if r.hypothesis == r.reference:
+    hyp_spans = claim_spans(hyp, phrases)
+    ref_w = _all_occurrence_weights(ref, phrases)
+    edits = 0
+    if hyp == ref:
+        totals = _ngram_totals(hyp)
+        counts = totals, totals, len(hyp), len(ref)
         windows = [0.0 if span is None else 1.0 for span in hyp_spans]
     else:
-        ref_spans = claim_spans(r.reference, phrases)
+        counts = _bleu_counts(hyp, ref)
+        ref_spans = claim_spans(ref, phrases)
         windows = [_window_score(r, hs, rs, window) for hs, rs in zip(hyp_spans, ref_spans)]
+        if ref:
+            edits = shifted_edit_cost(hyp, ref, _span_weights(len(hyp), hyp_spans), ref_w)
+    if not ref:
+        log.warning("line %d: empty reference skipped", lineno)
     return SentenceStats(
-        *_bleu_counts(r.hypothesis, r.reference),
-        len(phrases) - hyp_spans.count(None),
-        len(phrases),
-        windows,
-        *_term_stats(r, phrases, hyp_spans, lineno),
+        *counts, len(phrases) - hyp_spans.count(None), len(phrases), windows, edits, sum(ref_w),
         *(_structure_flags(r, vocab) if structural else (None, None)),
     )
 

@@ -56,21 +56,17 @@ def build_structural_pair(
     example carries the streams in ``encoder_input`` and
     ``target_output``, and both tag sequences.
     """
-    vocab.check_plain(x, "source sentence")
+    example = build_structural_input(x, vocab=vocab)
     vocab.check_plain(y, "target sentence")
-    src_tags, p = segment_tagged(x, vocab)
-    tgt_tags, q = segment_tagged(y, vocab)
-    if Counter(src_tags) != Counter(tgt_tags):
+    tgt_tags, fragments = segment_tagged(y, vocab)
+    if Counter(example.source_tags) != Counter(tgt_tags):
         log.warning(
-            "tag multiset mismatch: source %s vs target %s", sorted(src_tags), sorted(tgt_tags)
+            "tag multiset mismatch: source %s vs target %s",
+            sorted(example.source_tags), sorted(tgt_tags),
         )
-    return SerializedExample(
-        encoder_input=render_side("X", src_tags, p, vocab),
-        decoder_prefix=[],
-        target_output=render_side("Y", tgt_tags, q, vocab),
-        source_tags=src_tags,
-        target_tags=tgt_tags,
-    )
+    example.target_output = render_side("Y", tgt_tags, fragments, vocab)
+    example.target_tags = tgt_tags
+    return example
 
 
 def build_structural_input(x: TokenSeq, *, vocab: ReservedVocab) -> SerializedExample:

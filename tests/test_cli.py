@@ -1304,6 +1304,26 @@ def test_decode_bad_translator_command_is_usage_error(golden_files, capsys, comm
 
 
 @pytest.mark.parametrize(
+    "vocab", [[], ["--vocab", "no-such-vocab.json"]], ids=["no-vocab", "missing-vocab"]
+)
+@pytest.mark.parametrize(
+    "command, message",
+    [("", "empty command"), ("   ", "empty command"), ("'x", "No closing quotation")],
+    ids=["empty", "blank", "open-quote"],
+)
+def test_translator_command_is_checked_before_the_vocabulary(tmp_path, capsys, monkeypatch,
+                                                             vocab, command, message):
+    enc_dir = _encode_two_lines(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = ["decode", "--encode-dir", str(enc_dir), "--translator", command, "--out-dir", str(out)]
+    assert main(argv + vocab) == 1
+    assert capsys.readouterr().err == f"ctmt: --translator: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["bench", "--src", "s", "--tgt", "t", "--baseline-tps", "0"],

@@ -14,10 +14,11 @@ import time
 
 import pytest
 
-from ctmt import ReservedVocab
+from ctmt import ConstraintMatchError, ConstraintPair, ReservedVocab, build_inference_input
 from ctmt.cli import decode_line, main
 from ctmt.corpus_io import iter_bitext, meta_record
-from ctmt.metrics import EvalRecord, _structure_flags
+from ctmt.lexical import claim_spans
+from ctmt.metrics import EvalRecord, _bleu_counts, _structure_flags
 from ctmt.mining import SamplerConfig, extract_phrase_pairs
 from ctmt.structural import build_structural_pair
 
@@ -124,6 +125,11 @@ BOUND_S = 2.0
 TAGS = ReservedVocab(max_index=20_000, registered_tags=frozenset({"<b>", "</b>", "<br/>"}))
 NESTED = ["<b>", "w"] * (N // 4) + ["</b>", "w"] * (N // 4)  # tags nested N/4 deep
 VOIDS = ["<br/>"] * N
+REPEATED = ["a"] * N
+# greedy claiming gives every "x y" a copy, which strands "y x", and no
+# placement of all of them exists, so the span search runs to its budget
+STRANDED = ["x", "y"] * (N // 2)
+STRANDING = [["x", "y"]] * (N // 2 - 1) + [["y", "x"]]
 
 
 def _nested_pair(tmp_path):
@@ -171,8 +177,41 @@ def _identity_aligned_line(tmp_path):
     return mine, lambda pairs: len(pairs[0]) == sum(N - k + 1 for k in range(1, max_len + 1))
 
 
+def _stranded_claims(tmp_path):
+    run = lambda: claim_spans(STRANDED, STRANDING)
+    return run, lambda spans: spans[-1] is None and spans.count(None) == 1
+
+
+def _stranded_encode(tmp_path):
+    constraints = [ConstraintPair(phrase, ["t"]) for phrase in STRANDING]
+
+    def run():
+        with pytest.raises(ConstraintMatchError) as caught:
+            build_inference_input(STRANDED, constraints, vocab=TAGS)
+        return str(caught.value)
+
+    return run, lambda message: "'y x'" in message
+
+
+def _repeated_one_token_claims(tmp_path):
+    run = lambda: claim_spans(REPEATED, [["a"]] * (N // 4))
+    return run, lambda spans: spans == [(k, k + 1) for k in range(N // 4)]
+
+
+def _repeated_token_overflow_claims(tmp_path):
+    # one token more than the line holds: the last phrase is left unplaced
+    run = lambda: claim_spans(REPEATED, [["a", "a"]] * (N // 2 - 1) + [["a", "a", "a"]])
+    return run, lambda spans: spans[-1] is None and spans.count(None) == 1
+
+
+def _repeated_token_bleu_counts(tmp_path):
+    run = lambda: _bleu_counts(REPEATED, ["a", "b"] * (N // 2))
+    return run, lambda counts: counts == ([N // 2, 0, 0, 0], [N, N - 1, N - 2, N - 3], N, N)
+
+
 SHAPES = [_nested_pair, _nested_decode, _void_decode, _nested_structure_flags,
-          _garbage_derivations, _identity_aligned_line]
+          _garbage_derivations, _identity_aligned_line, _stranded_claims, _stranded_encode,
+          _repeated_one_token_claims, _repeated_token_overflow_claims, _repeated_token_bleu_counts]
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=[f.__name__.lstrip("_") for f in SHAPES])

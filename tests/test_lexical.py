@@ -33,6 +33,9 @@ from ctmt.lexical import (
     read_output,
     render_side,
 )
+from ctmt.mining import (
+    SamplerConfig, as_constraints, extract_phrase_pairs, sample_phrase_pairs, sentence_rng,
+)
 
 from conftest import (
     GOLD_ENC,
@@ -44,6 +47,7 @@ from conftest import (
     GOLD_YPRIME,
     TAGGED_VOCAB,
     gold_constraints,
+    make_lexical_corpus,
     reference_claim_spans,
     reference_disjoint_assignment,
 )
@@ -363,6 +367,25 @@ def test_builders_return_what_they_settled(vocab):
         assert ex.src_spans == spans
         assert " ".join(ex.decoder_prefix) == GOLD_PREFIX
     assert pair.target_output[: len(pair.decoder_prefix)] == pair.decoder_prefix
+
+
+def test_training_and_inference_serialize_a_source_line_alike(vocab):
+    # the template invariant: given the spans sampling mined, a line's source
+    # side is serialized for training as it is for inference
+    cfg = SamplerConfig(rng_seed=3)
+    pairs, alignments = make_lexical_corpus(500, seed=3, max_len=30)
+    constrained = 0
+    for i, ((x, y), links) in enumerate(zip(pairs, alignments)):
+        chosen = sample_phrase_pairs(extract_phrase_pairs(x, y, links, cfg.max_len), cfg,
+                                     sentence_rng(cfg.rng_seed, i))
+        constraints, src_spans = as_constraints(chosen), [p.src_span for p in chosen]
+        pair = build_training_pair(x, y, constraints, [p.tgt_span for p in chosen],
+                                   vocab=vocab, src_spans=src_spans)
+        example = build_inference_input(x, constraints, vocab=vocab, src_spans=src_spans)
+        for field in ("encoder_input", "decoder_prefix", "constraints", "src_spans"):
+            assert getattr(pair, field) == getattr(example, field), (i, field)
+        constrained += bool(chosen)
+    assert constrained > 250
 
 
 def test_inference_input_golden(vocab):

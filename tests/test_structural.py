@@ -76,6 +76,17 @@ def test_structural_builders_return_tags(tagged_vocab):
     assert example.target_tags is None
 
 
+def test_training_and_inference_serialize_a_tagged_line_alike(tagged_vocab):
+    # the template invariant: a tagged source line is serialized for training
+    # as it is for inference, whatever its target
+    pairs = make_structural_corpus(200, seed=5)
+    for x, y in pairs + [(x, y[::-1]) for x, y in pairs]:
+        pair = build_structural_pair(x, y, vocab=tagged_vocab)
+        example = build_structural_input(x, vocab=tagged_vocab)
+        assert (pair.encoder_input, pair.source_tags) == (example.encoder_input, example.source_tags)
+    assert sum(bool(tag_sequence(x, tagged_vocab)) for x, _ in pairs) > 100
+
+
 def test_structural_pair_untagged(tagged_vocab):
     pair = build_structural_pair(["hi"], ["bonjour"], vocab=tagged_vocab)
     xp, yp = pair.encoder_input, pair.target_output
