@@ -31,10 +31,19 @@ from .types import (
 from .vocab import ReservedVocab
 
 _ALIGN_ITEM = re.compile(r"0*([1-9][0-9]*|0)-0*([1-9][0-9]*|0)")
+# What str.split() splits on besides ASCII whitespace: the other characters
+# for which str.isspace() is true (the same 23 on Python 3.10 to 3.13).
+_OTHER_SPACE = re.compile("[\x1c-\x1f\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
 
 
 def split_tokens(line: str) -> TokenSeq:
-    """Split one line on ASCII whitespace runs; empty line gives no tokens."""
+    """Split one line on ASCII whitespace runs; empty line gives no tokens.
+
+    A line that holds no other character str.split() splits on is split by
+    str.split(), which then gives the same tokens in one C-level pass.
+    """
+    if _OTHER_SPACE.search(line) is None:
+        return line.split()
     return [t for t in ASCII_WHITESPACE.split(line) if t]
 
 
@@ -99,15 +108,20 @@ def token_line(tokens: TokenSeq) -> str:
     return join_tokens(tokens) + "\n"
 
 
-def json_line(record: dict) -> str:
-    """One JSON object as a file line, LF included; a ConstraintPair becomes ``{"src", "tgt"}``."""
-    return json.dumps(record, ensure_ascii=False, sort_keys=True, default=_json_value) + "\n"
-
-
 def _json_value(value: Any) -> dict:
     if isinstance(value, ConstraintPair):
         return {"src": value.src, "tgt": value.tgt}
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+# what json.dumps(record, ensure_ascii=False, sort_keys=True, default=_json_value)
+# builds on every call; it keeps no state between records
+_JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, default=_json_value)
+
+
+def json_line(record: dict) -> str:
+    """One JSON object as a file line, LF included; a ConstraintPair becomes ``{"src", "tgt"}``."""
+    return _JSON_ENCODER.encode(record) + "\n"
 
 
 def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
@@ -168,7 +182,9 @@ def read_alignments(
 def _json_object(line: str, lineno: int) -> dict:
     try:
         record = json.loads(line)
-    except (ValueError, RecursionError) as exc:  # bad JSON, too long an integer, too deep
+    except json.JSONDecodeError as exc:  # worded by position: json's own text differs by version
+        raise CorpusFormatError(f"line {lineno}: invalid JSON at column {exc.colno}") from exc
+    except (ValueError, RecursionError) as exc:  # too long an integer, too deep
         raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise CorpusFormatError(f"line {lineno}: expected a JSON object")
@@ -186,9 +202,13 @@ def write_jsonl(path: str | Path, records: list[dict]) -> None:
 
 
 def _token_list(value: Any, lineno: int, field: str) -> TokenSeq:
-    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+    try:
+        joined = "".join(value)
+    except TypeError:  # not iterable, or an item that is not a string
+        joined = None
+    if joined is None or not isinstance(value, list):
         raise CorpusFormatError(f"line {lineno}: {field} must be a list of strings")
-    if LONE_SURROGATE.search("".join(value)):
+    if LONE_SURROGATE.search(joined):
         raise CorpusFormatError(f"line {lineno}: {field} holds a lone surrogate")
     return list(value)
 
@@ -308,6 +328,10 @@ def _corpus_rows(rows, has_tgt: bool, has_constraints: bool, has_spans: bool) ->
 def load_vocab(path: str | Path) -> ReservedVocab:
     try:
         return ReservedVocab.from_dict(json.loads(_read_text(path)))
+    except json.JSONDecodeError as exc:  # worded as _json_object words it
+        raise CorpusFormatError(
+            f"invalid vocabulary manifest: invalid JSON at line {exc.lineno} column {exc.colno}"
+        ) from exc
     except (TypeError, ValueError, RecursionError) as exc:
         raise CorpusFormatError(f"invalid vocabulary manifest: {exc}") from exc
 

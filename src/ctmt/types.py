@@ -108,9 +108,14 @@ class ConstraintPair(Value):
     def __init__(self, src: TokenSeq, tgt: TokenSeq) -> None:
         if not src or not tgt:
             raise ValueError("constraint phrases must be non-empty")
-        for tok in (*src, *tgt):
-            if not tok or ASCII_WHITESPACE.search(tok):
-                raise ValueError(f"constraint token {tok!r} is empty or contains whitespace")
+        try:  # one pass over both phrases; the loop finds the first bad token
+            clean = all(src) and all(tgt) and not ASCII_WHITESPACE.search("".join((*src, *tgt)))
+        except TypeError:  # a token that is not a string fails in the loop as it always has
+            clean = False
+        if not clean:
+            for tok in (*src, *tgt):
+                if not tok or ASCII_WHITESPACE.search(tok):
+                    raise ValueError(f"constraint token {tok!r} is empty or contains whitespace")
         self.src = src
         self.tgt = tgt
 

@@ -21,7 +21,10 @@ _CLOSE_RE = re.compile(r"^</([^<>/]+)>$")
 
 class ReservedVocab(FrozenValue):
     FIELDS = ("sep_token", "x_prefix", "y_prefix", "c_prefix", "max_index", "registered_tags")
-    __slots__ = (*FIELDS, "_nt_pattern", "_candidate", "_kind_by_prefix", "_prefix_by_kind")
+    __slots__ = (
+        *FIELDS, "_nt_pattern", "_candidate", "_kind_by_prefix", "_prefix_by_kind",
+        "_spellings", "_parsed",
+    )
 
     def __init__(
         self,
@@ -47,35 +50,46 @@ class ReservedVocab(FrozenValue):
                 raise ValueError(f"reserved surface form {surface!r} must be a single token")
         alts = "|".join(re.escape(p) for p in prefixes)
         digits = len(str(max_index)) - 1  # no more than max_index has: int() refuses long runs
-        nt_pattern = re.compile(rf"^<({alts})_(0|[1-9][0-9]{{0,{digits}}})>$")
+        nt_pattern = re.compile(rf"<({alts})_(0|[1-9][0-9]{{0,{digits}}})>")  # for fullmatch
         object.__setattr__(self, "_nt_pattern", nt_pattern)
         # the separator or a nonterminal spelling; is_reserved confirms the index
-        candidate = re.compile(rf"{re.escape(sep_token)}$|{nt_pattern.pattern}")
+        candidate = re.compile(rf"{re.escape(sep_token)}|{nt_pattern.pattern}")
         object.__setattr__(self, "_candidate", candidate)
         object.__setattr__(self, "_kind_by_prefix", {x_prefix: "X", y_prefix: "Y", c_prefix: "C"})
         object.__setattr__(self, "_prefix_by_kind", {"X": x_prefix, "Y": y_prefix, "C": c_prefix})
-        if nt_pattern.match(sep_token):
+        # the spelling of each nonterminal render has made, and the nonterminal
+        # of each spelling parse_token has recognized: 3 * (max_index + 1) at most
+        object.__setattr__(self, "_spellings", {})
+        object.__setattr__(self, "_parsed", {})
+        if nt_pattern.fullmatch(sep_token):
             raise ValueError("separator token collides with a nonterminal spelling")
         for tag in registered_tags:
-            if tag == sep_token or nt_pattern.match(tag):
+            if tag == sep_token or nt_pattern.fullmatch(tag):
                 raise ValueError(f"registered tag {tag!r} collides with a reserved token")
 
     def render(self, nt: Nonterminal) -> str:
-        if nt.index > self.max_index:
-            raise CapacityError(
-                f"nonterminal index {nt.index} exceeds reserved max_index {self.max_index}"
-            )
-        return f"<{self._prefix_by_kind[nt.kind]}_{nt.index}>"
+        spelling = self._spellings.get(nt)
+        if spelling is None:
+            if nt.index > self.max_index:
+                raise CapacityError(
+                    f"nonterminal index {nt.index} exceeds reserved max_index {self.max_index}"
+                )
+            spelling = f"<{self._prefix_by_kind[nt.kind]}_{nt.index}>"
+            if type(nt.index) is int:  # True or 1.0 equals 1 but spells otherwise
+                self._spellings[nt] = spelling
+        return spelling
 
     def parse_token(self, token: str) -> Nonterminal | None:
         """Recognize a rendered nonterminal; None for any other token."""
-        m = self._nt_pattern.match(token)
-        if m is None:
+        if token[-1:] != ">":  # every spelling ends in ">"
             return None
-        index = int(m.group(2))
-        if index > self.max_index:
-            return None
-        return Nonterminal(self._kind_by_prefix[m.group(1)], index)
+        nt = self._parsed.get(token)
+        if nt is None:
+            m = self._nt_pattern.fullmatch(token)
+            if m is None or (index := int(m.group(2))) > self.max_index:
+                return None
+            nt = self._parsed[token] = Nonterminal(self._kind_by_prefix[m.group(1)], index)
+        return nt
 
     def is_reserved(self, token: str) -> bool:
         return token == self.sep_token or self.parse_token(token) is not None
@@ -98,7 +112,7 @@ class ReservedVocab(FrozenValue):
     def check_plain(self, tokens: TokenSeq, where: str = "sentence") -> None:
         """Reject reserved tokens in a plain (non-serialized) sentence; the
         error names the first in line order."""
-        for tok in filter(self._candidate.match, tokens):
+        for tok in filter(self._candidate.fullmatch, tokens):
             if self.is_reserved(tok):
                 raise ReservedTokenError(f"reserved token {tok!r} appears in {where}")
 

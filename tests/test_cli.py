@@ -1242,6 +1242,9 @@ def test_decode_meta_line_not_an_object_is_data_error(golden_files, capsys):
         ('{"source_tags": 3}', "source_tags must be a list of strings"),
         ('{"constraints": [{"src": ["a"], "tgt": "xy"}]}', "tgt must be a list of strings"),
         ('{"mode": "other"}', "mode must be one of lexical, structural"),
+        ('{"index": 1 "mode": "lexical"}', "invalid JSON at column 13"),
+        ('{"index": 1} x', "invalid JSON at column 14"),
+        ('{"index": 1, "mode": "lex', "invalid JSON at column 22"),
         pytest.param('{"constraints": ' + TOO_DEEP + "}", f"invalid JSON: {TOO_DEEP_ERROR}",
                      id="too-deep"),
         pytest.param('{"constraints": [], "n": ' + TOO_LONG + "}",
@@ -1267,7 +1270,12 @@ def test_decode_malformed_meta_record_is_data_error(tmp_path, capsys, record, me
         ('{"registered_tags": "<ph>"}', "registered_tags must be a list of strings"),
         ('{"max_index": true}', "max_index must be an integer"),
         ('{"max_index": 2.9}', "max_index must be an integer"),
-        ('{"sep_token": "<sep>",}', "Expecting property name enclosed in double quotes"),
+        # json's position of a trailing comma is its own: the comma from Python 3.13 on
+        pytest.param('{"sep_token": "<sep>",}', "invalid JSON at line 1 column ", id="trailing-comma"),
+        ('{"sep_token": "<sep>" "max_index": 9}', "invalid JSON at line 1 column 23\n"),
+        ('{\n  "sep_token": "<sep>"\n  "x_prefix": "X"\n}', "invalid JSON at line 3 column 3\n"),
+        ('{"sep_token": "<se', "invalid JSON at line 1 column 15\n"),
+        ("", "invalid JSON at line 1 column 1\n"),
         pytest.param('{"max_index": ' + TOO_DEEP + "}", TOO_DEEP_ERROR, id="too-deep"),
         pytest.param('{"max_index": ' + TOO_LONG + "}", TOO_LONG_ERROR, id="too-long-integer"),
     ],

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from ctmt import ConstraintPair, CorpusFormatError, ReservedVocab
 from ctmt import corpus_io
+from ctmt.types import ASCII_WHITESPACE
 
 from conftest import pharaoh_line, write_lines
 
@@ -110,8 +112,9 @@ def test_read_constraints_empty_phrase_rejected(tmp_path):
 
 def test_read_constraints_bad_json(tmp_path):
     path = _write(tmp_path / "a.cons.jsonl", "{nope\n")
-    with pytest.raises(CorpusFormatError, match="line 1"):
+    with pytest.raises(CorpusFormatError) as info:
         corpus_io.read_constraints(path)
+    assert str(info.value) == "line 1: invalid JSON at column 2"
 
 
 @pytest.mark.parametrize("line", ["[1]", "7", "null"])
@@ -294,3 +297,124 @@ def test_token_lines_round_trip(sentences, tmp_path_factory):
     path = tmp_path_factory.mktemp("io") / "lines.txt"
     corpus_io.write_token_lines(path, sentences)
     assert corpus_io.read_token_lines(path) == sentences
+
+
+# every character for which str.isspace() is true, ASCII whitespace first
+ISSPACE = (" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005"
+           "\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+
+
+def test_the_str_split_shortcut_knows_every_other_separator():
+    # enumerated on the running Python, so that a new Unicode table shows here
+    chars = list(map(chr, range(sys.maxunicode + 1)))
+    assert {c for c in chars if c.isspace()} == set(ISSPACE) and len(ISSPACE) == 29
+    other = {c for c in chars if corpus_io._OTHER_SPACE.fullmatch(c)}
+    assert other == set(ISSPACE) - set(" \t\n\r\x0b\x0c")
+    for c in other:  # inside a token on the slow path, and a plain line keeps the shortcut
+        assert corpus_io.split_tokens(f" a{c}b\tc ") == [f"a{c}b", "c"]
+
+
+@given(line=st.text(alphabet=ISSPACE + "\r<>aé中\u0661", max_size=40))
+def test_split_tokens_splits_on_ascii_whitespace_runs_only(line):
+    assert corpus_io.split_tokens(line) == [t for t in ASCII_WHITESPACE.split(line) if t]
+
+
+NOT_A_TOKEN_LIST = "must be a list of strings"
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ('"ab"', NOT_A_TOKEN_LIST),
+        ("5", NOT_A_TOKEN_LIST),
+        ("null", NOT_A_TOKEN_LIST),
+        ('{"a": 1}', NOT_A_TOKEN_LIST),
+        ("[1]", NOT_A_TOKEN_LIST),
+        ('["a", null]', NOT_A_TOKEN_LIST),
+        ('[["a"]]', NOT_A_TOKEN_LIST),
+        ('["a", "\\udc80"]', "holds a lone surrogate"),
+    ],
+)
+def test_token_lists_are_checked_with_their_messages(value, message):
+    records = {
+        "src": '{"constraints": [{"src": %s, "tgt": ["x"]}]}' % value,
+        "tgt": '{"constraints": [{"src": ["a"], "tgt": %s}]}' % value,
+        "source_tags": '{"source_tags": %s}' % value,
+    }
+    for field, record in records.items():
+        with pytest.raises(CorpusFormatError) as info:
+            corpus_io.parse_meta(record, 3)
+        assert str(info.value) == f"line 3: {field} {message}"
+        with pytest.raises(CorpusFormatError) as info:
+            corpus_io._token_list(json.loads(value), 3, field)
+        assert str(info.value) == f"line 3: {field} {message}"
+
+
+@pytest.mark.parametrize(
+    "src, tgt, bad",
+    [
+        (["a", ""], ["x"], ""),
+        (["a"], ["x\ty", ""], "x\ty"),
+        (["a b"], [""], "a b"),
+        (["a"], ["x", "y\r"], "y\r"),
+        (["a\x0bb", "c\x0cd"], ["x"], "a\x0bb"),
+        (["a\n"], ["x"], "a\n"),
+    ],
+)
+def test_constraint_tokens_are_checked_with_the_first_bad_one_named(src, tgt, bad):
+    message = f"constraint token {bad!r} is empty or contains whitespace"
+    with pytest.raises(ValueError) as info:
+        ConstraintPair(src, tgt)
+    assert str(info.value) == message
+    record = json.dumps({"constraints": [{"src": ["a"], "tgt": ["x"]}, {"src": src, "tgt": tgt}]})
+    with pytest.raises(CorpusFormatError) as info:
+        corpus_io.parse_meta(record, 3)
+    assert str(info.value) == f"line 3: {message}"
+
+
+def _token_loop(src, tgt):
+    """The per-token check ConstraintPair ran on every pair before its one-pass check."""
+    for tok in (*src, *tgt):
+        if not tok or ASCII_WHITESPACE.search(tok):
+            raise ValueError(f"constraint token {tok!r} is empty or contains whitespace")
+
+
+@pytest.mark.parametrize(
+    "src",
+    [[1], ["a", None], [0], [b"a"], [b""], [["a"]], "ab", ("a", "b c"),
+     ["a\xa0b", "\u3000", "x\x1cy", "\u2028"]],  # a token ends only at ASCII whitespace
+)
+def test_constraint_pair_accepts_and_refuses_as_the_token_loop(src):
+    try:
+        _token_loop(src, ["x"])
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as info:
+            ConstraintPair(src, ["x"])
+        assert str(info.value) == str(exc)
+    else:
+        assert ConstraintPair(src, ["x"]).src == src
+
+
+json_value_st = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6)
+    | st.builds(ConstraintPair, st.lists(token_st, min_size=1, max_size=3),
+                st.lists(token_st, min_size=1, max_size=3)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(record=st.dictionaries(st.text(max_size=6), json_value_st, max_size=5))
+def test_json_line_is_what_json_dumps_writes(record):
+    expected = json.dumps(record, ensure_ascii=False, sort_keys=True, default=corpus_io._json_value)
+    assert corpus_io.json_line(record) == expected + "\n"
+
+
+def test_json_line_refuses_what_json_dumps_refuses():
+    for record in ({"a": object()}, {"a": {1, 2}}):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            corpus_io.json_line(record)
+    cycle = []
+    cycle.append(cycle)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        corpus_io.json_line({"a": cycle})

@@ -1,8 +1,6 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from ctmt import CapacityError, Nonterminal, ReservedTokenError, ReservedVocab
+from ctmt import DEFAULT_VOCAB, CapacityError, Nonterminal, ReservedTokenError, ReservedVocab
 
 
 def test_render_defaults(vocab):
@@ -16,23 +14,51 @@ def test_render_beyond_capacity(vocab):
         vocab.render(Nonterminal("C", 65))
 
 
-@given(
-    kind=st.sampled_from(["X", "Y", "C"]),
-    index=st.integers(min_value=0, max_value=64),
-)
-def test_parse_inverts_render(kind, index):
+MULTI_LETTER = ReservedVocab(sep_token="<SEP>", x_prefix="SRC", y_prefix="TGT", c_prefix="CON",
+                             max_index=120)
+
+
+def test_parse_inverts_render():
+    for vocab in (DEFAULT_VOCAB, MULTI_LETTER):
+        for kind in ("X", "Y", "C"):
+            for index in range(vocab.max_index + 1):
+                nt = Nonterminal(kind, index)
+                spelling = vocab.render(nt)
+                # the second calls return the kept spelling and the kept nonterminal
+                assert vocab.render(nt) == spelling and vocab.parse_token(spelling) == nt
+                assert vocab.parse_token(spelling) == nt
+        for kind in ("X", "Y", "C"):  # an index over capacity is never kept: it raises every time
+            for _ in range(2):
+                with pytest.raises(CapacityError):
+                    vocab.render(Nonterminal(kind, vocab.max_index + 1))
+        assert len(vocab._spellings) == len(vocab._parsed) == 3 * (vocab.max_index + 1)
+
+
+def test_render_keeps_no_spelling_of_an_index_that_is_not_an_int():
     vocab = ReservedVocab()
-    nt = Nonterminal(kind, index)
-    assert vocab.parse_token(vocab.render(nt)) == nt
+    assert vocab.render(Nonterminal("X", True)) == "<X_True>"
+    assert vocab.render(Nonterminal("X", 1)) == "<X_1>"
 
 
 @pytest.mark.parametrize(
     "token",
     ["<X_65>", "<X_-1>", "<X_00>", "<X_01>", "x", "<sep>", "<Z_1>", "<X_1", "X_1>", "<X_1 >",
-     "<X_100>", pytest.param("<X_" + "1" * 5000 + ">", id="more-digits-than-int-takes")],
+     "<X_100>", "<X_\u0661>", "<X_1>\n", "<sep>\n", "", ">", "<>",
+     pytest.param("<X_" + "1" * 5000 + ">", id="more-digits-than-int-takes")],
 )
 def test_parse_rejects_non_nonterminals(vocab, token):
     assert vocab.parse_token(token) is None
+    # twice: a rejected token is not kept, and a kept spelling does not leak to it
+    vocab.parse_token("<X_1>")
+    assert vocab.parse_token(token) is None
+
+
+@pytest.mark.parametrize(
+    "token", ["<SRC_01>", "<SRC_121>", "<SRC_1", "SRC_1>", "<SRC_\u0661>", "<SRC_1>\n", "<X_1>",
+              "<SRC_1000>", "<SEP>"],
+)
+def test_parse_rejects_non_nonterminals_of_multi_letter_prefixes(token):
+    assert MULTI_LETTER.parse_token(token) is None
 
 
 def test_is_reserved(vocab):
@@ -40,6 +66,8 @@ def test_is_reserved(vocab):
     assert vocab.is_reserved("<C_3>")
     assert not vocab.is_reserved("hello")
     assert not vocab.is_reserved("<ph>")
+    # a spelling is matched whole: "$" would also match before a final LF
+    assert not vocab.is_reserved("<X_1>\n") and not vocab.is_reserved("<sep>\n")
 
 
 @pytest.mark.parametrize(
@@ -57,7 +85,7 @@ def test_check_plain_names_the_first_reserved_token_in_line_order(vocab, line, f
 
 
 def test_check_plain_passes_nonterminal_spellings_past_max_index(vocab):
-    vocab.check_plain(["<Y_65>", "<Y_01>", "<X_100>", "<sep>x", "a"])
+    vocab.check_plain(["<Y_65>", "<Y_01>", "<X_100>", "<sep>x", "a", "<X_1>\n", "<sep>\n"])
 
 
 def test_tag_roles(tagged_vocab):
