@@ -157,9 +157,7 @@ class TranslatorBridge:
 # shared input handling and the line loop
 
 def _load_vocab(args) -> ReservedVocab:
-    if args.vocab:
-        return corpus_io.load_vocab(args.vocab)
-    return DEFAULT_VOCAB
+    return DEFAULT_VOCAB if args.vocab is None else corpus_io.load_vocab(args.vocab)
 
 
 def _tagged_vocab(args) -> ReservedVocab:
@@ -608,17 +606,24 @@ def _int_at_least(low: int):
     return integer
 
 
+def _path(text: str) -> str:
+    if not text:  # an empty path would read as an absent option
+        raise argparse.ArgumentTypeError("empty path")
+    return text
+
+
 def _add_corpus(sub, *, target=True):
-    sub.add_argument("--src", required=True)
+    _add_common(sub)
+    sub.add_argument("--src", required=True, type=_path)
     if target:
-        sub.add_argument("--tgt", required=True)
-    sub.add_argument("--constraints")
-    sub.add_argument("--spans")
+        sub.add_argument("--tgt", required=True, type=_path)
+    sub.add_argument("--constraints", type=_path)
+    sub.add_argument("--spans", type=_path)
 
 
 def _add_common(sub):
     sub.add_argument("--mode", choices=corpus_io.MODES, default="lexical")
-    sub.add_argument("--vocab", help="vocabulary manifest (vocab.json)")
+    sub.add_argument("--vocab", type=_path, help="vocabulary manifest (vocab.json)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -626,31 +631,28 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", metavar="command")
 
     p = commands.add_parser("prepare", help="serialize a training corpus")
-    _add_common(p)
     _add_corpus(p)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", required=True, type=_path)
     p.set_defaults(func=cmd_prepare)
 
     p = commands.add_parser("encode", help="serialize inference inputs")
-    _add_common(p)
     _add_corpus(p, target=False)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", required=True, type=_path)
     p.set_defaults(func=cmd_encode)
 
     p = commands.add_parser("decode", help="reconstruct sentences from model outputs")
-    p.add_argument("--vocab", help="vocabulary manifest (vocab.json)")
-    p.add_argument("--encode-dir", required=True)
-    p.add_argument("--model-output", help="file of continuation lines")
+    p.add_argument("--vocab", type=_path, help="vocabulary manifest (vocab.json)")
+    p.add_argument("--encode-dir", required=True, type=_path)
+    p.add_argument("--model-output", type=_path, help="file of continuation lines")
     p.add_argument("--translator", help="command run through the line-protocol bridge")
     p.add_argument("--shards", type=_int_at_least(1), default=1, help="translator children")
-    p.add_argument("--out-dir")
+    p.add_argument("--out-dir", type=_path)
     p.set_defaults(func=cmd_decode)
 
     p = commands.add_parser("sample", help="mine and sample constraints from aligned bitext")
-    p.add_argument("--src", required=True)
-    p.add_argument("--tgt", required=True)
-    p.add_argument("--align", required=True)
-    p.add_argument("--out", required=True, help="output stem for .cons.jsonl and .spans.jsonl")
+    for name in ("--src", "--tgt", "--align"):
+        p.add_argument(name, required=True, type=_path)
+    p.add_argument("--out", required=True, type=_path, help="output stem for .cons.jsonl and .spans.jsonl")
     # the defaults of mining.SamplerConfig, which the parser does not import
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-constraints", type=int, default=3)
@@ -660,21 +662,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("evaluate", help="score hypotheses against references")
     _add_common(p)
-    p.add_argument("--hyp", required=True)
-    p.add_argument("--ref", required=True)
-    p.add_argument("--constraints")
+    p.add_argument("--hyp", required=True, type=_path)
+    p.add_argument("--ref", required=True, type=_path)
+    p.add_argument("--constraints", type=_path)
     p.add_argument("--window", type=_int_at_least(0), default=2)  # metrics.WINDOW
-    p.add_argument("--report", help="write the JSON report here as well")
-    p.add_argument("--per-sentence", help="write a per-sentence TSV here")
+    p.add_argument("--report", type=_path, help="write the JSON report here as well")
+    p.add_argument("--per-sentence", type=_path, help="write a per-sentence TSV here")
     p.set_defaults(func=cmd_evaluate)
 
     p = commands.add_parser("roundtrip", help="closed-loop check with a perfect model")
-    _add_common(p)
     _add_corpus(p)
     p.set_defaults(func=cmd_roundtrip)
 
     p = commands.add_parser("bench", help="throughput of the template transforms")
-    _add_common(p)
     _add_corpus(p)
     p.add_argument("--baseline-tps", type=_positive_float, default=3390.0)
     p.add_argument("--budget-fraction", type=_positive_float, default=0.05)

@@ -20,7 +20,6 @@ from one side, and an empty reference is logged and adds no 1-TERm weight.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
 from collections.abc import Iterable
 from itertools import accumulate
@@ -84,7 +83,7 @@ class SentenceStats(Value):
 
     __slots__ = FIELDS = (
         "ngram_matches", "ngram_totals", "hyp_len", "ref_len", "phrases_found",
-        "phrases_required", "window_scores", "term_edits", "term_ref_weight",
+        "phrases_required", "window_shared", "term_edits", "term_ref_weight",
         "well_formed", "tags_match",
     )
 
@@ -96,7 +95,7 @@ class SentenceStats(Value):
         ref_len: int,
         phrases_found: int,
         phrases_required: int,
-        window_scores: list[float],  # one per phrase; concatenated, never summed, across records
+        window_shared: dict[int, int],  # window length -> shared tokens, summed over phrases
         term_edits: int,
         term_ref_weight: int,
         well_formed: bool | None = None,  # structure flags, in structural mode only
@@ -108,16 +107,16 @@ class SentenceStats(Value):
         self.ref_len = ref_len
         self.phrases_found = phrases_found
         self.phrases_required = phrases_required
-        self.window_scores = window_scores
+        self.window_shared = window_shared
         self.term_edits = term_edits
         self.term_ref_weight = term_ref_weight
         self.well_formed = well_formed
         self.tags_match = tags_match
 
 
-def _percent(part: float, whole: int) -> float:
-    """100 * part / whole; 100 when there is nothing to score."""
-    return 100.0 * part / whole if whole else 100.0
+def _percent(part: int, whole: int) -> float:
+    """100 * part / whole, rounded once; 100 when there is nothing to score."""
+    return 100 * part / whole if whole else 100.0
 
 
 def _window(tokens: TokenSeq, span: Span, width: int) -> TokenSeq:
@@ -125,15 +124,14 @@ def _window(tokens: TokenSeq, span: Span, width: int) -> TokenSeq:
     return tokens[max(0, start - width) : start] + tokens[end : end + width]
 
 
-def _window_score(r: EvalRecord, hs: Span | None, rs: Span | None, width: int) -> float:
+def _window_score(r: EvalRecord, hs: Span | None, rs: Span | None, width: int) -> tuple[int, int]:
     if hs is None or rs is None:
-        return 0.0
+        return 0, 1
     hw = _window(r.hypothesis, hs, width)
     rw = _window(r.reference, rs, width)
-    denom = max(len(hw), len(rw))
-    if denom == 0:
-        return 1.0
-    return sum((Counter(hw) & Counter(rw)).values()) / denom
+    if not hw and not rw:
+        return 1, 1
+    return sum((Counter(hw) & Counter(rw)).values()), max(len(hw), len(rw))
 
 
 def _span_weights(length: int, spans: list[Span | None]) -> list[int]:
@@ -393,7 +391,7 @@ def sentence_metrics(
     This alone decides a line's case. Its phrases are claimed once per side,
     for Exact Match, Window Overlap and the 1-TERm weights. A hypothesis equal
     to its reference is claimed once for both: its BLEU matches are each
-    order's total, each placed phrase's windows score 1, as _window_score
+    order's total, each placed phrase's windows score 1/1, as _window_score
     gives, and it has no edits. An empty reference is logged and adds no
     1-TERm weight."""
     if structural and vocab is None:
@@ -404,21 +402,24 @@ def sentence_metrics(
     phrases = [c.tgt for c in r.constraints]
     hyp_spans = claim_spans(hyp, phrases)
     ref_w = _all_occurrence_weights(ref, phrases)
+    found = len(phrases) - hyp_spans.count(None)
     edits = 0
     if hyp == ref:
         totals = _ngram_totals(hyp)
         counts = totals, totals, len(hyp), len(ref)
-        windows = [0.0 if span is None else 1.0 for span in hyp_spans]
+        windows = {1: found}
     else:
         counts = _bleu_counts(hyp, ref)
-        ref_spans = claim_spans(ref, phrases)
-        windows = [_window_score(r, hs, rs, window) for hs, rs in zip(hyp_spans, ref_spans)]
+        windows = Counter()
+        for hs, rs in zip(hyp_spans, claim_spans(ref, phrases)):
+            shared, length = _window_score(r, hs, rs, window)
+            windows[length] += shared
         if ref:
             edits = shifted_edit_cost(hyp, ref, _span_weights(len(hyp), hyp_spans), ref_w)
     if not ref:
         log.warning("line %d: empty reference skipped", lineno)
     return SentenceStats(
-        *counts, len(phrases) - hyp_spans.count(None), len(phrases), windows, edits, sum(ref_w),
+        *counts, found, len(phrases), windows, edits, sum(ref_w),
         *(_structure_flags(r, vocab) if structural else (None, None)),
     )
 
@@ -426,15 +427,13 @@ def sentence_metrics(
 def score(stats: Iterable[SentenceStats], structural: bool = False) -> MetricReport:
     """The metrics of the records whose statistics are given, read in one pass.
 
-    The counts are kept as running sums. The window scores are kept, 8 bytes
-    each, and added up by one sum() as a list of them would be: a running
-    ``+=`` would differ in the last bits, since sum() of floats is
-    compensated from Python 3.12 on.
+    Every statistic is an integer running sum, so line order cannot change
+    the report; Window Overlap's mean is exact over the lcm of its lengths.
     """
     matches, totals = [0] * MAX_NGRAM, [0] * MAX_NGRAM
     hyp_len = ref_len = found = required = edits = ref_weight = 0
     lines = well_formed = tags_match = 0
-    window_scores = array("d")
+    window_shared: Counter = Counter()
     for s in stats:
         matches = [a + b for a, b in zip(matches, s.ngram_matches)]
         totals = [a + b for a, b in zip(totals, s.ngram_totals)]
@@ -442,17 +441,18 @@ def score(stats: Iterable[SentenceStats], structural: bool = False) -> MetricRep
         ref_len += s.ref_len
         found += s.phrases_found
         required += s.phrases_required
-        window_scores.extend(s.window_scores)
+        window_shared.update(s.window_shared)
         edits += s.term_edits
         ref_weight += s.term_ref_weight
         lines += 1
         if structural:
             well_formed += s.well_formed
             tags_match += s.tags_match
+    common = math.lcm(*window_shared)
     report = MetricReport(
         bleu=_bleu_score(matches, totals, hyp_len, ref_len),
         exact_match=_percent(found, required),
-        window_overlap=_percent(sum(window_scores), len(window_scores)),
+        window_overlap=_percent(sum(common // d * s for d, s in window_shared.items()), common * required),
         one_minus_term=_one_minus_term(edits, ref_weight),
     )
     if structural:

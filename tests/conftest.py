@@ -16,6 +16,7 @@ import math
 import random
 import textwrap
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -491,20 +492,20 @@ def reference_window_overlap(records, window):
     """Mean over phrases of the multiset intersection of the up to ``window``
     tokens on each side of the phrase's hypothesis and reference spans, over
     the larger of the two windows (1 when both are empty); a phrase missing
-    from either side scores 0."""
+    from either side scores 0. The mean is exact, rounded once to a float."""
     scores = []
     for r in records:
         phrases = _phrases(r)
         placed = zip(reference_claim_spans(r.hypothesis, phrases), reference_claim_spans(r.reference, phrases))
         for hs, rs in placed:
             if hs is None or rs is None:
-                scores.append(0.0)
+                scores.append(Fraction(0))
                 continue
             hw = r.hypothesis[max(0, hs[0] - window) : hs[0]] + r.hypothesis[hs[1] : hs[1] + window]
             rw = r.reference[max(0, rs[0] - window) : rs[0]] + r.reference[rs[1] : rs[1] + window]
             shared = sum(min(count, rw.count(tok)) for tok, count in Counter(hw).items())
-            scores.append(shared / max(len(hw), len(rw)) if hw or rw else 1.0)
-    return _percent(sum(scores), len(scores))
+            scores.append(Fraction(shared, max(len(hw), len(rw))) if hw or rw else Fraction(1))
+    return float(100 * sum(scores) / len(scores)) if scores else 100.0
 
 
 def reference_term_score(records):

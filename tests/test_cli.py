@@ -225,6 +225,11 @@ def test_structural_prepare_and_roundtrip(tmp_path, capsys):
     assert summary["metrics"]["structure_correct"] == 100.0
     assert summary["metrics"]["structure_match"] == 100.0
 
+    code, out = run(capsys, "bench", "--mode", "structural", "--vocab", str(vocab_path),
+                    "--src", src, "--tgt", tgt, "--budget-fraction", "1000")  # a gate no run misses
+    assert code == 0
+    assert (last_json(out)["sentences"], last_json(out)["skipped"]) == (2, 0)
+
 
 def test_structural_encode_decode(tmp_path, capsys):
     vocab_path = tmp_path / "vocab.json"
@@ -379,6 +384,14 @@ def test_evaluate_reports_and_per_sentence(tmp_path, capsys):
     lines = tsv_path.read_text(encoding="utf-8").splitlines()
     assert lines[0].split("\t")[0] == "index"
     assert len(lines) == 3
+
+    # identical pairs skip 1-TERm's shift search; this pair runs it:
+    # one 2-token shift of cost 1, over a reference weight of 5
+    hyp = write_lines(tmp_path / "shift.hyp", ["c d a b e"])
+    ref = write_lines(tmp_path / "shift.ref", ["a b c d e"])
+    code, _ = run(capsys, "evaluate", "--hyp", hyp, "--ref", ref, "--report", str(report_path))
+    assert code == 0
+    assert json.loads(report_path.read_text(encoding="utf-8"))["one_minus_term"] == 80.0
 
 
 def test_evaluate_warns_once_per_empty_reference(tmp_path, capsys, caplog):
@@ -1391,6 +1404,42 @@ def test_each_command_has_a_pinned_option_set():
         "roundtrip": corpus,
         "bench": corpus | {"--baseline-tps", "--budget-fraction"},
     }
+
+
+# each command's options that name a file, a directory or an output stem
+PATH_OPTIONS = {
+    "prepare": ["--src", "--tgt", "--constraints", "--spans", "--vocab", "--out-dir"],
+    "encode": ["--src", "--constraints", "--spans", "--vocab", "--out-dir"],
+    "decode": ["--encode-dir", "--model-output", "--vocab", "--out-dir"],
+    "sample": ["--src", "--tgt", "--align", "--out"],
+    "evaluate": ["--hyp", "--ref", "--constraints", "--vocab", "--report", "--per-sentence"],
+    "roundtrip": ["--src", "--tgt", "--constraints", "--spans", "--vocab"],
+    "bench": ["--src", "--tgt", "--constraints", "--spans", "--vocab"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, option", [(command, option) for command in PATH_OPTIONS for option in PATH_OPTIONS[command]]
+)
+def test_an_empty_path_is_a_usage_error(tmp_path, capsys, command, option):
+    # read downstream, "" would pass for an absent option: prepare --tgt "" wrote empty targets
+    inputs = {
+        "--src": "a b", "--tgt": "x y", "--hyp": "x y", "--ref": "x y", "--align": "0-0 1-1",
+        "--constraints": json.dumps({"constraints": [{"src": ["a"], "tgt": ["x"]}]}),
+        "--spans": json.dumps({"spans": [{"src": [0, 1], "tgt": [0, 1]}]}),
+        "--vocab": "{}", "--model-output": "<Y_0> <C_1> <sep> <Y_0> y",
+    }
+    argv = [command]
+    for name in PATH_OPTIONS[command]:
+        if name == option:
+            argv += [name, ""]
+        elif name in inputs:
+            argv += [name, write_lines(tmp_path / name[2:], [inputs[name]])]
+        else:
+            argv += [name, str(tmp_path / "out" / name[2:])]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"ctmt: argument {option}: empty path\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_parser_defaults_are_the_library_defaults():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from ctmt import ConstraintPair, EvalRecord, bleu, exact_match, structure_metrics, term_score, window_overlap
 from ctmt.metrics import (
     MetricReport,
+    SentenceStats,
     _bleu_counts,
     _multiset_floor,
     claim_spans,
@@ -132,6 +134,25 @@ def test_metrics_order_invariant():
     assert window_overlap(records) == window_overlap(shuffled)
     assert term_score(records) == term_score(shuffled)
     assert bleu(records) == bleu(shuffled)
+
+
+def test_window_overlap_is_the_exact_mean_in_either_line_order():
+    # window scores 1/2, 2/3 and 1/3; a float sum of them reads 49.99999999999999 in one order
+    records = [rec("c d b b b e", "b b c d", ["b", "d"]), rec("a b d c b c", "b a", ["b"])]
+    assert window_overlap(records) == window_overlap(records[::-1]) == 50.0
+
+
+def test_score_holds_constant_memory():
+    # every statistic is a running integer sum, so nothing is kept per line
+    lines = (SentenceStats([1, 0, 0, 0], [1, 0, 0, 0], 1, 1, 1, 1, {1 + i % 4: 1}, 0, 2)
+             for i in range(100_000))
+    tracemalloc.start()
+    try:
+        score(lines)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -581,14 +602,29 @@ def test_one_statistics_pass_equals_the_oracles(records, window):
     def evaluate(recs):
         return evaluate_records(recs, vocab=TAGGED_VOCAB, structural=True, window=window)
 
+    def assert_oracles(report, recs):
+        oracle = _oracle_values(recs, window)
+        assert report.window_overlap == oracle["window_overlap"]  # the exact mean, rounded once
+        assert report.values() == pytest.approx(oracle, abs=1e-9)
+
     stats = [sentence_metrics(r, vocab=TAGGED_VOCAB, structural=True, window=window) for r in records]
     report = score(stats, structural=True)
     assert report == evaluate(records)
-    assert report.values() == pytest.approx(_oracle_values(records, window), abs=1e-9)
+    assert_oracles(report, records)
     for record, line_stats in zip(records, stats):
         row = score([line_stats], structural=True)
         assert row == evaluate([record])
-        assert row.values() == pytest.approx(_oracle_values([record], window), abs=1e-9)
+        assert_oracles(row, [record])
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=_RECORDS, window=st.integers(0, 3), rng=st.randoms(use_true_random=False))
+def test_the_report_does_not_depend_on_line_order(records, window, rng):
+    # equal, not close: every metric, BLEU's log_sum and 1-TERm included
+    stats = [sentence_metrics(r, vocab=TAGGED_VOCAB, structural=True, window=window) for r in records]
+    shuffled = stats[:]
+    rng.shuffle(shuffled)
+    assert score(shuffled, structural=True) == score(stats, structural=True)
 
 
 def test_each_metric_function_is_its_field_of_evaluate_records():

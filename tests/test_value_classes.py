@@ -24,7 +24,7 @@ from ctmt import (
 from ctmt.metrics import SentenceStats
 
 X0, Y1, C2 = Nonterminal("X", 0), Nonterminal("Y", 1), Nonterminal("C", 2)
-STATS = [1, 0, 0, 0], [2, 1, 0, 0], 2, 3, 1, 2, [0.5, 0.0], 3, 4
+STATS = [1, 0, 0, 0], [2, 1, 0, 0], 2, 3, 1, 2, {2: 1, 1: 0}, 3, 4
 
 # one instance of each class, built with every field given
 INSTANCES = [
@@ -149,7 +149,7 @@ def test_repr_names_every_field_in_order():
         "MetricReport(bleu=1.0, exact_match=2.0, window_overlap=3.0, one_minus_term=4.0, "
         "structure_correct=5.0, structure_match=6.0)",
         "SentenceStats(ngram_matches=[1, 0, 0, 0], ngram_totals=[2, 1, 0, 0], hyp_len=2, ref_len=3, "
-        "phrases_found=1, phrases_required=2, window_scores=[0.5, 0.0], term_edits=3, "
+        "phrases_found=1, phrases_required=2, window_shared={2: 1, 1: 0}, term_edits=3, "
         "term_ref_weight=4, well_formed=True, tags_match=False)",
         "PhrasePair(src_span=(0, 1), tgt_span=(1, 3), src_tokens=('a',), tgt_tokens=('A', 'B'))",
         "SamplerConfig(max_constraints=2, min_len=1, max_len=4, rng_seed=7)",
