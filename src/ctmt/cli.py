@@ -112,8 +112,12 @@ class TranslatorBridge:
                 for key, events in loop.select():
                     k = key.data
                     if events & selectors.EVENT_WRITE:
-                        with contextlib.suppress(BlockingIOError):
+                        try:
                             unsent[k] = unsent[k][os.write(key.fd, unsent[k]) :]
+                        except BlockingIOError:
+                            pass
+                        except BrokenPipeError:
+                            raise CtmtError(f"translator {self.command!r} closed its input stream") from None
                         if not unsent[k]:
                             loop.unregister(key.fileobj)
                         continue

@@ -373,7 +373,10 @@ class StagedOutput:
             raise CorpusFormatError(f"output path is not a regular file ({target})")
         target = Path(os.path.realpath(target))
         staging = target.with_name(f"{target.name}.{self._run}.tmp")
-        fd = os.open(staging, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            fd = os.open(staging, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError as exc:  # named by the path given: the staging name is internal
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         self._files.append((open(fd, "w", encoding="utf-8", newline=""), staging, target))
         return self._files[-1][0]
 

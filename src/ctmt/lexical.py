@@ -210,7 +210,7 @@ def _render_source(
 ) -> SerializedExample:
     """The source stream ``c <sep> s <sep> e`` and the forced prefix
     ``d <sep>`` of canonically ordered constraints."""
-    slots = [vocab.render(Nonterminal("C", n)) for n in range(1, len(ordered) + 1)]
+    slots = [vocab.render(("C", n)) for n in range(1, len(ordered) + 1)]
     return SerializedExample(
         encoder_input=constraint_section(slots, [c.src for c in ordered], vocab)
         + render_side("X", slots, segment(x, spans), vocab),
@@ -256,7 +256,7 @@ def build_training_pair(
     t_spans = _place_phrases(y, [c.tgt for c in ordered], tgt_spans, "target")
 
     target_order = sorted(range(len(ordered)), key=lambda i: t_spans[i])
-    slots = [vocab.render(Nonterminal("C", i + 1)) for i in target_order]
+    slots = [vocab.render(("C", i + 1)) for i in target_order]
     example.target_output = example.decoder_prefix + render_side(
         "Y", slots, segment(y, sorted(t_spans)), vocab
     )
@@ -289,7 +289,7 @@ def render_side(
     is followed by its fragment. There is one fragment more than slots.
     read_output reads the target side back.
     """
-    nts = [vocab.render(Nonterminal(kind, n)) for n in range(len(fragments))]
+    nts = [vocab.render((kind, n)) for n in range(len(fragments))]
     stream = nts[:1]
     for slot, nt in zip(slots, nts[1:]):
         stream += (slot, nt)
@@ -413,17 +413,15 @@ def validate_template(template: Template, n_constraints: int) -> TemplateVerdict
                 return TemplateVerdict(False, f"expected Y{pos // 2} at position {pos}")
         elif e.kind != "C":
             return TemplateVerdict(False, f"expected a constraint nonterminal at position {pos}")
-    found = template.constraint_indices()
-    required = set(range(1, n_constraints + 1))
-    missing = sorted(required - set(found))
-    if missing:
-        return TemplateVerdict(False, f"missing constraint index {missing[0]}")
-    extra = sorted(set(found) - required)
-    if extra:
-        return TemplateVerdict(False, f"unknown constraint index {extra[0]}")
-    if len(found) != len(set(found)):
-        dup = sorted(i for i in set(found) if found.count(i) > 1)
-        return TemplateVerdict(False, f"duplicated constraint index {dup[0]}")
+    found = [e.index for e in elems[1::2]]  # the loop has checked that each is a C
+    seen, required = set(found), set(range(1, n_constraints + 1))
+    if missing := required - seen:
+        return TemplateVerdict(False, f"missing constraint index {min(missing)}")
+    if extra := seen - required:
+        return TemplateVerdict(False, f"unknown constraint index {min(extra)}")
+    if len(found) != len(seen):
+        dup = min(i for i in seen if found.count(i) > 1)
+        return TemplateVerdict(False, f"duplicated constraint index {dup}")
     return TemplateVerdict(True)
 
 

@@ -22,8 +22,7 @@ _CLOSE_RE = re.compile(r"^</([^<>/]+)>$")
 class ReservedVocab(FrozenValue):
     FIELDS = ("sep_token", "x_prefix", "y_prefix", "c_prefix", "max_index", "registered_tags")
     __slots__ = (
-        *FIELDS, "_nt_pattern", "_candidate", "_kind_by_prefix", "_prefix_by_kind",
-        "_spellings", "_parsed",
+        *FIELDS, "_nt_pattern", "_kind_by_prefix", "_prefix_by_kind", "_spellings", "_parsed",
     )
 
     def __init__(
@@ -50,32 +49,27 @@ class ReservedVocab(FrozenValue):
                 raise ValueError(f"reserved surface form {surface!r} must be a single token")
         alts = "|".join(re.escape(p) for p in prefixes)
         digits = len(str(max_index)) - 1  # no more than max_index has: int() refuses long runs
-        nt_pattern = re.compile(rf"<({alts})_(0|[1-9][0-9]{{0,{digits}}})>")  # for fullmatch
-        object.__setattr__(self, "_nt_pattern", nt_pattern)
-        # the separator or a nonterminal spelling; is_reserved confirms the index
-        candidate = re.compile(rf"{re.escape(sep_token)}|{nt_pattern.pattern}")
-        object.__setattr__(self, "_candidate", candidate)
+        object.__setattr__(self, "_nt_pattern", re.compile(rf"<({alts})_(0|[1-9][0-9]{{0,{digits}}})>"))
         object.__setattr__(self, "_kind_by_prefix", {x_prefix: "X", y_prefix: "Y", c_prefix: "C"})
         object.__setattr__(self, "_prefix_by_kind", {"X": x_prefix, "Y": y_prefix, "C": c_prefix})
         # the spelling of each nonterminal render has made, and the nonterminal
         # of each spelling parse_token has recognized: 3 * (max_index + 1) at most
         object.__setattr__(self, "_spellings", {})
         object.__setattr__(self, "_parsed", {})
-        if nt_pattern.fullmatch(sep_token):
+        if self.parse_token(sep_token) is not None:
             raise ValueError("separator token collides with a nonterminal spelling")
-        for tag in registered_tags:
-            if tag == sep_token or nt_pattern.fullmatch(tag):
-                raise ValueError(f"registered tag {tag!r} collides with a reserved token")
+        if colliding := sorted(filter(self.is_reserved, registered_tags)):  # sorted, so one name every run
+            raise ValueError(f"registered tag {colliding[0]!r} collides with a reserved token")
 
-    def render(self, nt: Nonterminal) -> str:
+    def render(self, nt: Nonterminal | tuple[str, int]) -> str:
+        """The spelling of a Nonterminal, or of the (kind, index) pair it equals."""
         spelling = self._spellings.get(nt)
         if spelling is None:
-            if nt.index > self.max_index:
-                raise CapacityError(
-                    f"nonterminal index {nt.index} exceeds reserved max_index {self.max_index}"
-                )
-            spelling = f"<{self._prefix_by_kind[nt.kind]}_{nt.index}>"
-            if type(nt.index) is int:  # True or 1.0 equals 1 but spells otherwise
+            kind, index = nt
+            if index > self.max_index:
+                raise CapacityError(f"nonterminal index {index} exceeds reserved max_index {self.max_index}")
+            spelling = f"<{self._prefix_by_kind[kind]}_{index}>"
+            if type(index) is int:  # True or 1.0 equals 1 but spells otherwise
                 self._spellings[nt] = spelling
         return spelling
 
@@ -110,10 +104,11 @@ class ReservedVocab(FrozenValue):
         return "void", token
 
     def check_plain(self, tokens: TokenSeq, where: str = "sentence") -> None:
-        """Reject reserved tokens in a plain (non-serialized) sentence; the
-        error names the first in line order."""
-        for tok in filter(self._candidate.fullmatch, tokens):
-            if self.is_reserved(tok):
+        """Reject reserved tokens in a plain (non-serialized) sentence, by
+        is_reserved's rule; the error names the first in line order."""
+        for tok in tokens:
+            # is_reserved's test, inline: a method call per token costs a third more
+            if tok == self.sep_token or self.parse_token(tok) is not None:
                 raise ReservedTokenError(f"reserved token {tok!r} appears in {where}")
 
     def to_dict(self) -> dict:

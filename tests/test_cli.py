@@ -1620,6 +1620,29 @@ def test_rejected_inputs_write_no_output(tmp_path, capsys, make_argv, code, mess
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, output, named",
+    [
+        (["evaluate", "--hyp", "h", "--ref", "r"], ["--report", "nodir/r.json"], "nodir/r.json"),
+        (["evaluate", "--hyp", "h", "--ref", "r"], ["--per-sentence", "nodir/s.tsv"], "nodir/s.tsv"),
+        (["sample", "--src", "h", "--tgt", "r", "--align", "a"], ["--out", "nodir/m"], "nodir/m.cons.jsonl"),
+    ],
+    ids=["report", "per-sentence", "sample"],
+)
+def test_output_under_a_missing_directory_is_named_as_given(
+    tmp_path, capsys, monkeypatch, command, output, named
+):
+    # the staging name beside the output is internal: the error names the path the option gave
+    monkeypatch.chdir(tmp_path)
+    write_lines(tmp_path / "h", ["a b"])
+    write_lines(tmp_path / "r", ["a b"])
+    write_lines(tmp_path / "a", ["0-0 1-1"])
+    capsys.readouterr()
+    assert main([*command, *output]) == 2
+    assert capsys.readouterr().err == f"ctmt: [Errno 2] No such file or directory: '{named}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "h", "r"]
+
+
 def test_encode_searches_spans_once_per_line(tmp_path, capsys, monkeypatch):
     # each line's phrases are claimed once; the backtracking search runs
     # only on the line where greedy claiming fails ("x" strands "x y")

@@ -484,6 +484,36 @@ def test_a_chunk_larger_than_the_pipes_both_ways_decodes(tmp_path, shards):
     assert decoded == [line + " pad" * 1500 for line in sources]
 
 
+ONE_REQUEST = textwrap.dedent(
+    """\
+    #!/usr/bin/env python3
+    import os
+    import sys
+
+    # test translator: reads one request, stops reading, then exits without answering it
+    sys.stdin.buffer.readline()
+    os.close(0)
+    """
+)
+
+
+def test_a_translator_that_stops_reading_is_named(tmp_path):
+    # a chunk of 256 requests of 4,000 bytes each: the child stops reading long
+    # before the pipe has taken them, so a request write finds no reader; it
+    # closes its input before its output, so the write notices first
+    sources = [" ".join(f"w{i}_{j:03}" for j in range(500)) for i in range(CHUNK_LINES)]
+    src = write_lines(tmp_path / "long.src", sources)
+    enc_dir = tmp_path / "enc"
+    assert main(["encode", "--src", src, "--out-dir", str(enc_dir)]) == 0
+    script = tmp_path / "one_request.py"
+    script.write_text(ONE_REQUEST, encoding="utf-8")
+    command = f"{sys.executable} {script}"
+    run = _decode_in_child(["--encode-dir", str(enc_dir), "--translator", command])
+    assert run.returncode == 2
+    assert run.stderr.decode() == f"ctmt: translator {command!r} closed its input stream\n"
+    assert sorted(p.name for p in enc_dir.iterdir()) == ["encode.meta.jsonl", "encode.prefix", "encode.xprime"]
+
+
 BURST_TRANSLATOR = textwrap.dedent(
     """\
     #!/usr/bin/env python3

@@ -88,6 +88,58 @@ def test_check_plain_passes_nonterminal_spellings_past_max_index(vocab):
     vocab.check_plain(["<Y_65>", "<Y_01>", "<X_100>", "<sep>x", "a", "<X_1>\n", "<sep>\n"])
 
 
+RULE_TOKENS = [
+    f"<{prefix}_{digits}>"
+    for prefix in ("X", "Y", "C", "Z", "SRC")
+    for digits in ("", "0", "00", "01", "1", "9", "10", "64", "65", "99", "100", "640", "\u0661")
+] + ["<sep>", "<sep", "sep>", "<X_1", "X_1>"]
+RULE_VOCABS = [
+    DEFAULT_VOCAB,
+    ReservedVocab(sep_token="<SEP>", x_prefix="SRC", y_prefix="Y", c_prefix="CON", max_index=9),
+    ReservedVocab(sep_token="<SEP>", x_prefix="SRC", y_prefix="Y", c_prefix="CON", max_index=100),
+]
+
+
+def _reserved_by_spelling(vocab, token):
+    """The rule read off a token's text: the separator, or <PREFIX_N> with N in
+    canonical decimal (no sign, no leading zero) and at most max_index."""
+    prefix, _, digits = token[1:-1].partition("_") if token[:1] + token[-1:] == "<>" else ("", "", "")
+    canonical = digits.isascii() and digits.isdigit() and str(int(digits)) == digits
+    return token == vocab.sep_token or (
+        prefix in (vocab.x_prefix, vocab.y_prefix, vocab.c_prefix) and canonical and int(digits) <= vocab.max_index
+    )
+
+
+@pytest.mark.parametrize("vocab", RULE_VOCABS, ids=["default", "multi-letter-9", "multi-letter-100"])
+@pytest.mark.parametrize("token", RULE_TOKENS)
+def test_one_reserved_token_rule(vocab, token):
+    # check_plain and the constructor's collision checks refuse exactly what is_reserved calls reserved
+    reserved = vocab.is_reserved(token)
+    assert reserved == _reserved_by_spelling(vocab, token)
+    if reserved:
+        with pytest.raises(ReservedTokenError):
+            vocab.check_plain(["a", token])
+    else:
+        vocab.check_plain(["a", token])
+    fields = {name: getattr(vocab, name) for name in ReservedVocab.FIELDS}
+    for changed, refused in [({"registered_tags": {token}}, reserved),
+                             ({"sep_token": token}, vocab.parse_token(token) is not None)]:
+        if refused:
+            with pytest.raises(ValueError, match="collides"):
+                ReservedVocab(**{**fields, **changed})
+        else:
+            ReservedVocab(**{**fields, **changed})
+
+
+def test_render_takes_the_pair_a_nonterminal_equals():
+    for vocab in RULE_VOCABS:
+        fresh = ReservedVocab.from_dict(vocab.to_dict())
+        for n in range(vocab.max_index + 1):
+            assert fresh.render(("C", n)) == vocab.render(Nonterminal("C", n)) == f"<{vocab.c_prefix}_{n}>"
+        with pytest.raises(CapacityError):
+            fresh.render(("C", vocab.max_index + 1))
+
+
 def test_tag_roles(tagged_vocab):
     assert tagged_vocab.tag_role("<ph>") == ("open", "ph")
     assert tagged_vocab.tag_role("</ph>") == ("close", "ph")
@@ -120,6 +172,9 @@ def test_colliding_surface_forms_rejected():
         ReservedVocab(sep_token="<X_0>")
     with pytest.raises(ValueError):
         ReservedVocab(registered_tags=frozenset({"<Y_1>"}))
+    with pytest.raises(ValueError):
+        ReservedVocab(registered_tags=frozenset({"<Y_64>"}))
+    assert ReservedVocab(registered_tags=frozenset({"<Y_65>"})).is_tag("<Y_65>")  # past max_index: plain
     with pytest.raises(ValueError):
         ReservedVocab(registered_tags=frozenset({"two tokens"}))
     with pytest.raises(ValueError):
