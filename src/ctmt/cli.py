@@ -58,8 +58,8 @@ class TranslatorBridge:
     decoder prefix; a child answers each with one continuation line and
     nothing else, in the order asked. Nothing is prepended or reordered, so
     any wrapped model that honors forced prefixes can sit behind the bridge.
-    The pipes carry UTF-8 bytes, and an answer is read as a --model-output
-    line is: it ends at LF.
+    The bridge only moves lines: an answer is the bytes up to an LF, which
+    _translated reads as a --model-output line is read.
 
     A call sends a chunk of requests, split over the children in contiguous
     ranges, all at once: one selectors loop in the calling thread writes each
@@ -75,19 +75,15 @@ class TranslatorBridge:
         self._procs: list = []
         self._unread: list[bytes] = []  # per child: bytes read past the answers asked for
 
-    def _take(self, k: int, wanted: int, answers: list[TokenSeq]) -> int:
-        """Move up to ``wanted`` whole answers out of child k's unread bytes
-        into ``answers``; return how many are still wanted."""
+    def _take(self, k: int, wanted: int, answers: list[bytes]) -> int:
+        """Move up to ``wanted`` whole answer lines out of child k's unread
+        bytes into ``answers``; return how many are still wanted."""
         *lines, self._unread[k] = self._unread[k].split(b"\n", wanted)
-        for line in lines:
-            try:
-                answers.append(corpus_io.split_tokens(line.decode("utf-8")))
-            except UnicodeDecodeError as exc:
-                raise CorpusFormatError(f"not valid UTF-8 (translator {self.command!r})") from exc
+        answers.extend(lines)
         return wanted - len(lines)
 
-    def translate(self, requests: list[list[TokenSeq]]) -> list[TokenSeq]:
-        """The answers to a chunk's [encoder input, prefix] requests, in order."""
+    def translate(self, requests: list[list[TokenSeq]]) -> list[bytes]:
+        """The answer line to each of a chunk's [encoder input, prefix] requests, LF removed."""
         import selectors
         import subprocess
 
@@ -98,7 +94,7 @@ class TranslatorBridge:
                 self._procs.append(proc)
                 self._unread.append(b"")
         ranges = shard_ranges(len(requests), len(self._procs))
-        answers: list[list[TokenSeq]] = [[] for _ in ranges]
+        answers: list[list[bytes]] = [[] for _ in ranges]
         unsent, wanted = [], []
         with selectors.DefaultSelector() as loop:
             for k, (start, end) in enumerate(ranges):
@@ -130,28 +126,22 @@ class TranslatorBridge:
                         loop.unregister(key.fileobj)
         return [answer for share in answers for answer in share]
 
-    def close(self) -> list[bytes]:
-        """End the requests and reap the children; return what each wrote past
-        the last answer read, buffered or not, or nothing once closed."""
+    def __enter__(self) -> "TranslatorBridge":
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        """End the requests and reap the children; after a clean run, fail on
+        what a child wrote past the last answer read, buffered or not."""
         import subprocess
 
-        surplus = []
+        extra = b""
         for proc, unread in zip(self._procs, self._unread):
             try:
                 rest, _ = proc.communicate(timeout=10)
             except subprocess.TimeoutExpired:
                 proc.kill()
                 rest, _ = proc.communicate()
-            surplus.append(unread + rest)
-        self._procs, self._unread = [], []
-        return surplus
-
-    def __enter__(self) -> "TranslatorBridge":
-        return self
-
-    def __exit__(self, exc_type, *exc) -> None:
-        """Reap the children; after a clean run, fail on lines no request asked for."""
-        extra = next(filter(None, self.close()), b"")
+            extra = extra or unread + rest
         if exc_type is None and extra:
             lines = extra.count(b"\n") + (not extra.endswith(b"\n"))
             raise CorpusFormatError(f"translator {self.command!r} sent {lines} lines no request asked for")
@@ -321,11 +311,11 @@ def _template_accuracy(valid: int, lines: int) -> float:
     return 100.0 * valid / lines if lines else 100.0
 
 
-# Lines decode reads, translates and decodes before it writes them and
-# reads more: its memory is set by this many lines, not by the corpus.
-# Through a translator on 2,000 lines of up to 40 tokens, decode peaked at
-# 18.1 MiB with 1-line chunks, 19.3 with 256, 23.0 with 1,024, and 29.9
-# with the whole corpus in one pass.
+# Lines decode sends a translator at once, and bench decodes in one timed
+# pass: their memory is set by this many lines, not by the corpus. Through a
+# translator on 2,000 lines of up to 40 tokens, decode peaked at 18.1 MiB
+# with 1-line chunks, 19.3 with 256, 23.0 with 1,024, and 29.9 with the
+# whole corpus in one pass.
 CHUNK_LINES = 256
 
 
@@ -341,18 +331,18 @@ def _chunks(items, size: int):
         yield chunk
 
 
-def _decode_chunk(chunk, bridge: TranslatorBridge | None, vocab: ReservedVocab):
-    """decode_line's (sentence, audit) for each line of ``chunk``, a list of
-    (line number, (meta text, *answer fields)); the fields are a model output,
-    or a request that ``bridge`` answers. It is a generator, not a loop in
-    cmd_decode, so that the chunk's answers go with its frame, before the
-    next chunk is translated: inlined, they stayed alive through the next
-    translation and raised decode's peak memory by about 5%."""
-    fields = [[corpus_io.split_tokens(t) for t in texts[1:]] for _, texts in chunk]
-    tails = bridge.translate(fields) if bridge else [tail for tail, in fields]
-    for (lineno, texts), tail in zip(chunk, tails):
-        meta = corpus_io.parse_meta(texts[0], lineno)
-        yield decode_line(tail, meta, vocab)
+def _translated(rows, bridge: TranslatorBridge):
+    """(meta text, answer text) for each (meta, encoder input, prefix) text
+    row, its answer read by corpus_io.line_text as a --model-output line is.
+    The rows go to ``bridge`` CHUNK_LINES at a time. A chunk's answers are
+    dropped before the next chunk is translated, since decode's peak memory
+    is set by the answers it holds: two chunks' worth raised it by about 5%."""
+    where = f"translator {bridge.command!r}"
+    for chunk in _chunks(enumerate(rows, start=1), CHUNK_LINES):
+        answers = bridge.translate([[corpus_io.split_tokens(t) for t in texts[1:]] for _, texts in chunk])
+        for (lineno, (meta, *_)), raw in zip(chunk, answers):
+            yield meta, corpus_io.line_text(raw, lineno, where)
+        del answers
 
 
 def cmd_decode(args) -> int:
@@ -373,20 +363,22 @@ def cmd_decode(args) -> int:
             raise UsageError("--translator: empty command")
     vocab = _load_vocab(args)
     rows = corpus_io.iter_lines(enc_dir / "encode.meta.jsonl", *answers)
+    if bridge:
+        rows = _translated(rows, bridge)
     out_dir = Path(args.out_dir) if args.out_dir else enc_dir
 
     lines = valid = omitted = fallback = 0
     with corpus_io.StagedOutput() as staged, bridge or contextlib.nullcontext():
         out = staged.directory(out_dir)
         sentences, audits = staged.open(out / "decode.out"), staged.open(out / "decode.audit.jsonl")
-        for chunk in _chunks(enumerate(rows, start=1), CHUNK_LINES):
-            for sentence, audit in _decode_chunk(chunk, bridge, vocab):
-                sentences.write(corpus_io.token_line(sentence))
-                audits.write(corpus_io.json_line(audit))
-                lines += 1
-                valid += bool(audit.get("valid"))
-                omitted += audit.get("omitted_y", 0)
-                fallback += bool(audit.get("fallback"))
+        for lines, (meta, answer) in enumerate(rows, start=1):
+            tail = corpus_io.split_tokens(answer)
+            sentence, audit = decode_line(tail, corpus_io.parse_meta(meta, lines), vocab)
+            sentences.write(corpus_io.token_line(sentence))
+            audits.write(corpus_io.json_line(audit))
+            valid += bool(audit.get("valid"))
+            omitted += audit.get("omitted_y", 0)
+            fallback += bool(audit.get("fallback"))
     summary = {
         "sentences": lines,
         "template_accuracy": _template_accuracy(valid, lines),

@@ -93,14 +93,16 @@ def _zip_lines(paths) -> Iterator[tuple[str, ...]]:
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(path, "rb")) for path in paths]
         for lineno, raws in enumerate(zip(*files), start=1):
-            yield tuple(_decode(raw, lineno, path) for raw, path in zip(raws, paths))
+            yield tuple(line_text(raw, lineno, path) for raw, path in zip(raws, paths))
 
 
-def _decode(raw: bytes, lineno: int, path) -> str:
+def line_text(raw: bytes, lineno: int, where) -> str:
+    """The text of input line ``lineno`` of ``where`` (a file, or a translator),
+    its LF removed; bytes that are not UTF-8 fail, naming the line and ``where``."""
     try:
         return raw.decode("utf-8").removesuffix("\n")
     except UnicodeDecodeError as exc:
-        raise CorpusFormatError(f"line {lineno}: not valid UTF-8 ({path})") from exc
+        raise CorpusFormatError(f"line {lineno}: not valid UTF-8 ({where})") from exc
 
 
 def token_line(tokens: TokenSeq) -> str:
@@ -141,8 +143,12 @@ def iter_bitext(
     src_path: str | Path, tgt_path: str | Path, align_path: str | Path | None = None
 ) -> Iterator[tuple[TokenSeq, TokenSeq, set[tuple[int, int]] | None]]:
     """A parallel corpus as aligned token-sequence pairs, each with its
-    Pharaoh links checked against the pair (None without an alignment file)."""
-    rows = iter_lines(src_path, tgt_path, *([align_path] if align_path else []))
+    Pharaoh links checked against the pair (None without an alignment file),
+    after every file is count-checked against the source."""
+    return _bitext_rows(iter_lines(src_path, tgt_path, *([align_path] if align_path else [])))
+
+
+def _bitext_rows(rows) -> Iterator[tuple]:
     for lineno, (x, y, *align) in enumerate(rows, start=1):
         src, tgt = split_tokens(x), split_tokens(y)
         yield src, tgt, (_links(align[0], lineno, src, tgt) if align else None)

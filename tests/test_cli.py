@@ -1,6 +1,8 @@
+import importlib
 import json
 import os
 import random
+import re
 import shlex
 import stat
 import subprocess
@@ -565,8 +567,8 @@ def test_bridge_protocol(tmp_path):
     command = _make_translator(tmp_path, ["<Y_0> <sep> <Y_0> ok", "second line"])
     with TranslatorBridge(command) as bridge:
         first, second = bridge.translate([[["<sep>", "<X_0>"], ["<sep>"]], [["x"], []]])
-        assert first == ["<Y_0>", "<sep>", "<Y_0>", "ok"]
-        assert second == ["second", "line"]
+        assert first == b"<Y_0> <sep> <Y_0> ok"
+        assert second == b"second line"
 
 
 def test_decode_via_translator_sharded(tmp_path, capsys):
@@ -702,14 +704,36 @@ def test_translator_answer_ends_at_lf_like_a_model_output_line(tmp_path, capsys)
 
 
 def test_translator_answer_not_utf8_is_data_error(tmp_path, capsys):
+    # named by its line, as a --model-output line is, by either route
     enc_dir = _encode_three_lines(tmp_path)
     capsys.readouterr()
     runs = _decode_both_ways(enc_dir, tmp_path, b"caf\xe9\n<Y_0> <sep>\n<Y_0> <sep>\n")
-    err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith("ctmt: not valid UTF-8 (translator ")
-    assert err[1] == f"ctmt: line 1: not valid UTF-8 ({tmp_path / 'answers.txt'})"
+    canned = tmp_path / "answers.txt"
+    command = f"{sys.executable} {tmp_path / 'raw_translator.py'} {canned}"
+    assert capsys.readouterr().err.splitlines() == [
+        f"ctmt: line 1: not valid UTF-8 (translator {command!r})",
+        f"ctmt: line 1: not valid UTF-8 ({canned})",
+    ]
     for code, out_dir in runs.values():
         assert code == 2 and not (out_dir / "decode.out").exists()
+
+
+def test_sharded_translator_names_the_first_bad_answer_in_line_order(tmp_path, capsys):
+    # each of two children answers its second request with bytes that are not
+    # UTF-8, so lines 2 and 4 are bad: line 2 is named, whichever answer comes first
+    src = write_lines(tmp_path / "s.src", ["a", "b", "c", "d"])
+    enc_dir = tmp_path / "enc"
+    assert main(["encode", "--src", src, "--out-dir", str(enc_dir)]) == 0
+    canned = tmp_path / "answers.txt"
+    canned.write_bytes(b"<Y_0> <sep> <Y_0> ok\ncaf\xe9\n")
+    script = tmp_path / "raw_translator.py"
+    script.write_text(RAW_TRANSLATOR, encoding="utf-8")
+    command = f"{sys.executable} {script} {canned}"
+    capsys.readouterr()
+    for _ in range(3):
+        assert main(["decode", "--encode-dir", str(enc_dir), "--translator", command, "--shards", "2"]) == 2
+        assert capsys.readouterr().err == f"ctmt: line 2: not valid UTF-8 (translator {command!r})\n"
+    assert not (enc_dir / "decode.out").exists()
 
 
 @pytest.mark.parametrize("child", ["pass", "import sys; sys.stdin.buffer.readline()"])
@@ -1139,7 +1163,7 @@ def test_roundtrip_violation_exit_code(tmp_path, capsys, monkeypatch):
         assert violation in last_json(out)["violations"]
 
 
-def test_console_script_entry_point(tmp_path):
+def test_console_script_entry_point(tmp_path, capsys, monkeypatch):
     import ctmt
 
     package_root = str(Path(ctmt.__file__).resolve().parents[1])
@@ -1150,6 +1174,17 @@ def test_console_script_entry_point(tmp_path):
     )
     assert result.returncode == 1
     assert result.stderr.startswith("usage: ctmt")
+
+    # the function [project.scripts] names, called as the installed script
+    # calls it: with no arguments, on sys.argv (no tomllib before 3.11)
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    module, function = re.search(r'^ctmt = "([\w.]+):(\w+)"$', pyproject, re.MULTILINE).groups()
+    entry = getattr(importlib.import_module(module), function)
+    src = write_lines(tmp_path / "s.src", ["a b"])
+    monkeypatch.setattr(sys, "argv", ["ctmt", "encode", "--src", src, "--out-dir", str(tmp_path / "enc")])
+    assert entry() == 0
+    assert json.loads(capsys.readouterr().out) == {"skipped": 0, "written": 1}
+    assert (tmp_path / "enc" / "encode.xprime").read_text(encoding="utf-8") == "<sep> <X_0> <sep> <X_0> a b\n"
 
 
 def _run_module(tmp_path, *argv, log_level=None):
@@ -1508,6 +1543,39 @@ def test_every_line_aligned_input_is_count_checked(tmp_path, capsys, companion):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"ctmt: line count mismatch 2 vs 3 ({bad})\n"
     assert not Path(out).exists() and not list(tmp_path.glob("out.*"))
+
+
+@pytest.mark.parametrize(
+    "command", ["prepare", "encode", "decode", "decode-translator", "sample", "evaluate", "roundtrip",
+                "bench"],
+)
+def test_a_short_companion_fails_before_any_output_is_opened(tmp_path, capsys, command):
+    # each output is under a directory that is missing: opened before the
+    # count check, it would fail first, with the wrong message
+    src = write_lines(tmp_path / "c.src", ["a b", "c"])
+    short = write_lines(tmp_path / "short", ["x"])
+    out = tmp_path / "missing" / "out"
+    if command.startswith("decode"):
+        enc_dir = _encode_two_lines(tmp_path)
+        capsys.readouterr()
+        if command == "decode":
+            source = ["--model-output", short]
+        else:
+            short = write_lines(enc_dir / "encode.prefix", [""])
+            source = ["--translator", "no-such-command"]
+        argv = ["decode", "--encode-dir", str(enc_dir), *source, "--out-dir", str(out)]
+    else:
+        argv = {
+            "prepare": ["prepare", "--src", src, "--tgt", short, "--out-dir", str(out)],
+            "encode": ["encode", "--src", src, "--constraints", short, "--out-dir", str(out)],
+            "sample": ["sample", "--src", src, "--tgt", src, "--align", short, "--out", str(out)],
+            "evaluate": ["evaluate", "--hyp", src, "--ref", short, "--report", str(out)],
+            "roundtrip": ["roundtrip", "--src", src, "--tgt", short],
+            "bench": ["bench", "--src", src, "--tgt", short],
+        }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"ctmt: line count mismatch 2 vs 1 ({short})\n"
+    assert not out.parent.exists()
 
 
 def _pipe(data: bytes) -> int:

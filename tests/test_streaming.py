@@ -277,7 +277,7 @@ def _bad_third_answer(tmp_path, out):
     script.write_text(NOT_UTF8_THIRD, encoding="utf-8")
     argv = ["decode", "--encode-dir", str(enc_dir), "--translator", f"{sys.executable} {script}",
             "--out-dir", str(out)]
-    return argv, ["decode.out", "decode.audit.jsonl"], "not valid UTF-8 (translator "
+    return argv, ["decode.out", "decode.audit.jsonl"], "line 3: not valid UTF-8 (translator "
 
 
 @pytest.mark.parametrize(
