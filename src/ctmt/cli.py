@@ -130,14 +130,17 @@ class TranslatorBridge:
         return self
 
     def __exit__(self, exc_type, *exc) -> None:
-        """End the requests and reap the children; after a clean run, fail on
-        what a child wrote past the last answer read, buffered or not."""
+        """End every child's requests, then reap them all within 10 s; after a clean
+        run, fail on what a child wrote past the last answer read, buffered or not."""
         import subprocess
 
-        extra = b""
+        for proc in self._procs:  # all at once, so the children shut down side by side
+            proc.stdin.close()
+            proc.stdin = None  # communicate would flush a closed stream
+        deadline, extra = time.monotonic() + 10, b""
         for proc, unread in zip(self._procs, self._unread):
             try:
-                rest, _ = proc.communicate(timeout=10)
+                rest, _ = proc.communicate(timeout=max(0.0, deadline - time.monotonic()))
             except subprocess.TimeoutExpired:
                 proc.kill()
                 rest, _ = proc.communicate()

@@ -62,16 +62,15 @@ def occurrences(tokens: TokenSeq, phrases: list[TokenSeq]) -> list[list[Span]]:
 def find_disjoint_assignment(
     tokens: TokenSeq, phrases: list[TokenSeq], node_budget: int = 100_000
 ) -> list[Span] | None:
-    """One non-overlapping occurrence per phrase, or None if there is none.
+    """One non-overlapping occurrence per phrase, or None; None has four causes.
 
-    Two impossible cases are rejected before any search: a phrase that does
-    not occur at all, and phrases that together need more copies of some
-    token than the sentence has. Otherwise phrases are placed in the given
-    order, each trying its leftmost free occurrence first and backtracking
-    through the alternatives; its first descent is plain greedy claiming.
-    Each occurrence tried spends one node of the budget, the only bound on
-    the search, so a None from the search itself means the budget ran out.
-    """
+    Two are rejected before any search: a phrase that does not occur at
+    all, and phrases that together need more copies of some token than the
+    sentence has. Otherwise phrases are placed in the given order, each
+    trying its leftmost free occurrence first and backtracking through the
+    alternatives; its first descent is plain greedy claiming. The search
+    gives None when no disjoint placement exists or when its budget, one
+    node per occurrence tried and its only bound, runs out."""
     occs = occurrences(tokens, phrases)
     if not all(occs) or Counter(t for p in phrases for t in p) - Counter(tokens):
         return None

@@ -127,15 +127,12 @@ def validate_structural_template(
     error = _nesting_error(tags, vocab)
     if error is not None:
         return TemplateVerdict(False, error)
-    if Counter(tags) != Counter(source_tags):
-        missing = Counter(source_tags) - Counter(tags)
-        extra = Counter(tags) - Counter(source_tags)
-        detail = []
-        if missing:
-            detail.append(f"missing {sorted(missing.elements())}")
-        if extra:
-            detail.append(f"extra {sorted(extra.elements())}")
-        return TemplateVerdict(False, "tag recall failed: " + ", ".join(detail))
+    balance = Counter(source_tags)
+    balance.subtract(tags)  # positive: missing from the template; negative: extra in it
+    if any(balance.values()):
+        pairs = (("missing", +balance), ("extra", -balance))
+        detail = ", ".join(f"{word} {sorted(c.elements())}" for word, c in pairs if c)
+        return TemplateVerdict(False, f"tag recall failed: {detail}")
     return TemplateVerdict(True)
 
 

@@ -2,9 +2,9 @@
 
 Nonterminals are rendered as single angle-bracket tokens such as ``<X_0>``
 or ``<C_3>`` so they survive whitespace tokenization. Markup tags are
-registered surface forms; a registered ``<name>`` counts as an opening tag
-only when ``</name>`` is registered too, and every other registered symbol
-(entities, URL placeholders) is treated as a void element.
+registered surface forms. ``<name>`` opens and ``</name>`` closes when both
+are registered; every other registered symbol (entities, URL placeholders,
+a ``<name>`` or a ``</name>`` registered alone) is a void element.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ from .errors import CapacityError, ReservedTokenError
 from .types import ASCII_WHITESPACE, LONE_SURROGATE, FrozenValue, Nonterminal, TokenSeq
 
 # A registered tag holds no ASCII whitespace (__init__ checks it).
-_OPEN_RE = re.compile(r"^<([^<>/]+)>$")
-_CLOSE_RE = re.compile(r"^</([^<>/]+)>$")
+_OPEN_RE = re.compile(r"<([^<>/]+)>")
 
 
 class ReservedVocab(FrozenValue):
     FIELDS = ("sep_token", "x_prefix", "y_prefix", "c_prefix", "max_index", "registered_tags")
     __slots__ = (
-        *FIELDS, "_nt_pattern", "_kind_by_prefix", "_prefix_by_kind", "_spellings", "_parsed",
+        *FIELDS, "_nt_pattern", "_kind_by_prefix", "_prefix_by_kind", "_spellings", "_parsed", "_roles",
     )
 
     def __init__(
@@ -60,6 +59,12 @@ class ReservedVocab(FrozenValue):
             raise ValueError("separator token collides with a nonterminal spelling")
         if colliding := sorted(filter(self.is_reserved, registered_tags)):  # sorted, so one name every run
             raise ValueError(f"registered tag {colliding[0]!r} collides with a reserved token")
+        roles = {tag: ("void", tag) for tag in registered_tags}
+        for tag in registered_tags:  # a pair is found from its opening tag
+            m = _OPEN_RE.fullmatch(tag)
+            if m and (close := f"</{m[1]}>") in roles:
+                roles[tag], roles[close] = ("open", m[1]), ("close", m[1])
+        object.__setattr__(self, "_roles", roles)
 
     def render(self, nt: Nonterminal | tuple[str, int]) -> str:
         """The spelling of a Nonterminal, or of the (kind, index) pair it equals."""
@@ -93,15 +98,10 @@ class ReservedVocab(FrozenValue):
 
     def tag_role(self, token: str) -> tuple[str, str]:
         """Classify a registered tag as ('open'|'close'|'void', name)."""
-        if token not in self.registered_tags:
+        role = self._roles.get(token)
+        if role is None:
             raise ValueError(f"{token!r} is not a registered tag")
-        m = _CLOSE_RE.match(token)
-        if m:
-            return "close", m.group(1)
-        m = _OPEN_RE.match(token)
-        if m and f"</{m.group(1)}>" in self.registered_tags:
-            return "open", m.group(1)
-        return "void", token
+        return role
 
     def check_plain(self, tokens: TokenSeq, where: str = "sentence") -> None:
         """Reject reserved tokens in a plain (non-serialized) sentence, by

@@ -530,8 +530,8 @@ def reference_term_score(records):
 
 
 def reference_structure_metrics(records, vocab):
-    """(correct%, match%) from a tag stack of its own. A registered </name>
-    closes, a registered <name> opens when </name> is registered too, and
+    """(correct%, match%) from a tag stack of its own. A registered <name>
+    opens and a registered </name> closes when both are registered, and
     every other registered symbol is void. Correct: every close pops its
     own name and nothing is left open. Match: the hypothesis's tags, in
     order, are the reference's."""
@@ -541,7 +541,7 @@ def reference_structure_metrics(records, vocab):
         tags = [t for t in r.hypothesis if t in registered]
         stack, nested = [], True
         for tag in tags:
-            if tag.startswith("</"):
+            if tag.startswith("</") and f"<{tag[2:-1]}>" in registered:
                 nested = nested and bool(stack) and stack.pop() == tag[2:-1]
             elif f"</{tag[1:-1]}>" in registered:
                 stack.append(tag[1:-1])

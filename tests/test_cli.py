@@ -282,6 +282,20 @@ def test_structural_roundtrip_with_non_ascii_space_in_tags(tmp_path, capsys):
     assert summary["metrics"]["structure_match"] == 100.0
 
 
+def test_structural_roundtrip_with_an_unpaired_close_tag(tmp_path, capsys):
+    # a </b> registered without its <b> is void: it closes nothing, so the line is valid
+    vocab_path = write_lines(tmp_path / "vocab.json", ['{"registered_tags": ["</b>"]}'])
+    src = write_lines(tmp_path / "s.txt", ["a </b> c"])
+    tgt = write_lines(tmp_path / "t.txt", ["x </b> z"])
+    code, out = run(
+        capsys, "roundtrip", "--mode", "structural", "--vocab", vocab_path, "--src", src, "--tgt", tgt,
+    )
+    assert code == 0
+    summary = last_json(out)
+    assert summary["violations"] == [] and summary["template_accuracy"] == 100.0
+    assert summary["metrics"]["structure_correct"] == 100.0
+
+
 def test_structural_evaluate(tmp_path, capsys):
     vocab_path = tmp_path / "vocab.json"
     write_lines(vocab_path, [json.dumps(TAGGED_VOCAB.to_dict())])
@@ -749,6 +763,44 @@ def test_translator_that_exits_early_is_data_error(tmp_path, capsys, child):
     err = capsys.readouterr().err
     assert err.startswith("ctmt: ") and err.count("\n") == 1
     assert not (out_dir / "decode.out").exists()
+
+
+LINGERING_TRANSLATOR = textwrap.dedent(
+    """\
+    #!/usr/bin/env python3
+    import sys
+    import time
+
+    # test translator: echoes each request's source words (after the four
+    # tokens "<sep> <X_0> <sep> <X_0>" of an unconstrained line), then records
+    # when its input ended and takes a second to shut down
+    for line in sys.stdin:
+        print("<Y_0> <sep> <Y_0>", *line.split("\\t")[0].split()[4:], flush=True)
+    with open(sys.argv[1], "a") as f:
+        f.write(f"{time.monotonic()}\\n")
+    time.sleep(1)
+    """
+)
+
+
+def test_translator_children_see_their_input_end_together(tmp_path):
+    # every child's input is closed before any child is reaped, so no child
+    # waits for another to shut down before it may start to
+    src = write_lines(tmp_path / "s.src", ["a b", "c", "d e f", "g"])
+    enc_dir = tmp_path / "enc"
+    assert main(["encode", "--src", src, "--out-dir", str(enc_dir)]) == 0
+    script = tmp_path / "lingering_translator.py"
+    script.write_text(LINGERING_TRANSLATOR, encoding="utf-8")
+    decoded = {}
+    for shards in (1, 2):
+        ends = tmp_path / f"ends{shards}.txt"
+        out_dir = tmp_path / f"out{shards}"
+        assert main(["decode", "--encode-dir", str(enc_dir), "--out-dir", str(out_dir),
+                     "--shards", str(shards), "--translator", f"{sys.executable} {script} {ends}"]) == 0
+        decoded[shards] = (out_dir / "decode.out").read_bytes()
+    first, second = map(float, (tmp_path / "ends2.txt").read_text().split())
+    assert abs(first - second) < 0.5
+    assert decoded[1] == decoded[2] == b"a b\nc\nd e f\ng\n"
 
 
 JUNK_TRANSLATOR = textwrap.dedent(

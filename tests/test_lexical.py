@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 import time
@@ -26,6 +27,7 @@ from ctmt import (
     segment,
     validate_template,
 )
+from ctmt.cli import main
 from ctmt.lexical import (
     canonical_constraints,
     claim_spans,
@@ -50,6 +52,7 @@ from conftest import (
     make_lexical_corpus,
     reference_claim_spans,
     reference_disjoint_assignment,
+    write_lines,
 )
 
 
@@ -317,6 +320,21 @@ def test_span_search_gives_up_when_its_budget_runs_out():
     x, phrases = ["x", "y", "x"], [["x"], ["x", "y"]]
     assert find_disjoint_assignment(x, phrases, node_budget=2) is None
     assert find_disjoint_assignment(x, phrases) == [(2, 3), (0, 2)]
+
+
+def test_span_search_is_exhausted_when_no_disjoint_placement_exists(tmp_path, caplog):
+    # both phrases occur and the line has the copies they need, but every
+    # "a b" overlaps the one "b a": four nodes tried, well within the budget
+    x, phrases = "a b a b".split(), [["a", "b"], ["b", "a"]]
+    assert find_disjoint_assignment(x, phrases, node_budget=5) is None
+    assert find_disjoint_assignment(x, phrases) is None
+    assert reference_disjoint_assignment(x, phrases) is None
+    assert claim_spans(x, phrases) == [(0, 2), None]
+    src = write_lines(tmp_path / "s.txt", [" ".join(x)])
+    pairs = [{"src": p, "tgt": ["T"]} for p in phrases]
+    cons = write_lines(tmp_path / "c.jsonl", [json.dumps({"constraints": pairs})])
+    assert main(["encode", "--src", src, "--constraints", cons, "--out-dir", str(tmp_path / "enc")]) == 0
+    assert "line 1 skipped: constraint phrase 'b a' has no available occurrence" in caplog.text
 
 
 # "a b" claims (1, 3) and strands "b a", so a thousand one-token phrases

@@ -9,6 +9,7 @@ from ctmt import (
     DerivationTable,
     Nonterminal,
     OutputParseError,
+    ReservedVocab,
     Template,
     TemplateVerdict,
     build_structural_pair,
@@ -188,6 +189,14 @@ def test_validate_structural_unclosed(tagged_vocab):
 def test_void_tags_do_not_affect_nesting(tagged_vocab):
     assert tags_well_formed(["<url>", "<ph>", "&amp;", "</ph>"], tagged_vocab)
     assert not tags_well_formed(["<ph>", "<g>", "</ph>", "</g>"], tagged_vocab)
+
+
+def test_unpaired_close_tag_is_void_in_nesting_and_recall():
+    vocab = ReservedVocab(registered_tags=frozenset({"</b>", "<i>", "</i>"}))
+    assert tags_well_formed(["</b>"], vocab)
+    assert tags_well_formed(["<i>", "</b>", "</i>", "</b>"], vocab)
+    t = Template([Y(0), "</b>", Y(1), "<i>", Y(2), "</i>"])
+    assert validate_structural_template(t, ["</b>", "<i>", "</i>"], vocab) == TemplateVerdict(True)
 
 
 def test_validate_structural_rejects_foreign_elements(tagged_vocab):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ctmt import DEFAULT_VOCAB, CapacityError, Nonterminal, ReservedTokenError, ReservedVocab
@@ -163,6 +165,30 @@ def test_tags_may_hold_non_ascii_whitespace():
 def test_unpaired_open_is_void():
     vocab = ReservedVocab(registered_tags=frozenset({"<ph>"}))
     assert vocab.tag_role("<ph>") == ("void", "<ph>")
+
+
+def test_unpaired_close_is_void():
+    vocab = ReservedVocab(registered_tags=frozenset({"</ph>"}))
+    assert vocab.tag_role("</ph>") == ("void", "</ph>")
+
+
+def test_tag_roles_in_every_subset_follow_the_pair_rule():
+    # <name> opens and </name> closes when both are registered; every other
+    # registered symbol is void, and an unregistered one has no role
+    pool = ["<a>", "</a>", "<b/>", "&amp;", "</c>"]
+    for size in range(len(pool) + 1):
+        for tags in itertools.combinations(pool, size):
+            vocab = ReservedVocab(registered_tags=frozenset(tags))
+            for tag in pool:
+                if tag not in tags:
+                    with pytest.raises(ValueError, match="is not a registered tag"):
+                        vocab.tag_role(tag)
+                elif tag.startswith("</") and "<" + tag[2:] in tags:
+                    assert vocab.tag_role(tag) == ("close", tag[2:-1])
+                elif "</" + tag[1:] in tags:
+                    assert vocab.tag_role(tag) == ("open", tag[1:-1])
+                else:
+                    assert vocab.tag_role(tag) == ("void", tag)
 
 
 def test_colliding_surface_forms_rejected():
