@@ -16,8 +16,8 @@ import time
 from pathlib import Path
 
 from . import _log, corpus_io, lexical
-from .errors import CorpusFormatError, CtmtError, OutputParseError
-from .types import SerializedExample, TemplateVerdict, TokenSeq
+from .errors import CorpusFormatError, CtmtError
+from .types import SerializedExample, TokenSeq
 from .vocab import DEFAULT_VOCAB, ReservedVocab
 
 # mining, metrics and structural are imported by the commands and modes that
@@ -130,19 +130,21 @@ class TranslatorBridge:
         return self
 
     def __exit__(self, exc_type, *exc) -> None:
-        """End every child's requests, then reap them all within 10 s; after a clean
-        run, fail on what a child wrote past the last answer read, buffered or not."""
+        """End every child's requests, then reap them all within EXIT_SECONDS, killing any still
+        running; after a clean run, fail on what a child wrote past the last answer read."""
         import subprocess
 
         for proc in self._procs:  # all at once, so the children shut down side by side
             proc.stdin.close()
             proc.stdin = None  # communicate would flush a closed stream
-        deadline, extra = time.monotonic() + 10, b""
+        deadline, extra = time.monotonic() + EXIT_SECONDS, b""
         for proc, unread in zip(self._procs, self._unread):
             try:
                 rest, _ = proc.communicate(timeout=max(0.0, deadline - time.monotonic()))
             except subprocess.TimeoutExpired:
                 proc.kill()
+                log.warning("translator %r: killed a child still running %g s after its input ended",
+                            self.command, EXIT_SECONDS)
                 rest, _ = proc.communicate()
             extra = extra or unread + rest
         if exc_type is None and extra:
@@ -277,36 +279,21 @@ def decode_line(tail: TokenSeq, meta: dict, vocab: ReservedVocab) -> tuple[Token
     """Reconstruct one model output line, never raising on bad content.
 
     ``meta`` is the line's record as corpus_io.parse_meta returns it; its
-    ``mode`` alone names how the line decodes. A line that fails to parse
-    or validate is expanded from its best-effort reading, where
-    C-nonterminals with no constraint expand to nothing.
+    ``mode`` alone names how the line decodes. One lexical.read_output call
+    reads and judges the line; a line that fails to parse or validate is
+    expanded from that reading, C-nonterminals with no constraint to nothing.
     """
-    mode, constraints = meta["mode"], meta.get("constraints", [])
-    audit: dict = {"index": meta.get("index"), "fallback": False, "warnings": []}
-    try:
-        if mode == "structural":
-            from . import structural
-
-            parsed = structural.parse_structural_output(tail, vocab)
-            verdict = structural.validate_structural_template(
-                parsed.template, meta.get("source_tags", []), vocab
-            )
-            audit["tags"] = parsed.template.tags()
-        else:
-            parsed = lexical.parse_output(tail, vocab, len(constraints))
-            verdict = lexical.validate_template(parsed.template, len(constraints))
-            audit["constraint_indices"] = parsed.template.constraint_indices()
-    except OutputParseError as exc:
-        parsed, verdict = exc.parsed, TemplateVerdict(False, str(exc))
-        audit.update(fallback=True, omitted_y=0)
-    else:
-        audit.update(warnings=parsed.warnings, omitted_y=len(parsed.omitted()))
-    audit.update(valid=verdict.valid, reason=verdict.reason)
-    d_table = lexical.constraint_derivation(constraints)
-    if not verdict.valid:
-        for nt in parsed.template.nonterminals("C"):
-            d_table.setdefault(nt, [])
-    return lexical.reconstruct(parsed.template, d_table, parsed.derivation), audit
+    constraints, structural = meta.get("constraints", []), meta["mode"] == "structural"
+    n = len(constraints)
+    elements, rules, warnings, error, reason, found, omitted_y = lexical.read_output(
+        tail, vocab, n, meta.get("source_tags", []) if structural else None
+    )
+    audit = {"index": meta.get("index"), "fallback": error is not None, "warnings": [] if error else warnings,
+             "omitted_y": 0 if error else omitted_y, "valid": reason is None, "reason": reason}
+    if error is None:
+        audit["tags" if structural else "constraint_indices"] = found
+    phrase = lambda nt: constraints[nt[1] - 1].tgt if 0 < nt[1] <= n else []  # noqa: E731
+    return lexical.expand(elements, phrase, rules), audit
 
 
 def _template_accuracy(valid: int, lines: int) -> float:
@@ -320,6 +307,7 @@ def _template_accuracy(valid: int, lines: int) -> float:
 # with 1-line chunks, 19.3 with 256, 23.0 with 1,024, and 29.9 with the
 # whole corpus in one pass.
 CHUNK_LINES = 256
+EXIT_SECONDS = 10  # translator children's time, all together, to exit once their input ends
 
 
 def _chunks(items, size: int):

@@ -15,13 +15,9 @@ validates, and expands back into a plain sentence.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 
-from .errors import (
-    ConstraintMatchError,
-    InternalError,
-    OutputParseError,
-    SpanError,
-)
+from .errors import ConstraintMatchError, InternalError, OutputParseError, SpanError
 from .types import (
     ConstraintPair,
     DerivationTable,
@@ -312,63 +308,72 @@ def constraint_section(slots: list[str], phrases: list[TokenSeq], vocab: Reserve
 
 
 def read_output(
-    tail: TokenSeq,
-    vocab: ReservedVocab,
-    *,
-    structural: bool = False,
-    n_constraints: int | None = None,
-) -> tuple[ParsedOutput, str | None]:
-    """Tolerant reading of a model continuation ``t <sep> f``, and the first
-    violation a strict parse rejects (None if there is none).
+    tail: TokenSeq, vocab: ReservedVocab, n_constraints: int | None = None, source_tags: list | None = None
+) -> tuple:
+    """One walk of a model continuation ``t <sep> f``: a structural line when
+    ``source_tags`` is given, a lexical one otherwise.
 
-    Every token of the template region (up to the first separator, or the
-    whole line) becomes an element. In the derivation region each
-    nonterminal opens a rule and a repeated one keeps its first; separators,
-    rejected tags and free tokens before any rule are dropped.
+    Every token up to the first separator (or of the whole line) is a template
+    element. After it each nonterminal opens a rule, and a repeated one keeps
+    its first; separators, rejected tags and free tokens before any rule are
+    dropped. Returns (elements, derivation, warnings, error, reason, slots,
+    omitted): the first violation a strict parse rejects; that, else the first
+    of the template law (a lexical line needs ``n_constraints`` to be judged);
+    the C-indices, or tags; and how many Y-nonterminals have no rule.
     """
-    sep = vocab.sep_token
+    structural = source_tags is not None
+    sep, parse = vocab.sep_token, vocab.parse_token
+    tags = vocab.registered_tags if structural else ()
     cut = tail.index(sep) if sep in tail else len(tail)
     error = None if cut < len(tail) else "no separator between template and derivations"
-    allowed = ("Y",) if structural else ("Y", "C")
-    elements: list[Nonterminal | str] = []
-    warnings: list[str] = []
+    elements, warnings, slots = [], [], []
     for tok in tail[:cut]:
-        if structural and vocab.is_tag(tok):
-            elements.append(tok)
-            continue
-        nt = vocab.parse_token(tok)
+        nt = None if tok in tags else parse(tok)
         elements.append(tok if nt is None else nt)
-        if nt is None or nt.kind not in allowed:
+        if tok in tags:
+            slots.append(tok)
+        elif nt is None or nt[0] == "X" or (structural and nt[0] == "C"):
             error = error or f"token {tok!r} is not allowed in the template region"
-        elif n_constraints is not None and nt.kind == "C" and nt.index > n_constraints:
-            warnings.append(f"constraint index {nt.index} exceeds the {n_constraints} provided")
+        elif nt[0] == "C":
+            slots.append(nt[1])
+            if n_constraints is not None and nt[1] > n_constraints:
+                warnings.append(f"constraint index {nt[1]} exceeds the {n_constraints} provided")
 
     rules: DerivationTable = {}
     current: TokenSeq | None = None
     for tok in tail[cut + 1 :]:
         if tok == sep:
             error = error or "unexpected separator inside the derivation region"
-        elif structural and vocab.is_tag(tok):
+        elif tok in tags:
             error = error or f"markup tag {tok!r} inside the derivation region"
-        elif (nt := vocab.parse_token(tok)) is None:
+        elif tok[-1:] != ">" or (nt := parse(tok)) is None:  # every nonterminal spelling ends in ">"
             if current is None:
                 error = error or f"free token {tok!r} before any derivation nonterminal"
             else:
                 current.append(tok)
         else:
-            if nt.kind != "Y":
+            if nt[0] != "Y":
                 error = error or f"{tok!r} is not allowed in the derivation region"
             current = []
             if nt in rules:
-                warnings.append(f"repeated derivation for {nt.kind}{nt.index}; kept the first rule")
+                warnings.append(f"repeated derivation for {nt[0]}{nt[1]}; kept the first rule")
             else:
                 rules[nt] = current
-    return ParsedOutput(Template(elements), rules, warnings), error
+    omitted = len([e for e in elements if not isinstance(e, str) and e[0] == "Y" and e not in rules])
+    reason = error
+    if error is None and structural:
+        from .structural import template_law as structural_law  # loaded by structural lines only
+
+        reason = structural_law(elements, source_tags, vocab)
+    elif error is None and n_constraints is not None:
+        reason = template_law(elements, n_constraints)
+    return elements, rules, warnings, error, reason, slots, omitted
 
 
-def strict(parsed: ParsedOutput, error: str | None) -> ParsedOutput:
-    """The reading of a line a strict parse accepts; otherwise raise
-    OutputParseError with the violation, carrying the reading."""
+def parsed_output(reading: tuple) -> ParsedOutput:
+    """The ParsedOutput of a read_output reading; OutputParseError, carrying it, on a violation."""
+    elements, rules, warnings, error, *_ = reading
+    parsed = ParsedOutput(Template(elements), rules, warnings)
     if error is not None:
         raise OutputParseError(error, parsed)
     return parsed
@@ -379,70 +384,72 @@ def scan_derivation_rules(
 ) -> tuple[DerivationTable, list[str]]:
     """Parse a derivation region strictly, as read_output does after the
     separator. Returns the table and the repeated-rule warnings."""
-    parsed = strict(*read_output([vocab.sep_token, *tokens], vocab, structural=reject_tags))
+    reading = read_output([vocab.sep_token, *tokens], vocab, source_tags=[] if reject_tags else None)
+    parsed = parsed_output(reading)
     return parsed.derivation, parsed.warnings
 
 
-def parse_output(
-    tail: TokenSeq, vocab: ReservedVocab, n_constraints: int | None = None
-) -> ParsedOutput:
+def parse_output(tail: TokenSeq, vocab: ReservedVocab, n_constraints: int | None = None) -> ParsedOutput:
     """Parse a model continuation ``t <sep> f`` emitted after the prefix.
 
     The template region before the first separator admits only Y- and
     C-nonterminals. When ``n_constraints`` is given, out-of-range
     constraint indices are reported as warnings for auditing.
     """
-    return strict(*read_output(tail, vocab, n_constraints=n_constraints))
+    return parsed_output(read_output(tail, vocab, n_constraints))
+
+
+def template_law(elements: list, n_constraints: int) -> str | None:
+    """The first way template elements break the lexical law, the shape Y0 C Y1 ... C YN
+    with index set {1..N} in any order, or None when they keep it."""
+    if len(elements) % 2 == 0:
+        return f"template of {len(elements)} elements cannot alternate"
+    found = []
+    for pos, e in enumerate(elements):
+        if not isinstance(e, Nonterminal):
+            return f"literal token {e!r} in a lexical template"
+        if pos % 2:
+            if e[0] != "C":
+                return f"expected a constraint nonterminal at position {pos}"
+            found.append(e[1])
+        elif e[0] != "Y" or e[1] != pos // 2:
+            return f"expected Y{pos // 2} at position {pos}"
+    seen, required = set(found), set(range(1, n_constraints + 1))
+    if missing := required - seen:
+        return f"missing constraint index {min(missing)}"
+    if extra := seen - required:
+        return f"unknown constraint index {min(extra)}"
+    if len(found) != len(seen):
+        return f"duplicated constraint index {min(i for i in seen if found.count(i) > 1)}"
+    return None
 
 
 def validate_template(template: Template, n_constraints: int) -> TemplateVerdict:
-    """Check the required shape Y0 C Y1 ... C YN with index set {1..N}.
-
-    Any permutation of the constraint indices is accepted; duplicates,
-    omissions, and out-of-range indices are not.
-    """
-    elems = template.elements
-    if len(elems) % 2 == 0:
-        return TemplateVerdict(False, f"template of {len(elems)} elements cannot alternate")
-    for pos, e in enumerate(elems):
-        if not isinstance(e, Nonterminal):
-            return TemplateVerdict(False, f"literal token {e!r} in a lexical template")
-        if pos % 2 == 0:
-            if e.kind != "Y" or e.index != pos // 2:
-                return TemplateVerdict(False, f"expected Y{pos // 2} at position {pos}")
-        elif e.kind != "C":
-            return TemplateVerdict(False, f"expected a constraint nonterminal at position {pos}")
-    found = [e.index for e in elems[1::2]]  # the loop has checked that each is a C
-    seen, required = set(found), set(range(1, n_constraints + 1))
-    if missing := required - seen:
-        return TemplateVerdict(False, f"missing constraint index {min(missing)}")
-    if extra := seen - required:
-        return TemplateVerdict(False, f"unknown constraint index {min(extra)}")
-    if len(found) != len(seen):
-        dup = min(i for i in seen if found.count(i) > 1)
-        return TemplateVerdict(False, f"duplicated constraint index {dup}")
-    return TemplateVerdict(True)
+    """Check the required shape Y0 C Y1 ... C YN with index set {1..N}, by template_law."""
+    reason = template_law(template.elements, n_constraints)
+    return TemplateVerdict(reason is None, reason)
 
 
 def reconstruct(
-    template: Template,
-    constraint_rules: DerivationTable,
-    free_rules: DerivationTable,
+    template: Template, constraint_rules: DerivationTable, free_rules: DerivationTable
 ) -> TokenSeq:
-    """Expand a template into tokens using the available derivation rules.
-
-    Free-token nonterminals without a rule expand to the empty fragment. A
+    """Expand a template with the available derivation rules, as expand does. A
     constraint nonterminal without a rule cannot happen for a validated
-    template and is reported as an internal error.
-    """
+    template and is reported as an internal error."""
+    return expand(template.elements, constraint_rules.get, free_rules)
+
+
+def expand(elements: list, constraint_phrase: Callable, free_rules: DerivationTable) -> TokenSeq:
+    """The tokens of template elements: a literal token stands for itself, a C-nonterminal for
+    ``constraint_phrase`` of it (None is an internal error), any other nonterminal for its rule."""
     out: TokenSeq = []
-    for e in template.elements:
+    for e in elements:
         if isinstance(e, str):
             out.append(e)
-        elif e.kind == "C":
-            fragment = constraint_rules.get(e)
+        elif e[0] == "C":
+            fragment = constraint_phrase(e)
             if fragment is None:
-                raise InternalError(f"no derivation for constraint nonterminal C{e.index}")
+                raise InternalError(f"no derivation for constraint nonterminal C{e[1]}")
             out.extend(fragment)
         else:
             fragment = free_rules.get(e)

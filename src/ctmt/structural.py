@@ -22,7 +22,7 @@ from .types import (
     TemplateVerdict,
     TokenSeq,
 )
-from .lexical import read_output, reconstruct, render_side, strict
+from .lexical import parsed_output, read_output, reconstruct, render_side
 from .vocab import ReservedVocab
 
 log = Logger(__name__)
@@ -85,7 +85,7 @@ def parse_structural_output(tail: TokenSeq, vocab: ReservedVocab) -> ParsedOutpu
     derivation region is parsed exactly as in the lexical task, with tags
     rejected.
     """
-    return strict(*read_output(tail, vocab, structural=True))
+    return parsed_output(read_output(tail, vocab, source_tags=[]))
 
 
 def _nesting_error(tags: list[str], vocab: ReservedVocab) -> str | None:
@@ -113,27 +113,32 @@ def tag_sequence(tokens: TokenSeq, vocab: ReservedVocab) -> list[str]:
     return [tok for tok in tokens if vocab.is_tag(tok)]
 
 
-def validate_structural_template(
-    template: Template, source_tags: list[str], vocab: ReservedVocab
-) -> TemplateVerdict:
-    """A generated template is valid when its tag stream is well formed and
-    its tag multiset equals the source sentence's."""
-    for e in template.elements:
+def template_law(elements: list, source_tags: list[str], vocab: ReservedVocab) -> str | None:
+    """The first way template elements break the structural law (Y-nonterminals and registered
+    tags only, the tags nested and as many of each as the source has), or None."""
+    for e in elements:
         if isinstance(e, Nonterminal) and e.kind != "Y":
-            return TemplateVerdict(False, f"{e.kind}{e.index} in a structural template")
+            return f"{e.kind}{e.index} in a structural template"
         if isinstance(e, str) and not vocab.is_tag(e):
-            return TemplateVerdict(False, f"unregistered token {e!r} in a structural template")
-    tags = template.tags()
-    error = _nesting_error(tags, vocab)
-    if error is not None:
-        return TemplateVerdict(False, error)
+            return f"unregistered token {e!r} in a structural template"
+    tags = [e for e in elements if isinstance(e, str)]
+    if error := _nesting_error(tags, vocab):
+        return error
     balance = Counter(source_tags)
     balance.subtract(tags)  # positive: missing from the template; negative: extra in it
     if any(balance.values()):
         pairs = (("missing", +balance), ("extra", -balance))
-        detail = ", ".join(f"{word} {sorted(c.elements())}" for word, c in pairs if c)
-        return TemplateVerdict(False, f"tag recall failed: {detail}")
-    return TemplateVerdict(True)
+        return "tag recall failed: " + ", ".join(f"{word} {sorted(c.elements())}" for word, c in pairs if c)
+    return None
+
+
+def validate_structural_template(
+    template: Template, source_tags: list[str], vocab: ReservedVocab
+) -> TemplateVerdict:
+    """A generated template is valid when its tag stream is well formed and
+    its tag multiset equals the source sentence's, by template_law."""
+    reason = template_law(template.elements, source_tags, vocab)
+    return TemplateVerdict(reason is None, reason)
 
 
 def reconstruct_structural(template: Template, free_rules: DerivationTable) -> TokenSeq:

@@ -27,6 +27,7 @@ from ctmt import (
     validate_structural_template,
     validate_template,
 )
+from ctmt import cli
 from ctmt.cli import TranslatorBridge, build_parser, decode_line, main, shard_ranges
 from ctmt.vocab import DEFAULT_VOCAB, ReservedVocab
 
@@ -801,6 +802,26 @@ def test_translator_children_see_their_input_end_together(tmp_path):
     first, second = map(float, (tmp_path / "ends2.txt").read_text().split())
     assert abs(first - second) < 0.5
     assert decoded[1] == decoded[2] == b"a b\nc\nd e f\ng\n"
+
+
+def test_a_translator_child_killed_at_shutdown_is_named(tmp_path, capsys, caplog, monkeypatch):
+    # both children answer every request, then outlive the deadline after their
+    # input ends: each is killed and named once, and decode is unchanged
+    src = write_lines(tmp_path / "s.src", ["a b", "c", "d e f"])
+    enc_dir = tmp_path / "enc"
+    assert main(["encode", "--src", src, "--out-dir", str(enc_dir)]) == 0
+    capsys.readouterr()
+    script = tmp_path / "lingering_translator.py"
+    script.write_text(LINGERING_TRANSLATOR, encoding="utf-8")
+    monkeypatch.setattr(cli, "EXIT_SECONDS", 0.2)
+    command = f"{sys.executable} {script} {tmp_path / 'ends.txt'}"
+    assert main(["decode", "--encode-dir", str(enc_dir), "--shards", "2", "--translator", command]) == 0
+    assert (enc_dir / "decode.out").read_bytes() == b"a b\nc\nd e f\n"
+    assert len((enc_dir / "decode.audit.jsonl").read_bytes().splitlines()) == 3
+    summary = {"sentences": 3, "template_accuracy": 100.0, "omitted_nonterminals": 0, "fallback_lines": 0}
+    assert json.loads(capsys.readouterr().out) == summary
+    killed = f"translator {command!r}: killed a child still running 0.2 s after its input ended"
+    assert [r.getMessage() for r in caplog.records if "killed" in r.getMessage()] == [killed] * 2
 
 
 JUNK_TRANSLATOR = textwrap.dedent(

@@ -717,11 +717,11 @@ def test_read_output_inverts_render_side(case):
     structural, vocab, slots, fragments = case
     rendered = [s if isinstance(s, str) else vocab.render(s) for s in slots]
     stream = render_side("Y", rendered, fragments, vocab)
-    parsed, error = read_output(stream, vocab, structural=structural)
+    elements, derivation, _, error, *_ = read_output(stream, vocab, source_tags=[] if structural else None)
     assert error is None
     ys = [Nonterminal("Y", n) for n in range(len(fragments))]
     template = [ys[0]]
     for slot, y in zip(slots, ys[1:]):
         template += [slot, y]
-    assert parsed.template.elements == template
-    assert list(parsed.derivation.items()) == list(zip(ys, fragments))
+    assert elements == template
+    assert list(derivation.items()) == list(zip(ys, fragments))

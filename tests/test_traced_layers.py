@@ -27,6 +27,14 @@ READ_ZERO = {
     "metrics.term.share",
     "corpus_io.write.self_s",
     "corpus_io.lines",
+    # decode reads, judges and expands a line with lexical.read_output,
+    # template_law and expand, which no span wraps
+    "lexical.parse.self_s",
+    "lexical.validate.self_s",
+    "lexical.validate.invalid",
+    "lexical.reconstruct.self_s",
+    "structural.parse.self_s",
+    "structural.validate.self_s",
 }
 
 # The first request is answered with a template that leaves out its
