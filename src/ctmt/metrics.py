@@ -229,11 +229,12 @@ def _multiset_floor(
     return max(surplus(hyp, hyp_weights, ref), surplus(ref, ref_weights, hyp))
 
 
-def _ref_substring_positions(ref: TokenSeq) -> dict[tuple[str, ...], list[int]]:
-    index: dict[tuple[str, ...], list[int]] = {}
-    for j1 in range(len(ref)):
-        for j2 in range(j1 + 1, min(j1 + MAX_SHIFT_LEN, len(ref)) + 1):
-            index.setdefault(tuple(ref[j1:j2]), []).append(j1)
+def _ref_substring_positions(ref: TokenSeq) -> dict[str, list[int]]:
+    """Where each reference token stands, in ascending order: the start
+    positions of every one-token substring, which the shift search narrows."""
+    index: dict[str, list[int]] = {}
+    for j, token in enumerate(ref):
+        index.setdefault(token, []).append(j)
     return index
 
 
@@ -247,6 +248,10 @@ def shifted_edit_cost(
     its reference position) that lowers the weighted edit distance by more
     than the shift's own cost, then stop. A shift costs the weight of its
     heaviest moved token.
+
+    The reference positions of a candidate ``cur[i1:i2]`` come from a
+    per-token index of the reference, narrowed one token at a time as i2
+    grows: a start stays while the reference continues with ``cur[i2 - 1]``.
 
     The search is exact, only cheaper than scoring every candidate in full.
     A shift must bring the total strictly below the best so far, and each
@@ -263,27 +268,29 @@ def shifted_edit_cost(
       and the row of ``cur[q:]`` against each reference suffix are kept for
       every p and q. A row's minimum never falls as tokens are added, so
       their minima plus the cost bound the candidate's total from below.
+      The first round's prefix rows are the distance DP's own rows; later
+      rounds compute them afresh for the shifted hypothesis.
     - Alignment split. Every alignment crosses the end of the moved middle
       at some reference position j, so the candidate's distance is the
       least sum of the two rows' entries at j. Only the middle's rows are
       computed, and they stop once their minimum shows the bound above is
       reached.
     """
-    cur = list(hyp)
-    cur_w = list(hyp_weights)
-    distance = weighted_edit_distance(cur, ref, cur_w, ref_weights)
+    first_row = list(accumulate(ref_weights, initial=0))  # the empty prefix: insert every token
+    rows = _all_rows(first_row, hyp, hyp_weights, ref, ref_weights)  # rows[p]: after hyp[:p]
+    distance = rows[-1][-1]
     floor = _multiset_floor(hyp, ref, hyp_weights, ref_weights)
     if distance <= floor:  # no arrangement of the hypothesis does better
         return distance
-    first_row = list(accumulate(ref_weights, initial=0))  # the empty prefix: insert every token
+    cur = list(hyp)
+    cur_w = list(hyp_weights)
     rev_ref, rev_ref_w = ref[::-1], ref_weights[::-1]
     last_row = list(accumulate(rev_ref_w, initial=0))  # the empty suffix
     shift_total = 0
     ref_index = _ref_substring_positions(ref)
 
-    while distance > floor:
+    while True:
         n = len(cur)
-        rows = _all_rows(first_row, cur, cur_w, ref, ref_weights)  # rows[p]: after cur[:p]
         # back[q][j]: the distance of cur[q:] to ref[j:], from a DP over both reversed
         back = [row[::-1] for row in _all_rows(last_row, cur[::-1], cur_w[::-1], rev_ref, rev_ref_w)]
         back.reverse()
@@ -292,9 +299,12 @@ def shifted_edit_cost(
         best = None  # (new_distance, cost, tokens, weights)
         best_total = distance  # a shift must bring the total below this
         for i1 in range(n):
+            positions = ref_index.get(cur[i1], [])
             for i2 in range(i1 + 1, min(i1 + MAX_SHIFT_LEN, n) + 1):
+                if i2 > i1 + 1:  # keep the starts of cur[i1:i2 - 1] that cur[i2 - 1] continues
+                    last, offset = cur[i2 - 1], i2 - 1 - i1
+                    positions = [j for j in positions if j + offset < len(ref) and ref[j + offset] == last]
                 # a longer substring from i1 is in the reference no more often, and costs no less
-                positions = ref_index.get(tuple(cur[i1:i2]))
                 if not positions:
                     break
                 cost = max(cur_w[i1:i2])
@@ -329,6 +339,9 @@ def shifted_edit_cost(
             break
         distance, cost, cur, cur_w = best
         shift_total += cost
+        if distance <= floor:
+            break
+        rows = _all_rows(first_row, cur, cur_w, ref, ref_weights)
     return shift_total + distance
 
 
@@ -337,18 +350,29 @@ def _one_minus_term(edits: int, ref_weight: int) -> float:
     return max(0.0, min(100.0, 100.0 * (1.0 - edits / ref_weight))) if ref_weight else 100.0
 
 
-def _ngrams(tokens: TokenSeq, n: int) -> Counter:
-    """The sentence's n-grams (tuples of n tokens) and their counts."""
-    return Counter(zip(*(tokens[k:] for k in range(n))))
-
-
 def _ngram_totals(tokens: TokenSeq) -> list[int]:
     return [max(0, len(tokens) - n + 1) for n in range(1, MAX_NGRAM + 1)]
 
 
 def _bleu_counts(hyp: TokenSeq, ref: TokenSeq) -> tuple[list[int], list[int], int, int]:
-    """Clipped matches and hypothesis n-grams per order, and both lengths."""
-    matches = [sum((_ngrams(hyp, n) & _ngrams(ref, n)).values()) for n in range(1, MAX_NGRAM + 1)]
+    """Clipped matches and hypothesis n-grams per order, and both lengths.
+
+    One table counts the reference's n-grams of every order. Each hypothesis
+    n-gram claims one unclaimed copy of itself from it, so an order's matches
+    are its n-grams clipped to the reference's counts."""
+    orders = range(1, MAX_NGRAM + 1)
+    unclaimed: dict[tuple[str, ...], int] = {}
+    for n in orders:
+        for gram in zip(*(ref[k:] for k in range(n))):
+            unclaimed[gram] = unclaimed.get(gram, 0) + 1
+    matches = []
+    for n in orders:
+        found = 0
+        for gram in zip(*(hyp[k:] for k in range(n))):
+            if unclaimed.get(gram):
+                unclaimed[gram] -= 1
+                found += 1
+        matches.append(found)
     return matches, _ngram_totals(hyp), len(hyp), len(ref)
 
 

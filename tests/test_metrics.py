@@ -12,6 +12,7 @@ from ctmt.metrics import (
     MetricReport,
     SentenceStats,
     _bleu_counts,
+    _extend_rows,
     _multiset_floor,
     claim_spans,
     evaluate_records,
@@ -331,6 +332,45 @@ def test_a_pair_at_the_floor_skips_the_shift_search(monkeypatch):
 
     monkeypatch.setattr("ctmt.metrics._ref_substring_positions", index)
     assert shifted_edit_cost(hyp, ref, hw, rw) == 4
+
+
+def test_the_first_shift_round_reuses_the_distance_rows(monkeypatch):
+    # floor 1, distance 2, and moving "b" costs 1: with the floor that is no
+    # gain, so the round builds its rows and takes no shift
+    hyp, ref, w = "a b".split(), "b c".split(), [1, 1]
+    assert _multiset_floor(hyp, ref, w, w) == 1
+    extended = []
+
+    def counting(row, tokens, *args, **kwargs):
+        extended.append(len(tokens))
+        return _extend_rows(row, tokens, *args, **kwargs)
+
+    monkeypatch.setattr("ctmt.metrics._extend_rows", counting)
+    assert shifted_edit_cost(hyp, ref, w, w) == 2
+    assert sum(extended) == 4  # the forward rows once, the backward rows once
+
+
+def _long_block_pair():
+    """A near-miss line of 30 distinct tokens with a 12-token block moved,
+    longer than MAX_SHIFT_LEN, so it can only move in parts."""
+    ref = [f"w{k}" for k in range(30)]
+    hyp = ref[:2] + ref[14:] + ref[2:14]
+    hyp[20] = "v0"
+    del hyp[5]
+    return hyp, ref
+
+
+@pytest.mark.parametrize("hyp, ref, weighted", [
+    (*_long_block_pair(), False),
+    (*_long_block_pair(), True),
+    # "x" starts at 5 places and "x y" at 3, so a substring's starts narrow in steps
+    ("x y e a x y b c x d x f g x h q".split(), "x y a x y b c x d x y e f g x h i".split(), False),
+], ids=["long block", "long block weighted", "repeated starts"])
+def test_the_shift_search_equals_the_full_search_on_long_blocks_and_repeated_starts(hyp, ref, weighted):
+    rng = random.Random(43)
+    hw, rw = (_weights(rng, hyp), _weights(rng, ref)) if weighted else ([1] * len(hyp), [1] * len(ref))
+    assert shifted_edit_cost(hyp, ref, hw, rw) == reference_shifted_edit_cost(hyp, ref, hw, rw)
+    assert shifted_edit_cost(hyp, ref, hw, rw) < weighted_edit_distance(hyp, ref, hw, rw)  # a shift is taken
 
 
 # ---------------------------------------------------------------------------
